@@ -8,6 +8,7 @@ with any missing metric vector are excluded, never imputed.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import DataError
@@ -44,14 +45,6 @@ class BuildManifest:
 
 
 @dataclass
-class BuildRecord:
-    build_id: str
-    label: str
-    aggregated: MetricVector
-    strategy: str
-
-
-@dataclass
 class Dataset:
     feature_ids: list[int]
     rows: list[tuple[str, str, list[float]]]  # (build_id, label, values)
@@ -75,7 +68,12 @@ class Dataset:
 
 
 def parse_manifest(text: str) -> BuildManifest:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"malformed manifest JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise DataError("manifest is not a JSON object")
     for key in ("build_id", "kind", "result", "files"):
         if key not in doc:
             raise DataError(f"manifest missing field {key!r}")
@@ -220,8 +218,13 @@ def read_csv(text: str) -> Dataset:
         values = []
         for colnum, cell in enumerate(cells[2:], start=3):
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise DataError(f"row {rownum}, column {colnum}: non-numeric cell {cell!r}")
+            # Metric values are finite; NaN would break the sort order that
+            # discretization and tree growth rely on.
+            if not math.isfinite(value):
+                raise DataError(f"row {rownum}, column {colnum}: non-finite cell {cell!r}")
+            values.append(value)
         rows.append((bid, label, values))
     return Dataset(feature_ids=feature_ids, rows=rows, strategy=strategy, filter_tag=filter_tag)

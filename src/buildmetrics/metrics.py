@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import ModelError
+from .errors import DataError, ModelError
 from .javaparse import MethodDecl, TypeDecl
 from .model import CodeModel, qualify, resolve_name
 
@@ -341,13 +341,18 @@ def parse_metrics_csv(text: str) -> dict[str, MetricVector]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     expected = "file_path," + ",".join(f"m{i}" for i in METRIC_IDS)
     if not lines or lines[0] != expected:
-        raise ModelError("malformed metrics CSV header")
+        raise DataError("malformed metrics CSV header")
     out: dict[str, MetricVector] = {}
-    for ln in lines[1:]:
+    for rownum, ln in enumerate(lines[1:], start=2):
         cells = ln.split(",")
         if len(cells) != 1 + len(METRIC_IDS):
-            raise ModelError(f"malformed metrics CSV row: {ln!r}")
+            raise DataError(f"malformed metrics CSV row {rownum}: {ln!r}")
         path = cells[0]
-        values = {i: float(cells[k]) for k, i in enumerate(METRIC_IDS, start=1)}
+        try:
+            values = {i: float(cells[k]) for k, i in enumerate(METRIC_IDS, start=1)}
+        except ValueError as exc:
+            raise DataError(f"metrics CSV row {rownum}: {exc}")
+        if not all(map(math.isfinite, values.values())):
+            raise DataError(f"metrics CSV row {rownum}: non-finite value")
         out[path] = MetricVector(file_path=path, values=values)
     return out

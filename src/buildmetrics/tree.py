@@ -2,9 +2,12 @@
 and stratified k-fold cross-validation with confusion accounting.
 
 All features are numeric; every split is binary on a midpoint threshold
-(left branch takes values <= threshold). Pruning is bottom-up subtree
-replacement using the exact binomial upper confidence bound on the leaf
-error rate. All randomness flows through the caller-supplied seed.
+(left branch takes values <= threshold). Each feature column is sorted once
+at the root and split into ordered halves at every node (as in SLIQ).
+Pruning is one bottom-up pass of subtree replacement using the binomial
+upper confidence bound on the leaf error rate; the bound is computed in log
+space, so it stays finite at any node size. All randomness flows through
+the caller-supplied seed.
 """
 
 import json
@@ -15,7 +18,6 @@ from dataclasses import dataclass, field
 
 from .dataset import Dataset
 from .errors import EvaluationError
-from .featsel import entropy
 from .metrics import METRIC_NAMES
 
 _GAIN_EPS = 1e-12
@@ -86,30 +88,39 @@ def _leaf(counts: Counter, global_counts: Counter) -> TreeNode:
     return TreeNode(label=_majority(counts, global_counts), training_counts=Counter(counts))
 
 
-def _best_split_for_feature(values, labels, min_leaf):
-    """Best (gain, threshold, split_info) for one feature, or None."""
-    n = len(labels)
-    order = sorted(range(n), key=lambda i: values[i])
-    h_total = entropy(labels)
+def _entropy(counts, n: int) -> float:
+    """Shannon entropy in bits of class counts summing to n."""
+    h = 0.0
+    for c in counts:
+        if c:
+            p = c / n
+            h -= p * math.log2(p)
+    return h
+
+
+def _best_split_for_feature(order, values, ys, counts, h_total, min_leaf):
+    """Best (gain, threshold, split_info) for one feature, or None.
+
+    order lists the node's rows sorted by this feature's values; ys holds
+    each row's class index and counts the node's class counts.
+    """
+    n = len(order)
+    left = [0] * len(counts)
+    right = list(counts)
     best = None
-    left_counts: Counter = Counter()
-    right_counts = Counter(labels)
+    v_next = values[order[0]]
     for pos in range(1, n):
-        i = order[pos - 1]
-        left_counts[labels[i]] += 1
-        right_counts[labels[i]] -= 1
-        if right_counts[labels[i]] == 0:
-            del right_counts[labels[i]]
-        v_prev = values[order[pos - 1]]
+        y = ys[order[pos - 1]]
+        left[y] += 1
+        right[y] -= 1
+        v_prev = v_next
         v_next = values[order[pos]]
         if v_prev == v_next:
             continue
         if pos < min_leaf or n - pos < min_leaf:
             continue
-        h_left = -sum((c / pos) * math.log2(c / pos) for c in left_counts.values())
-        h_right = -sum(
-            (c / (n - pos)) * math.log2(c / (n - pos)) for c in right_counts.values()
-        )
+        h_left = _entropy(left, pos)
+        h_right = _entropy(right, n - pos)
         gain = h_total - (pos / n) * h_left - ((n - pos) / n) * h_right
         if gain <= _GAIN_EPS:
             continue
@@ -130,21 +141,31 @@ def train(dataset: Dataset, params: TrainParams | None = None) -> TreeNode:
     the highest gain ratio wins (ties: ascending metric ID).
     """
     params = params or TrainParams()
+    min_leaf = params.min_leaf_instances
     labels = dataset.labels()
     if not labels:
         raise EvaluationError("cannot train on an empty dataset")
     global_counts = Counter(labels)
+    classes = list(global_counts)
+    class_index = {label: k for k, label in enumerate(classes)}
+    ys = [class_index[label] for label in labels]
     columns = {mid: dataset.column(mid) for mid in dataset.feature_ids}
+    goes_left = [False] * len(labels)
 
-    def grow(indices: list[int]) -> TreeNode:
-        node_labels = [labels[i] for i in indices]
-        counts = Counter(node_labels)
-        if len(counts) == 1 or len(indices) < 2 * params.min_leaf_instances:
+    def grow(lists: list[list[int]]) -> TreeNode:
+        # lists[0] holds the node's rows in index order and lists[1 + k] the
+        # same rows sorted by feature k. A split node empties lists, so the
+        # lists still alive along a path hold disjoint rows.
+        counts = Counter(labels[i] for i in lists[0])
+        if len(counts) == 1 or len(lists[0]) < 2 * min_leaf:
             return _leaf(counts, global_counts)
+        class_counts = [counts[label] for label in classes]
+        h_total = _entropy(class_counts, len(lists[0]))
         candidates = []
-        for mid in dataset.feature_ids:
-            vals = [columns[mid][i] for i in indices]
-            best = _best_split_for_feature(vals, node_labels, params.min_leaf_instances)
+        for k, mid in enumerate(dataset.feature_ids):
+            best = _best_split_for_feature(
+                lists[1 + k], columns[mid], ys, class_counts, h_total, min_leaf
+            )
             if best is not None:
                 candidates.append((mid,) + best)
         if not candidates:
@@ -153,72 +174,94 @@ def train(dataset: Dataset, params: TrainParams | None = None) -> TreeNode:
         eligible = [c for c in candidates if c[1] >= mean_gain - _GAIN_EPS]
         eligible.sort(key=lambda c: (-(c[1] / c[3]), c[0]))
         mid, gain, threshold, _ = eligible[0]
-        left_idx = [i for i in indices if columns[mid][i] <= threshold]
-        right_idx = [i for i in indices if columns[mid][i] > threshold]
-        node = TreeNode(
+        column = columns[mid]
+        for i in lists[0]:
+            goes_left[i] = column[i] <= threshold
+        # Both halves are taken before either child reuses goes_left.
+        left = [[i for i in lst if goes_left[i]] for lst in lists]
+        right = [[i for i in lst if not goes_left[i]] for lst in lists]
+        lists.clear()
+        return TreeNode(
             metric_id=mid,
             threshold=threshold,
-            left=grow(left_idx),
-            right=grow(right_idx),
+            left=grow(left),
+            right=grow(right),
             training_counts=Counter(counts),
         )
-        return node
 
-    return grow(list(range(len(labels))))
+    rows = range(len(labels))
+    # Each column is sorted once, here; splits keep every list in order.
+    return grow(
+        [list(rows)] + [sorted(rows, key=columns[mid].__getitem__) for mid in dataset.feature_ids]
+    )
 
 
 def _binomial_upper_bound(errors: int, n: int, cf: float) -> float:
     """Upper confidence limit on the error rate: the p with
-    P(Binomial(n, p) <= errors) = cf, found by bisection."""
+    P(Binomial(n, p) <= errors) = cf, found by bisection.
+
+    The CDF is summed in log space, each term scaled by the largest, so the
+    bound stays finite at any n.
+    """
     if n == 0:
         return 1.0
     if errors >= n:
         return 1.0
+    log_n_fact = math.lgamma(n + 1)
+    log_coeffs = [
+        log_n_fact - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in range(errors + 1)
+    ]
+    log_cf = math.log(cf)
 
-    def cdf(p: float) -> float:
-        q = 1.0 - p
-        total = 0.0
-        for i in range(errors + 1):
-            total += math.comb(n, i) * (p**i) * (q ** (n - i))
-        return total
+    def log_cdf(p: float) -> float:
+        log_p, log_q = math.log(p), math.log(1.0 - p)
+        terms = [c + i * log_p + (n - i) * log_q for i, c in enumerate(log_coeffs)]
+        top = max(terms)
+        return top + math.log(sum(math.exp(t - top) for t in terms))
 
     lo, hi = errors / n, 1.0
     for _ in range(100):
         mid = (lo + hi) / 2.0
-        if cdf(mid) > cf:
+        if mid == lo or mid == hi:
+            # lo and hi are adjacent floats: no later step moves the result.
+            return mid
+        if log_cdf(mid) > log_cf:
             lo = mid
         else:
             hi = mid
     return (lo + hi) / 2.0
 
 
-def _pessimistic_errors(counts: Counter, cf: float) -> float:
-    n = sum(counts.values())
-    errors = n - max(counts.values()) if counts else 0
-    return n * _binomial_upper_bound(errors, n, cf)
-
-
-def _subtree_error_estimate(node: TreeNode, cf: float) -> float:
-    if node.is_leaf:
-        return _pessimistic_errors(node.training_counts, cf)
-    return _subtree_error_estimate(node.left, cf) + _subtree_error_estimate(node.right, cf)
-
-
 def prune(tree: TreeNode, confidence_factor: float = 0.25) -> TreeNode:
     """Bottom-up subtree replacement by a majority leaf whenever the leaf's
-    pessimistic error estimate does not exceed the subtree's."""
-    if tree.is_leaf:
-        return tree
-    tree.left = prune(tree.left, confidence_factor)
-    tree.right = prune(tree.right, confidence_factor)
-    leaf_estimate = _pessimistic_errors(tree.training_counts, confidence_factor)
-    subtree_estimate = _subtree_error_estimate(tree, confidence_factor)
-    if leaf_estimate <= subtree_estimate:
-        counts = tree.training_counts
-        return TreeNode(
-            label=_majority(counts, counts), training_counts=Counter(counts)
-        )
-    return tree
+    pessimistic error estimate does not exceed the subtree's.
+
+    One pass: each call returns its subtree's estimate to the parent, and
+    the bound is computed once per (errors, n) within this call.
+    """
+    bounds: dict[tuple[int, int], float] = {}
+
+    def leaf_estimate(counts: Counter) -> float:
+        n = sum(counts.values())
+        key = (n - max(counts.values()) if counts else 0, n)
+        if key not in bounds:
+            bounds[key] = _binomial_upper_bound(*key, confidence_factor)
+        return n * bounds[key]
+
+    def walk(node: TreeNode) -> tuple[TreeNode, float]:
+        if node.is_leaf:
+            return node, leaf_estimate(node.training_counts)
+        node.left, left_estimate = walk(node.left)
+        node.right, right_estimate = walk(node.right)
+        subtree_estimate = left_estimate + right_estimate
+        estimate = leaf_estimate(node.training_counts)
+        if estimate <= subtree_estimate:
+            counts = node.training_counts
+            leaf = TreeNode(label=_majority(counts, counts), training_counts=Counter(counts))
+            return leaf, estimate
+        return node, subtree_estimate
+
+    return walk(tree)[0]
 
 
 def predict(tree: TreeNode, features: dict[int, float]) -> str:

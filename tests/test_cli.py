@@ -132,6 +132,45 @@ def test_dataset_nothing_retained_is_data_error(extracted, tmp_path, capsys):
     assert code == 2
 
 
+_MANIFEST = json.dumps(
+    {"build_id": "b1", "kind": "nightly", "result": "failed", "files": ["A.java"]}
+)
+_METRICS_HEADER = "file_path," + ",".join(f"m{i}" for i in metrics.METRIC_IDS)
+
+
+@pytest.mark.parametrize(
+    "manifest, metrics_text",
+    [
+        pytest.param("{bad", _METRICS_HEADER + "\n", id="manifest-invalid-json"),
+        pytest.param("null", _METRICS_HEADER + "\n", id="manifest-not-an-object"),
+        pytest.param(_MANIFEST, "file,m1\nx,1\n", id="metrics-bad-header"),
+        pytest.param(_MANIFEST, _METRICS_HEADER + "\nA.java,1,2\n", id="metrics-short-row"),
+        pytest.param(
+            _MANIFEST,
+            _METRICS_HEADER + "\nA.java,abc" + ",1" * 41 + "\n",
+            id="metrics-non-numeric-cell",
+        ),
+        pytest.param(
+            _MANIFEST,
+            _METRICS_HEADER + "\nA.java,nan" + ",1" * 41 + "\n",
+            id="metrics-nan-cell",
+        ),
+    ],
+)
+def test_dataset_parse_failure_is_one_line_data_error(tmp_path, capsys, manifest, metrics_text):
+    mdir = tmp_path / "manifests"
+    mdir.mkdir()
+    (mdir / "b1.json").write_text(manifest)
+    (tmp_path / "metrics.csv").write_text(metrics_text)
+    code, _, err = run(
+        capsys, "dataset", str(mdir), str(tmp_path / "metrics.csv"),
+        "--strategy", "avg", "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 # -- select ---------------------------------------------------------------------
 
 
@@ -199,6 +238,26 @@ def test_evaluate_disjoint_features(dataset_csv, tmp_path, capsys):
         "--out", str(tmp_path),
     )
     assert code == 1
+
+
+def test_evaluate_past_float_range_of_exact_bound(tmp_path, capsys):
+    # 1200 balanced, noisy rows: pruning's bound at the root (about 600
+    # errors in 1080-1200 rows) overflows an exact-integer binomial sum.
+    import random
+
+    rng = random.Random(1200)
+    rows = []
+    for i in range(1200):
+        label = "failed" if i % 2 else "success"
+        signal = rng.gauss(60.0 if label == "failed" else 50.0, 15.0)
+        rows.append((f"b{i:04d}", label, [round(signal, 1), float(rng.randrange(20))]))
+    csv = tmp_path / "big.csv"
+    csv.write_text(ds.write_csv(ds.Dataset(feature_ids=[9, 13], rows=rows, strategy="maximum")))
+    code, _, err = run(capsys, "evaluate", str(csv), "--out", str(tmp_path / "o"))
+    assert code == 0, err
+    report = json.loads((tmp_path / "o" / "2_report.json").read_text())
+    assert sorted(bid for fold in report["folds"] for bid in fold) == [r[0] for r in rows]
+    assert sum(c["correct"] + c["incorrect"] for c in report["per_class"].values()) == 1200
 
 
 def test_evaluate_replay_prints_reference_row():

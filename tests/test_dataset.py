@@ -179,6 +179,12 @@ def test_parse_manifest_rejects(doc):
         parse_manifest(json.dumps(doc))
 
 
+@pytest.mark.parametrize("text", ["{bad", "", "null", "5", '["build_id", "kind", "result", "files"]'])
+def test_parse_manifest_rejects_text_that_is_not_a_json_object(text):
+    with pytest.raises(DataError):
+        parse_manifest(text)
+
+
 # -- assembly ----------------------------------------------------------------
 
 
@@ -260,3 +266,10 @@ def test_csv_rejects_non_numeric_cell():
     with pytest.raises(DataError) as exc:
         read_csv("build_id,label,m9\nb1,success,abc\n")
     assert "row 2" in str(exc.value)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_csv_rejects_non_finite_cell(cell):
+    with pytest.raises(DataError) as exc:
+        read_csv(f"build_id,label,m9\nb1,success,1\nb2,failed,{cell}\n")
+    assert "row 3" in str(exc.value)

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from buildmetrics.errors import ModelError
+from buildmetrics.errors import DataError, ModelError
 from buildmetrics.javaparse import parse_source
 from buildmetrics.metrics import (
     HalsteadCounts,
@@ -328,5 +328,5 @@ def test_metrics_csv_round_trip(corpus_vectors):
 
 
 def test_metrics_csv_rejects_bad_header():
-    with pytest.raises(ModelError):
+    with pytest.raises(DataError):
         parse_metrics_csv("file,m1\nx,1\n")

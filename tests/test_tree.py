@@ -193,6 +193,25 @@ def test_random_trees_match_oracle():
         assert shape(tree) == oracle_train(columns, labels)
 
 
+def test_presorted_columns_match_oracle_on_deep_trees():
+    # Deep trees on noisy labels: rows are split through many levels, and
+    # value ties (coarse grid) mix with distinct values (fine grid).
+    rng = random.Random(23)
+    for grid in (4, 40, None):
+        n = rng.randrange(90, 150)
+        labels = [rng.choice(["failed", "success"]) for _ in range(n)]
+        columns = {
+            mid: [
+                float(rng.randrange(grid)) if grid else rng.uniform(0, 100)
+                for _ in range(n)
+            ]
+            for mid in (2, 5, 7, 11)
+        }
+        tree = train(make_dataset(columns, labels))
+        assert tree.node_count() > 15
+        assert shape(tree) == oracle_train(columns, labels)
+
+
 # -- train basics ----------------------------------------------------------------
 
 
@@ -273,6 +292,92 @@ def test_prune_never_increases_node_count():
         tree = train(make_dataset(columns, labels))
         before = tree.node_count()
         assert prune(tree).node_count() <= before
+
+
+# -- reference pruning: the exact-integer bound and an ancestor re-walk ------------
+
+
+def reference_binomial_upper_bound(errors, n, cf):
+    """The bound with exact integer binomial coefficients, bisected 100 times;
+    it overflows once n passes about 1030."""
+    if n == 0 or errors >= n:
+        return 1.0
+
+    coeffs = [math.comb(n, i) for i in range(errors + 1)]
+
+    def cdf(p):
+        q = 1.0 - p
+        return sum(c * (p**i) * (q ** (n - i)) for i, c in enumerate(coeffs))
+
+    lo, hi = errors / n, 1.0
+    for _ in range(100):
+        mid = (lo + hi) / 2.0
+        if cdf(mid) > cf:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
+def naive_prune(node, cf):
+    """Subtree replacement that re-walks every leaf below each ancestor."""
+
+    def pessimistic(counts):
+        n = sum(counts.values())
+        errors = n - max(counts.values()) if counts else 0
+        return n * _binomial_upper_bound(errors, n, cf)
+
+    def subtree_estimate(node):
+        if node.is_leaf:
+            return pessimistic(node.training_counts)
+        return subtree_estimate(node.left) + subtree_estimate(node.right)
+
+    if node.is_leaf:
+        return node
+    node.left = naive_prune(node.left, cf)
+    node.right = naive_prune(node.right, cf)
+    if pessimistic(node.training_counts) <= subtree_estimate(node):
+        counts = node.training_counts
+        return TreeNode(label=oracle_majority(counts, counts), training_counts=Counter(counts))
+    return node
+
+
+def test_binomial_bound_matches_exact_reference():
+    rng = random.Random(1993)
+    for _ in range(300):
+        n = rng.randint(1, 300)
+        errors = rng.randint(0, n)
+        cf = rng.choice((0.1, 0.25, 0.5))
+        assert _binomial_upper_bound(errors, n, cf) == pytest.approx(
+            reference_binomial_upper_bound(errors, n, cf), abs=1e-12
+        )
+
+
+@pytest.mark.parametrize("errors, n", [(500, 1030), (2000, 5000)])
+def test_binomial_bound_finite_past_float_range(errors, n):
+    with pytest.raises(OverflowError):
+        reference_binomial_upper_bound(errors, n, 0.25)
+    bound = _binomial_upper_bound(errors, n, 0.25)
+    assert math.isfinite(bound)
+    assert errors / n <= bound <= 1.0
+
+
+def test_binomial_bound_monotone_in_errors_at_large_n():
+    bounds = [_binomial_upper_bound(e, 5000, 0.25) for e in (0, 1, 10, 100, 1000, 2500, 4000, 4999)]
+    assert bounds == sorted(set(bounds))
+
+
+@pytest.mark.parametrize("cf", [0.1, 0.25, 0.5])
+def test_prune_matches_naive_ancestor_rewalk(cf):
+    rng = random.Random(int(cf * 100))
+    for _ in range(15):
+        n = rng.randrange(20, 120)
+        labels = ["failed" if rng.random() < 0.4 else "success" for _ in range(n)]
+        labels[:2] = ["failed", "success"]
+        columns = {mid: [rng.uniform(0, 10) for _ in range(n)] for mid in (1, 2, 3)}
+        data = make_dataset(columns, labels)
+        expected = render_tree(naive_prune(train(data), cf))
+        assert render_tree(prune(train(data), cf)) == expected
 
 
 def test_binomial_bound_closed_forms():
