@@ -135,18 +135,9 @@ def cmd_evaluate(args) -> int:
         return 0
     data = ds.read_csv(Path(args.dataset).read_text(encoding="utf-8"))
     if args.features:
-        wanted = _parse_feature_list(args.features)
-        available = [m for m in data.feature_ids if m in set(wanted)]
-        if not available:
+        data = data.project(_parse_feature_list(args.features))
+        if not data.feature_ids:
             raise UsageError("feature set shares no columns with the dataset")
-        keep = set(available)
-        indices = [k for k, mid in enumerate(data.feature_ids) if mid in keep]
-        data = ds.Dataset(
-            feature_ids=[data.feature_ids[k] for k in indices],
-            rows=[(b, l, [v[k] for k in indices]) for b, l, v in data.rows],
-            strategy=data.strategy,
-            filter_tag=data.filter_tag,
-        )
     params = tree.TrainParams(seed=args.seed)
     report = tree.cross_validate(data, k=args.folds, params=params)
     out = Path(args.out)
@@ -166,9 +157,13 @@ def cmd_freq(args) -> int:
     if not lines or not lines[0].startswith("dataset_id,algorithm"):
         raise DataError("malformed selection report")
     by_run: dict[tuple[str, str], list[int]] = {}
-    for ln in lines[1:]:
+    for rownum, ln in enumerate(lines[1:], start=2):
         cells = ln.split(",")
-        by_run.setdefault((cells[0], cells[1]), []).append(int(cells[2]))
+        try:
+            mid = int(cells[2])
+        except (IndexError, ValueError):
+            raise DataError(f"selection report row {rownum}: expected dataset_id,algorithm,metric_id")
+        by_run.setdefault((cells[0], cells[1]), []).append(mid)
     for (did, algo), selected in sorted(by_run.items()):
         runs.append(featsel.SelectionRun(did, algo, selected))
     chosen = sorted(featsel.frequency_select(runs, args.threshold))

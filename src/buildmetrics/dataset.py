@@ -9,7 +9,7 @@ with any missing metric vector are excluded, never imputed.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .errors import DataError
 from .metrics import AVERAGE_IDS, HALSTEAD_IDS, METRIC_IDS, MetricVector, OBJECT_ORIENTED_IDS, TRADITIONAL_IDS
@@ -66,6 +66,16 @@ class Dataset:
         idx = self.feature_ids.index(metric_id)
         return [values[idx] for _, _, values in self.rows]
 
+    def project(self, metric_ids) -> "Dataset":
+        """Keep the columns whose metric ID is in metric_ids, in column order."""
+        keep = set(metric_ids)
+        indices = [k for k, mid in enumerate(self.feature_ids) if mid in keep]
+        return replace(
+            self,
+            feature_ids=[self.feature_ids[k] for k in indices],
+            rows=[(bid, label, [values[k] for k in indices]) for bid, label, values in self.rows],
+        )
+
 
 def parse_manifest(text: str) -> BuildManifest:
     try:
@@ -77,13 +87,20 @@ def parse_manifest(text: str) -> BuildManifest:
     for key in ("build_id", "kind", "result", "files"):
         if key not in doc:
             raise DataError(f"manifest missing field {key!r}")
+    # write_csv does not quote, so IDs and paths may not hold a comma.
+    build_id = doc["build_id"]
+    if not isinstance(build_id, str) or not build_id or "," in build_id:
+        raise DataError(f"build_id must be a non-empty string without a comma, got {build_id!r}")
     if doc["kind"] not in BUILD_KINDS:
         raise DataError(f"unknown build kind {doc['kind']!r}")
     if doc["result"] not in LABELS + ("warning",):
         raise DataError(f"unknown build result {doc['result']!r}")
     if not isinstance(doc["files"], list) or not doc["files"]:
-        raise DataError(f"manifest {doc['build_id']!r} has an empty file list")
-    return BuildManifest(doc["build_id"], doc["kind"], doc["result"], list(doc["files"]))
+        raise DataError(f"manifest {build_id!r} has an empty file list")
+    for path in doc["files"]:
+        if not isinstance(path, str) or "," in path:
+            raise DataError(f"manifest {build_id!r}: file entry {path!r} is not a string without a comma")
+    return BuildManifest(build_id, doc["kind"], doc["result"], list(doc["files"]))
 
 
 def aggregate_build(file_vectors: list[MetricVector], strategy: str) -> MetricVector:
@@ -111,17 +128,9 @@ def apply_filter(dataset: Dataset, tag: str) -> Dataset:
     """Project onto a sub-dataset's metric IDs, preserving column order."""
     if tag not in FILTER_TAGS:
         raise DataError(f"unknown filter tag {tag!r}")
-    keep = set(FILTER_IDS[tag])
-    indices = [k for k, mid in enumerate(dataset.feature_ids) if mid in keep]
-    return Dataset(
-        feature_ids=[dataset.feature_ids[k] for k in indices],
-        rows=[
-            (bid, label, [values[k] for k in indices])
-            for bid, label, values in dataset.rows
-        ],
-        strategy=dataset.strategy,
-        filter_tag=tag if tag != "full" else dataset.filter_tag,
-    )
+    projected = dataset.project(FILTER_IDS[tag])
+    projected.filter_tag = tag if tag != "full" else dataset.filter_tag
+    return projected
 
 
 def assemble(
@@ -163,9 +172,7 @@ def assemble(
     if not rows:
         raise DataError("no builds retained after exclusions")
     full = Dataset(feature_ids=list(METRIC_IDS), rows=rows, strategy=strategy, filter_tag="full")
-    filtered = apply_filter(full, filter_tag)
-    filtered.filter_tag = filter_tag
-    return filtered, exclusions
+    return apply_filter(full, filter_tag), exclusions
 
 
 def _cell(v: float) -> str:
@@ -206,6 +213,8 @@ def read_csv(text: str) -> Dataset:
         mid = int(col[1:])
         if mid not in METRIC_IDS:
             raise DataError(f"metric ID out of range: {col!r}")
+        if mid in feature_ids:
+            raise DataError(f"repeated metric column {col!r}")
         feature_ids.append(mid)
     rows = []
     for rownum, ln in enumerate(lines[1:], start=2):

@@ -2,7 +2,10 @@
 selection-frequency thresholds.
 
 Numeric features are discretized per selection run with Fayyad-Irani MDL
-partitioning before any entropy-based scoring. The CFS search is best-first
+partitioning before any entropy-based scoring. MDL and tree induction share
+one cut search, `best_cut`: a single sweep over rows in value order with
+running class counts. MDL sorts each feature once and recurses on index
+ranges, handing each side's class counts down. The CFS search is best-first
 forward search with a patience of 5 non-improving expansions; merit ties
 break toward the smaller, lexicographically earlier subset so results are
 deterministic.
@@ -10,6 +13,7 @@ deterministic.
 
 import heapq
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -17,6 +21,7 @@ from itertools import combinations
 from .dataset import Dataset
 from .errors import SelectionError
 
+_GAIN_EPS = 1e-12
 _MERIT_EPS = 1e-12
 _PATIENCE = 5
 
@@ -41,20 +46,54 @@ class FrequencyTally:
         return tally
 
 
+def _entropy(counts, n: int) -> float:
+    """Shannon entropy in bits of class counts summing to n."""
+    h = 0.0
+    for c in counts:
+        if c:
+            p = c / n
+            h -= p * math.log2(p)
+    return h
+
+
 def entropy(labels) -> float:
     """Shannon entropy in bits."""
     labels = list(labels)
     if not labels:
         raise SelectionError("entropy of an empty label list")
-    n = len(labels)
-    return -sum(
-        (c / n) * math.log2(c / n) for c in Counter(labels).values() if c > 0
-    )
+    return _entropy(Counter(labels).values(), len(labels))
 
 
-def _partition_stats(labels):
-    counts = Counter(labels)
-    return len(labels), len(counts), entropy(labels) if labels else 0.0
+def best_cut(order, values, ys, counts, min_size=1, eps=_GAIN_EPS):
+    """Best binary cut of the rows in `order` by information gain, or None.
+
+    order lists rows sorted by value, ys holds each row's class index and
+    counts the class counts over order. One sweep keeps running left/right
+    counts; cuts fall only between distinct values, leave at least min_size
+    rows per side and gain more than _GAIN_EPS. A later cut wins only by more
+    than eps. Returns (gain, pos, h_left, h_right, left_counts): rows
+    order[:pos] go left.
+    """
+    n = len(order)
+    h_total = _entropy(counts, n)
+    left = [0] * len(counts)
+    right = list(counts)
+    best = None
+    v_next = values[order[0]]
+    for pos in range(1, n):
+        y = ys[order[pos - 1]]
+        left[y] += 1
+        right[y] -= 1
+        v_prev = v_next
+        v_next = values[order[pos]]
+        if v_prev == v_next or pos < min_size or n - pos < min_size:
+            continue
+        h_left = _entropy(left, pos)
+        h_right = _entropy(right, n - pos)
+        gain = h_total - (pos / n) * h_left - ((n - pos) / n) * h_right
+        if gain > _GAIN_EPS and (best is None or gain > best[0] + eps):
+            best = (gain, pos, h_left, h_right, list(left))
+    return best
 
 
 def discretize_mdl(values: list[float], labels: list) -> list[float]:
@@ -66,55 +105,41 @@ def discretize_mdl(values: list[float], labels: list) -> list[float]:
     """
     if len(values) != len(labels):
         raise SelectionError("values and labels differ in length")
-    pairs = sorted(zip(values, labels), key=lambda p: p[0])
+    order = sorted(range(len(values)), key=values.__getitem__)
+    class_index: dict = {}
+    ys = [class_index.setdefault(labels[i], len(class_index)) for i in order]
+    counts = [ys.count(y) for y in range(len(class_index))]
     cuts: list[float] = []
-    _mdl_split([p[0] for p in pairs], [p[1] for p in pairs], cuts)
+    _mdl_split([values[i] for i in order], ys, 0, len(ys), counts, cuts)
     return sorted(cuts)
 
 
-def _mdl_split(values: list[float], labels: list, cuts: list[float]):
-    n = len(values)
-    if n < 2:
-        return
-    n_total, k, h_total = _partition_stats(labels)
+def _mdl_split(values: list[float], ys: list[int], lo: int, hi: int, counts: list[int], cuts: list[float]):
+    # values[lo:hi] is sorted and counts holds the class counts of ys[lo:hi].
+    k = sum(1 for c in counts if c)
     if k < 2:
         return
-    best = None
-    for i in range(1, n):
-        if values[i] == values[i - 1]:
-            continue
-        h_left = entropy(labels[:i])
-        h_right = entropy(labels[i:])
-        cond = (i / n) * h_left + ((n - i) / n) * h_right
-        gain = h_total - cond
-        if best is None or gain > best[0] + 1e-15:
-            best = (gain, i, h_left, h_right)
+    best = best_cut(range(lo, hi), values, ys, counts, eps=1e-15)
     if best is None:
         return
-    gain, i, h_left, h_right = best
-    k1 = len(set(labels[:i]))
-    k2 = len(set(labels[i:]))
-    delta = math.log2(3**k - 2) - (k * h_total - k1 * h_left - k2 * h_right)
+    gain, pos, h_left, h_right, left = best
+    right = [c - c_left for c, c_left in zip(counts, left)]
+    k1 = sum(1 for c in left if c)
+    k2 = sum(1 for c in right if c)
+    n = hi - lo
+    delta = math.log2(3**k - 2) - (k * _entropy(counts, n) - k1 * h_left - k2 * h_right)
     threshold = (math.log2(n - 1) + delta) / n
     if gain <= threshold:
         return
-    cuts.append((values[i - 1] + values[i]) / 2.0)
-    _mdl_split(values[:i], labels[:i], cuts)
-    _mdl_split(values[i:], labels[i:], cuts)
+    mid = lo + pos
+    cuts.append((values[mid - 1] + values[mid]) / 2.0)
+    _mdl_split(values, ys, lo, mid, left, cuts)
+    _mdl_split(values, ys, mid, hi, right, cuts)
 
 
 def _binned(values: list[float], cuts: list[float]) -> list[int]:
     """Bin index per value given ascending cut points."""
-    out = []
-    for v in values:
-        b = 0
-        for c in cuts:
-            if v > c:
-                b += 1
-            else:
-                break
-        out.append(b)
-    return out
+    return [bisect_left(cuts, v) for v in values]
 
 
 def _conditional_entropy(bins: list[int], labels: list) -> float:
@@ -189,24 +214,8 @@ def _better(merit_a: float, subset_a, merit_b: float, subset_b) -> bool:
     return subset_a < subset_b
 
 
-def cfs_merit(dataset: Dataset, subset) -> float:
-    """Merit of a feature subset; exposed for exhaustive oracle checks."""
-    labels = dataset.labels()
-    bins = {
-        mid: _binned(dataset.column(mid), discretize_mdl(dataset.column(mid), labels))
-        for mid in dataset.feature_ids
-    }
-    su_label = {mid: symmetric_uncertainty(bins[mid], labels) for mid in bins}
-    su_pair = {
-        (a, b): symmetric_uncertainty(bins[a], bins[b])
-        for a, b in combinations(sorted(bins), 2)
-    }
-    return _merit(su_label, su_pair, tuple(sorted(subset)))
-
-
-def cfs_select(dataset: Dataset) -> SelectionRun:
-    """Correlation-based subset selection via best-first forward search."""
-    _check_trainable(dataset)
+def _su_tables(dataset: Dataset):
+    """SU of each MDL-binned feature with the label, and of each feature pair."""
     labels = dataset.labels()
     features = sorted(dataset.feature_ids)
     bins = {
@@ -218,6 +227,20 @@ def cfs_select(dataset: Dataset) -> SelectionRun:
         (a, b): symmetric_uncertainty(bins[a], bins[b])
         for a, b in combinations(features, 2)
     }
+    return su_label, su_pair
+
+
+def cfs_merit(dataset: Dataset, subset) -> float:
+    """Merit of a feature subset; exposed for exhaustive oracle checks."""
+    su_label, su_pair = _su_tables(dataset)
+    return _merit(su_label, su_pair, tuple(sorted(subset)))
+
+
+def cfs_select(dataset: Dataset) -> SelectionRun:
+    """Correlation-based subset selection via best-first forward search."""
+    _check_trainable(dataset)
+    features = sorted(dataset.feature_ids)
+    su_label, su_pair = _su_tables(dataset)
 
     start: tuple[int, ...] = ()
     best_subset = start

@@ -14,11 +14,12 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .dataset import Dataset
 from .errors import EvaluationError
-from .metrics import METRIC_NAMES
+from .featsel import best_cut
+from .metrics import METRIC_NAMES, format_value
 
 _GAIN_EPS = 1e-12
 
@@ -88,49 +89,19 @@ def _leaf(counts: Counter, global_counts: Counter) -> TreeNode:
     return TreeNode(label=_majority(counts, global_counts), training_counts=Counter(counts))
 
 
-def _entropy(counts, n: int) -> float:
-    """Shannon entropy in bits of class counts summing to n."""
-    h = 0.0
-    for c in counts:
-        if c:
-            p = c / n
-            h -= p * math.log2(p)
-    return h
-
-
-def _best_split_for_feature(order, values, ys, counts, h_total, min_leaf):
+def _best_split_for_feature(order, values, ys, counts, min_leaf):
     """Best (gain, threshold, split_info) for one feature, or None.
 
     order lists the node's rows sorted by this feature's values; ys holds
     each row's class index and counts the node's class counts.
     """
+    best = best_cut(order, values, ys, counts, min_size=min_leaf, eps=_GAIN_EPS)
+    if best is None:
+        return None
+    gain, pos = best[:2]
     n = len(order)
-    left = [0] * len(counts)
-    right = list(counts)
-    best = None
-    v_next = values[order[0]]
-    for pos in range(1, n):
-        y = ys[order[pos - 1]]
-        left[y] += 1
-        right[y] -= 1
-        v_prev = v_next
-        v_next = values[order[pos]]
-        if v_prev == v_next:
-            continue
-        if pos < min_leaf or n - pos < min_leaf:
-            continue
-        h_left = _entropy(left, pos)
-        h_right = _entropy(right, n - pos)
-        gain = h_total - (pos / n) * h_left - ((n - pos) / n) * h_right
-        if gain <= _GAIN_EPS:
-            continue
-        split_info = -(pos / n) * math.log2(pos / n) - ((n - pos) / n) * math.log2(
-            (n - pos) / n
-        )
-        threshold = (v_prev + v_next) / 2.0
-        if best is None or gain > best[0] + _GAIN_EPS:
-            best = (gain, threshold, split_info)
-    return best
+    split_info = -(pos / n) * math.log2(pos / n) - ((n - pos) / n) * math.log2((n - pos) / n)
+    return gain, (values[order[pos - 1]] + values[order[pos]]) / 2.0, split_info
 
 
 def train(dataset: Dataset, params: TrainParams | None = None) -> TreeNode:
@@ -160,11 +131,10 @@ def train(dataset: Dataset, params: TrainParams | None = None) -> TreeNode:
         if len(counts) == 1 or len(lists[0]) < 2 * min_leaf:
             return _leaf(counts, global_counts)
         class_counts = [counts[label] for label in classes]
-        h_total = _entropy(class_counts, len(lists[0]))
         candidates = []
         for k, mid in enumerate(dataset.feature_ids):
             best = _best_split_for_feature(
-                lists[1 + k], columns[mid], ys, class_counts, h_total, min_leaf
+                lists[1 + k], columns[mid], ys, class_counts, min_leaf
             )
             if best is not None:
                 candidates.append((mid,) + best)
@@ -312,13 +282,7 @@ def cross_validate(dataset: Dataset, k: int = 10, params: TrainParams | None = N
     for fold in range(k):
         train_rows = [row for i, row in enumerate(dataset.rows) if assignment[i] != fold]
         test_rows = [row for i, row in enumerate(dataset.rows) if assignment[i] == fold]
-        sub = Dataset(
-            feature_ids=list(dataset.feature_ids),
-            rows=train_rows,
-            strategy=dataset.strategy,
-            filter_tag=dataset.filter_tag,
-        )
-        model = prune(train(sub, params), params.confidence_factor)
+        model = prune(train(replace(dataset, rows=train_rows), params), params.confidence_factor)
         for bid, label, values in test_rows:
             folds[fold].append(bid)
             features = dict(zip(dataset.feature_ids, values))
@@ -346,13 +310,6 @@ def cross_validate(dataset: Dataset, k: int = 10, params: TrainParams | None = N
     )
 
 
-def _fmt_threshold(v: float) -> str:
-    if v == int(v):
-        return str(int(v))
-    s = f"{v:.6f}".rstrip("0").rstrip(".")
-    return s if s else "0"
-
-
 def render_tree(tree: TreeNode) -> str:
     """Indented text rendering; branch lines carry the metric's name."""
     lines: list[str] = []
@@ -368,7 +325,7 @@ def render_tree(tree: TreeNode) -> str:
             lines.append(pad + leaf_line(node))
             return
         name = METRIC_NAMES.get(node.metric_id, "")
-        thr = _fmt_threshold(node.threshold)
+        thr = format_value(node.threshold)
         lines.append(pad + f"m{node.metric_id} <= {thr} ({name})")
         walk(node.left, indent + 1)
         lines.append(pad + f"m{node.metric_id} > {thr} ({name})")

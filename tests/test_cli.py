@@ -315,6 +315,18 @@ def test_freq_command(dataset_csv, tmp_path, capsys):
     assert set(ids) == by_algo["infogain"] & by_algo["cfs"]
 
 
+@pytest.mark.parametrize(
+    "row", ["1,cfs,abc", "1", "1,cfs", "1,infogain,"], ids=["non-integer", "one-cell", "two-cells", "empty-id"]
+)
+def test_freq_malformed_report_is_one_line_data_error(tmp_path, capsys, row):
+    report = tmp_path / "selection.csv"
+    report.write_text("dataset_id,algorithm,metric_id,rank_or_member,score\n1,cfs,9,1,\n" + row + "\n")
+    code, _, err = run(capsys, "freq", str(report), "--threshold", "1")
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 # -- staged pipeline equals in-process composition --------------------------------
 
 

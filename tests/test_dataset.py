@@ -172,6 +172,12 @@ def test_parse_manifest_roundtrip():
         {"build_id": "b", "kind": "weekly", "result": "success", "files": ["x"]},
         {"build_id": "b", "kind": "continuous", "result": "broken", "files": ["x"]},
         {"build_id": "b", "kind": "continuous", "result": "success", "files": []},
+        {"build_id": 5, "kind": "continuous", "result": "success", "files": ["x"]},
+        {"build_id": "", "kind": "continuous", "result": "success", "files": ["x"]},
+        {"build_id": "b,1", "kind": "continuous", "result": "success", "files": ["x"]},
+        {"build_id": "b", "kind": "continuous", "result": "success", "files": [{"x": 1}]},
+        {"build_id": "b", "kind": "continuous", "result": "success", "files": ["x", 7]},
+        {"build_id": "b", "kind": "continuous", "result": "success", "files": ["x,y.java"]},
     ],
 )
 def test_parse_manifest_rejects(doc):
@@ -255,6 +261,8 @@ def test_csv_header_validation():
         read_csv("build_id,label,m43\nb1,success,1\n")
     with pytest.raises(DataError):
         read_csv("id,label,m9\nb1,success,1\n")
+    with pytest.raises(DataError):
+        read_csv("build_id,label,m9,m9\nb1,success,1,2\n")
 
 
 def test_csv_rejects_warning_label():

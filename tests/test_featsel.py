@@ -164,9 +164,16 @@ def test_mdl_clean_split():
 def test_mdl_matches_oracle_randomized():
     rng = random.Random(11)
     for _ in range(200):
-        n = rng.randrange(2, 13)
-        values = [float(rng.randrange(0, 6)) for _ in range(n)]
-        labels = [rng.choice(["f", "s"]) for _ in range(n)]
+        n = rng.randrange(2, 151)
+        values = [float(rng.randrange(0, rng.choice([6, 20, 60]))) for _ in range(n)]
+        classes = ["f", "s", "t", "u"][: rng.randrange(2, 5)]
+        # Labels follow the value with some noise, so that deep cut
+        # recursions occur.
+        labels = [
+            classes[int(v) * len(classes) // 60 % len(classes)]
+            if rng.random() < 0.7 else rng.choice(classes)
+            for v in values
+        ]
         assert discretize_mdl(values, labels) == pytest.approx(
             oracle_mdl_cuts(values, labels)
         )
