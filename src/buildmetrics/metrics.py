@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import DataError, ModelError
-from .javaparse import MethodDecl, TypeDecl
+from .javaparse import CompilationUnit, MethodDecl, TypeDecl
 from .model import CodeModel, qualify, resolve_name
 
 METRIC_IDS = tuple(range(1, 43))
@@ -165,18 +165,8 @@ def martin_suite(model: CodeModel, package_name: str) -> tuple[float, int, int, 
     members = model.packages[package_name]
     abstract = sum(1 for q in members if model.type_index[q].is_abstract)
     abstractness = abstract / len(members)
-    afferent = {
-        src
-        for (src, dst) in model.dependency_edges
-        if dst in members and src not in members
-    }
-    efferent = {
-        src
-        for (src, dst) in model.dependency_edges
-        if src in members and dst not in members
-    }
-    ca = len(afferent)
-    ce = len(efferent)
+    ca = len(model.afferent.get(package_name, ()))
+    ce = len(model.efferent.get(package_name, ()))
     instability = ce / (ca + ce) if (ca + ce) > 0 else 0.0
     distance = abs(abstractness + instability - 1.0)
     return abstractness, ca, ce, instability, distance
@@ -205,7 +195,7 @@ def _dit(model: CodeModel, qualified_name: str, path: tuple[str, ...]) -> int:
     decl = model.type_index[qualified_name]
     if not decl.extends_names:
         return 0
-    unit = model.unit_for(model.unit_of_type[qualified_name])
+    unit = model.unit_of_type[qualified_name]
     best = 1  # unresolved supertype counts one level
     for sup in decl.extends_names:
         target = resolve_name(model, unit, sup)
@@ -247,8 +237,14 @@ def compute_file_metrics(model: CodeModel, file_path: str) -> MetricVector:
     Files with no type declarations yield an incomplete (empty) vector, which
     downstream dataset assembly treats as an exclusion.
     """
-    unit = model.unit_for(file_path)
-    vector = MetricVector(file_path=file_path)
+    unit = next((u for u in model.units if u.file_path == file_path), None)
+    if unit is None:
+        raise ModelError(f"no such file in model: {file_path}")
+    return _unit_metrics(model, unit)
+
+
+def _unit_metrics(model: CodeModel, unit: CompilationUnit) -> MetricVector:
+    vector = MetricVector(file_path=unit.file_path)
     types = unit.types
     if not types:
         return vector
@@ -312,7 +308,7 @@ def compute_file_metrics(model: CodeModel, file_path: str) -> MetricVector:
 
 def compute_all_metrics(model: CodeModel) -> list[MetricVector]:
     """Vectors for every file in the model, ordered by path."""
-    return [compute_file_metrics(model, u.file_path) for u in model.units]
+    return [_unit_metrics(model, unit) for unit in model.units]
 
 
 def format_value(v: float) -> str:

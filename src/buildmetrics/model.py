@@ -1,4 +1,5 @@
-"""Corpus-wide code model: type index, packages, dependency graph.
+"""Corpus-wide code model: type and unit index, packages, dependency graph,
+and per-package coupling sets, all built in one pass over the references.
 
 The merge is keyed by file path and fully order-independent: units are
 sorted by path before indexing, and all serialized collections are ordered
@@ -19,14 +20,9 @@ class CodeModel:
     type_index: dict[str, TypeDecl] = field(default_factory=dict)  # qualified name -> decl
     dependency_edges: set[tuple[str, str]] = field(default_factory=set)
     unresolved_names: set[str] = field(default_factory=set)
-    unit_of_type: dict[str, str] = field(default_factory=dict)  # qualified name -> file path
-    package_of_type: dict[str, str] = field(default_factory=dict)
-
-    def unit_for(self, file_path: str) -> CompilationUnit:
-        for unit in self.units:
-            if unit.file_path == file_path:
-                return unit
-        raise ModelError(f"no such file in model: {file_path}")
+    unit_of_type: dict[str, CompilationUnit] = field(default_factory=dict)
+    afferent: dict[str, set[str]] = field(default_factory=dict)  # package -> outside types using it
+    efferent: dict[str, set[str]] = field(default_factory=dict)  # package -> its types using outside
 
 
 def qualify(package_name: str, type_name: str) -> str:
@@ -64,13 +60,12 @@ def build_code_model(units: list[CompilationUnit]) -> CodeModel:
         for decl in unit.types:
             qname = qualify(unit.package_name, decl.name)
             if qname in model.type_index:
-                other = model.unit_of_type[qname]
+                other = model.unit_of_type[qname].file_path
                 raise ModelError(
                     f"duplicate type {qname} declared in {other} and {unit.file_path}"
                 )
             model.type_index[qname] = decl
-            model.unit_of_type[qname] = unit.file_path
-            model.package_of_type[qname] = unit.package_name
+            model.unit_of_type[qname] = unit
             model.packages.setdefault(unit.package_name, set()).add(qname)
 
     for unit in model.units:
@@ -82,6 +77,10 @@ def build_code_model(units: list[CompilationUnit]) -> CodeModel:
                     model.unresolved_names.add(ref)
                 elif target != qname:
                     model.dependency_edges.add((qname, target))
+                    target_package = model.unit_of_type[target].package_name
+                    if target_package != unit.package_name:
+                        model.afferent.setdefault(target_package, set()).add(qname)
+                        model.efferent.setdefault(unit.package_name, set()).add(qname)
     return model
 
 

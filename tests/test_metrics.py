@@ -8,6 +8,7 @@ from buildmetrics.javaparse import parse_source
 from buildmetrics.metrics import (
     HalsteadCounts,
     METRIC_IDS,
+    compute_all_metrics,
     compute_file_metrics,
     cyclomatic,
     depth_of_inheritance,
@@ -21,8 +22,9 @@ from buildmetrics.metrics import (
 )
 from buildmetrics.model import build_code_model
 
-from conftest import CORPUS
+from conftest import CORPUS, load_corpus_units
 from oracle_metrics import OracleCorpus
+from synth import coupled_corpus
 
 INTEGRAL_IDS = {1, 8, 10, 11, 12, 13, 14, 15, 16, 17, 19, 20, 26, 30, 31, 32, 33, 38, 40}
 
@@ -243,6 +245,37 @@ def test_typeless_file_incomplete():
     vec = compute_file_metrics(model, "p/Doc.java")
     assert not vec.complete
     assert vec.values == {}
+
+
+class _CountingSet(set):
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class _CountingList(list):
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_compute_all_metrics_walks_edges_and_units_once(tmp_path):
+    # Per-file scans of the edges or units make the metrics layer quadratic
+    # in corpus size; counting iterations catches that without a clock.
+    src, _ = coupled_corpus(tmp_path, n_packages=30, seed=5)
+    model = build_code_model(load_corpus_units(src))
+    packages = {(a.rsplit(".", 1)[0], b.rsplit(".", 1)[0]) for a, b in model.dependency_edges}
+    assert sum(a != b for a, b in packages) > len(model.units)
+    model.dependency_edges = _CountingSet(model.dependency_edges)
+    model.units = _CountingList(model.units)
+    vectors = compute_all_metrics(model)
+    assert len(vectors) == len(model.units)
+    assert model.dependency_edges.iterations <= 1
+    assert model.units.iterations == 1
 
 
 # -- corpus-wide properties ----------------------------------------------

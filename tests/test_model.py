@@ -5,6 +5,7 @@ import pytest
 
 from buildmetrics.errors import ModelError
 from buildmetrics.javaparse import parse_source
+from buildmetrics.metrics import compute_file_metrics
 from buildmetrics.model import build_code_model, dump_model_json, qualify, resolve_name
 
 from conftest import load_corpus_units
@@ -77,7 +78,8 @@ def test_default_package_resolution():
         ("Top.java", "class Top { }"),
         ("p/A.java", "package p; class A extends Top { }"),
     ))
-    unit = model.unit_for("p/A.java")
+    unit = model.unit_of_type["p.A"]
+    assert unit.file_path == "p/A.java"
     assert resolve_name(model, unit, "Top") == "Top"
     assert ("p.A", "Top") in model.dependency_edges
 
@@ -119,4 +121,4 @@ def test_corpus_edges_and_unresolved(corpus_model):
 
 def test_unit_for_missing_path(corpus_model):
     with pytest.raises(ModelError):
-        corpus_model.unit_for("no/Such.java")
+        compute_file_metrics(corpus_model, "no/Such.java")
