@@ -23,11 +23,27 @@ class UsageError(Exception):
     pass
 
 
-def _write(path: Path, text: str, force: bool):
-    if path.exists() and not force:
-        raise UsageError(f"refusing to overwrite {path} (use --force)")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+def _read(path) -> str:
+    """Text of an input file; unreadable is a usage error, non-UTF-8 a data error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})")
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}")
+
+
+def _write(out: Path, files: dict[str, str], force: bool):
+    """Write every named file under out, after checking that none would be overwritten."""
+    for name in files:
+        if (out / name).exists() and not force:
+            raise UsageError(f"refusing to overwrite {out / name} (use --force)")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write to {out}: {exc.strerror or exc}")
 
 
 def cmd_extract(args) -> int:
@@ -41,10 +57,17 @@ def cmd_extract(args) -> int:
     exclusions = []
     for path in paths:
         rel = path.relative_to(root).as_posix()
+        if any(c in rel for c in ",\r\n"):
+            exclusions.append(f"{rel}: path holds a comma or line break, which metrics.csv cannot store")
+            continue
         try:
             text = path.read_text(encoding="utf-8")
             tokens = tokenize(text)
             units.append(parse_unit(tokens, rel, physical_lines=len(text.splitlines())))
+        except UnicodeDecodeError as exc:
+            exclusions.append(f"{rel}: not valid UTF-8 ({exc.reason} at byte {exc.start})")
+        except OSError as exc:
+            exclusions.append(f"{rel}: cannot read: {exc.strerror or exc}")
         except BuildMetricsError as exc:
             exclusions.append(f"{rel}: {exc}")
     model = build_code_model(units)
@@ -53,8 +76,10 @@ def cmd_extract(args) -> int:
         if not vec.complete:
             exclusions.append(f"{vec.file_path}: no type declarations")
     out = Path(args.out)
-    _write(out / "metrics.csv", metrics.metrics_csv(vectors), args.force)
-    _write(out / "extract_exclusions.log", "".join(e + "\n" for e in exclusions), args.force)
+    _write(out, {
+        "metrics.csv": metrics.metrics_csv(vectors),
+        "extract_exclusions.log": "".join(e + "\n" for e in exclusions),
+    }, args.force)
     print(f"wrote {out / 'metrics.csv'} ({sum(v.complete for v in vectors)} files, "
           f"{len(exclusions)} excluded)")
     return 0
@@ -67,18 +92,16 @@ def cmd_dataset(args) -> int:
     manifest_paths = sorted(manifest_dir.glob("*.json"))
     if not manifest_paths:
         raise UsageError(f"no manifest JSON files in {manifest_dir}")
-    manifests = [ds.parse_manifest(p.read_text(encoding="utf-8")) for p in manifest_paths]
-    lookup = metrics.parse_metrics_csv(Path(args.metrics).read_text(encoding="utf-8"))
+    manifests = [ds.parse_manifest(_read(p)) for p in manifest_paths]
+    lookup = metrics.parse_metrics_csv(_read(args.metrics))
     strategy = STRATEGY_FLAGS[args.strategy]
     data, exclusions = ds.assemble(manifests, lookup, strategy, args.filter)
     out = Path(args.out)
     name = data.dataset_id
-    _write(out / f"{name}.csv", ds.write_csv(data), args.force)
-    _write(
-        out / f"{name}_exclusions.log",
-        "".join(f"{bid}: {reason}\n" for bid, reason in exclusions),
-        args.force,
-    )
+    _write(out, {
+        f"{name}.csv": ds.write_csv(data),
+        f"{name}_exclusions.log": "".join(f"{bid}: {reason}\n" for bid, reason in exclusions),
+    }, args.force)
     print(f"wrote {out / (name + '.csv')} ({len(data.rows)} builds, {len(exclusions)} excluded)")
     return 0
 
@@ -90,7 +113,7 @@ def cmd_select(args) -> int:
     runs = []
     failures = []
     for path in args.datasets:
-        data = ds.read_csv(Path(path).read_text(encoding="utf-8"))
+        data = ds.read_csv(_read(path))
         for algo in algorithms:
             try:
                 if algo == "infogain":
@@ -102,13 +125,15 @@ def cmd_select(args) -> int:
     if not runs:
         raise DataError("every selection run failed: " + "; ".join(failures))
     out = Path(args.out)
-    _write(out / "selection.csv", featsel.selection_report_csv(runs), args.force)
-    _write(out / "frequency.csv", featsel.frequency_csv(runs), args.force)
     lines = ["threshold,selected_metric_ids"]
     for threshold in (4, 6, 8, 10):
         chosen = sorted(featsel.frequency_select(runs, threshold))
         lines.append(f"{threshold}," + " ".join(str(m) for m in chosen))
-    _write(out / "thresholds.csv", "\n".join(lines) + "\n", args.force)
+    _write(out, {
+        "selection.csv": featsel.selection_report_csv(runs),
+        "frequency.csv": featsel.frequency_csv(runs),
+        "thresholds.csv": "\n".join(lines) + "\n",
+    }, args.force)
     for failure in failures:
         print(f"skipped {failure}", file=sys.stderr)
     print(f"wrote selection reports to {out} ({len(runs)} runs)")
@@ -127,23 +152,27 @@ def cmd_evaluate(args) -> int:
         parts = _parse_feature_list(args.replay)
         if len(parts) != 4:
             raise UsageError("--replay expects failed_correct,failed_incorrect,success_correct,success_incorrect")
+        if min(parts) < 0 or not any(parts):
+            raise UsageError("--replay counts must be non-negative and not all zero")
         fc, fi, sc, si = parts
         total = fc + fi + sc + si
         acc = tree.accuracy_percent(fc + sc, total)
         print(f"{acc:.4f}%")
         print(f"failed {fc}({fi}), success {sc}({si}) over {total}")
         return 0
-    data = ds.read_csv(Path(args.dataset).read_text(encoding="utf-8"))
+    data = ds.read_csv(_read(args.dataset))
     if args.features:
         data = data.project(_parse_feature_list(args.features))
         if not data.feature_ids:
             raise UsageError("feature set shares no columns with the dataset")
     params = tree.TrainParams(seed=args.seed)
     report = tree.cross_validate(data, k=args.folds, params=params)
-    out = Path(args.out)
-    _write(out / f"{data.dataset_id}_report.txt", tree.report_table(report), args.force)
-    _write(out / f"{data.dataset_id}_report.json", tree.report_json(report) + "\n", args.force)
-    _write(out / f"{data.dataset_id}_tree.txt", tree.render_tree(report.tree), args.force)
+    name = data.dataset_id
+    _write(Path(args.out), {
+        f"{name}_report.txt": tree.report_table(report),
+        f"{name}_report.json": tree.report_json(report) + "\n",
+        f"{name}_tree.txt": tree.render_tree(report.tree),
+    }, args.force)
     print(tree.report_table(report), end="")
     if report.k != report.requested_k:
         print(f"note: folds reduced from {report.requested_k} to {report.k}")
@@ -152,7 +181,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_freq(args) -> int:
     runs = []
-    text = Path(args.selection).read_text(encoding="utf-8")
+    text = _read(args.selection)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("dataset_id,algorithm"):
         raise DataError("malformed selection report")

@@ -65,6 +65,27 @@ def test_extract_logs_broken_file(tmp_path, capsys):
     assert "Broken.java" in log
 
 
+@pytest.mark.parametrize(
+    "name, content, reason",
+    [
+        pytest.param("p/B.java", b'package p; class B { String s = "caf\xe9"; }',
+                     "not valid UTF-8", id="non-utf8"),
+        pytest.param("p/A,B.java", b"package p; class C { int c; }", "comma", id="comma-in-path"),
+    ],
+)
+def test_extract_excludes_unstorable_file(tmp_path, capsys, name, content, reason):
+    src = tmp_path / "src"
+    (src / "p").mkdir(parents=True)
+    (src / "p" / "A.java").write_text("package p; class A { int a; }")
+    (src / name).write_bytes(content)
+    code, _, err = run(capsys, "extract", str(src), "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    log = (tmp_path / "out" / "extract_exclusions.log").read_text()
+    assert log.startswith(name + ": ") and reason in log and len(log.splitlines()) == 1
+    lookup = metrics.parse_metrics_csv((tmp_path / "out" / "metrics.csv").read_text())
+    assert set(lookup) == {"p/A.java"}
+
+
 def test_extract_empty_tree_usage_error(tmp_path, capsys):
     src = tmp_path / "empty"
     src.mkdir()
@@ -196,6 +217,14 @@ def test_select_outputs(dataset_csv, tmp_path, capsys):
     assert [ln.split(",")[0] for ln in thresholds[1:]] == ["4", "6", "8", "10"]
 
 
+def test_select_writes_nothing_when_a_later_target_exists(dataset_csv, tmp_path, capsys):
+    (tmp_path / "thresholds.csv").write_text("kept\n")
+    code, _, err = run(capsys, "select", str(dataset_csv), "--out", str(tmp_path))
+    assert code == 1 and "--force" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["thresholds.csv"]
+    assert (tmp_path / "thresholds.csv").read_text() == "kept\n"
+
+
 def test_select_single_run_histogram(dataset_csv, tmp_path, capsys):
     code, _, _ = run(
         capsys, "select", str(dataset_csv), "--algo", "infogain", "--out", str(tmp_path)
@@ -323,6 +352,49 @@ def test_freq_malformed_report_is_one_line_data_error(tmp_path, capsys, row):
     report.write_text("dataset_id,algorithm,metric_id,rank_or_member,score\n1,cfs,9,1,\n" + row + "\n")
     code, _, err = run(capsys, "freq", str(report), "--threshold", "1")
     assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+# -- one-line errors for paths and --replay ---------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        pytest.param("select {missing} --out {tmp}/o", 1, id="select-missing"),
+        pytest.param("select {dir} --out {tmp}/o", 1, id="select-dir"),
+        pytest.param("select {latin1} --out {tmp}/o", 2, id="select-non-utf8"),
+        pytest.param("evaluate {missing} --out {tmp}/o", 1, id="evaluate-missing"),
+        pytest.param("evaluate {dir} --out {tmp}/o", 1, id="evaluate-dir"),
+        pytest.param("dataset {manifests} {missing} --strategy avg --out {tmp}/o", 1, id="dataset-metrics-missing"),
+        pytest.param("dataset {manifests} {dir} --strategy avg --out {tmp}/o", 1, id="dataset-metrics-dir"),
+        pytest.param("dataset {dir_manifests} {metrics} --strategy avg --out {tmp}/o", 1, id="dataset-manifest-dir"),
+        pytest.param("freq {missing} --threshold 1", 1, id="freq-missing"),
+        pytest.param("freq {dir} --threshold 1", 1, id="freq-dir"),
+        pytest.param("extract {corpus} --out {file}", 1, id="extract-out-file"),
+        pytest.param("dataset {manifests} {metrics} --strategy avg --out {file}", 1, id="dataset-out-file"),
+        pytest.param("select {csv} --out {file}", 1, id="select-out-file"),
+        pytest.param("evaluate {csv} --out {file}", 1, id="evaluate-out-file"),
+        pytest.param("evaluate --replay 0,0,0,0", 1, id="replay-all-zero"),
+        pytest.param("evaluate --replay=-1,2,3,4", 1, id="replay-negative"),
+    ],
+)
+def test_bad_path_or_replay_is_one_line_error(tmp_path, capsys, argv, expected):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    (tmp_path / "manifests").mkdir()
+    (tmp_path / "manifests" / "b1.json").write_text(_MANIFEST)
+    (tmp_path / "dir_manifests" / "b1.json").mkdir(parents=True)
+    (tmp_path / "metrics.csv").write_text(_METRICS_HEADER + "\nA.java" + ",1" * 42 + "\n")
+    (tmp_path / "latin1.csv").write_bytes(b"build_id,label,m9\nb\xe9,failed,1\n")
+    rows = [(f"b{i}", ("failed", "success")[i % 2], [float(i)]) for i in range(6)]
+    (tmp_path / "2.csv").write_text(ds.write_csv(ds.Dataset([9], rows, "maximum")))
+    names = {name: tmp_path / name for name in ("dir", "file", "manifests", "dir_manifests")}
+    names.update(missing=tmp_path / "missing.csv", latin1=tmp_path / "latin1.csv",
+                 metrics=tmp_path / "metrics.csv", csv=tmp_path / "2.csv", corpus=CORPUS, tmp=tmp_path)
+    code, _, err = run(capsys, *argv.format(**names).split())
+    assert code == expected
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
 
