@@ -11,10 +11,9 @@ from pathlib import Path
 
 from . import dataset as ds
 from . import featsel, metrics, tree
-from .errors import BuildMetricsError, DataError, EvaluationError, SelectionError
-from .lexer import tokenize
-from .javaparse import parse_unit
-from .model import build_code_model
+from .errors import BuildMetricsError, DataError, EvaluationError, ModelError, SelectionError
+from .javaparse import parse_source
+from .model import build_code_model, qualify
 
 STRATEGY_FLAGS = {"avg": "average", "max": "maximum", "sum": "sum"}
 
@@ -61,16 +60,14 @@ def cmd_extract(args) -> int:
             exclusions.append(f"{rel}: path holds a comma or line break, which metrics.csv cannot store")
             continue
         try:
-            text = path.read_text(encoding="utf-8")
-            tokens = tokenize(text)
-            units.append(parse_unit(tokens, rel, physical_lines=len(text.splitlines())))
+            units.append(parse_source(path.read_text(encoding="utf-8"), rel))
         except UnicodeDecodeError as exc:
             exclusions.append(f"{rel}: not valid UTF-8 ({exc.reason} at byte {exc.start})")
         except OSError as exc:
             exclusions.append(f"{rel}: cannot read: {exc.strerror or exc}")
         except BuildMetricsError as exc:
             exclusions.append(f"{rel}: {exc}")
-    model = build_code_model(units)
+    model = _consistent_model(units, exclusions)
     vectors = metrics.compute_all_metrics(model)
     for vec in vectors:
         if not vec.complete:
@@ -83,6 +80,32 @@ def cmd_extract(args) -> int:
     print(f"wrote {out / 'metrics.csv'} ({sum(v.complete for v in vectors)} files, "
           f"{len(exclusions)} excluded)")
     return 0
+
+
+def _consistent_model(units, exclusions: list[str]):
+    """Code model of the units without each file that declares a type declared
+    elsewhere too, or holds a type whose extends chain reaches a cycle; each
+    left-out file's reason is appended to exclusions."""
+    declared: dict[str, list[str]] = {}
+    for unit in units:
+        for decl in unit.types:
+            declared.setdefault(qualify(unit.package_name, decl.name), []).append(unit.file_path)
+    clashes = {path: f"duplicate type {qname} declared in {' and '.join(sorted(paths))}"
+               for qname, paths in declared.items() if len(paths) > 1
+               for path in paths}
+    model = build_code_model([u for u in units if u.file_path not in clashes])
+    cycles: dict[str, str] = {}
+    for qname, unit in model.unit_of_type.items():
+        try:
+            metrics.depth_of_inheritance(model, qname)
+        except ModelError as exc:
+            cycles.setdefault(unit.file_path, str(exc))
+    exclusions.extend(f"{path}: {reason}" for path, reason in sorted((clashes | cycles).items()))
+    if cycles:
+        # A type whose extends name resolved to a left-out type reaches the
+        # same cycle and is left out too, so the rebuilt model has none.
+        model = build_code_model([u for u in model.units if u.file_path not in cycles])
+    return model
 
 
 def cmd_dataset(args) -> int:
@@ -160,6 +183,8 @@ def cmd_evaluate(args) -> int:
         print(f"{acc:.4f}%")
         print(f"failed {fc}({fi}), success {sc}({si}) over {total}")
         return 0
+    if args.folds < 2:
+        raise UsageError("--folds must be at least 2")
     data = ds.read_csv(_read(args.dataset))
     if args.features:
         data = data.project(_parse_feature_list(args.features))

@@ -480,13 +480,9 @@ class _Parser:
             decl.fields_.append(FieldDecl(name=name, type_names=list(type_names)))
 
 
-def parse_unit(tokens: list[Token], file_path: str, physical_lines: int | None = None) -> CompilationUnit:
+def parse_unit(tokens: list[Token], file_path: str, physical_lines: int) -> CompilationUnit:
     """Parse a token stream into a CompilationUnit."""
     unit = _Parser(tokens, file_path).parse()
-    if physical_lines is None:
-        physical_lines = 0
-        for t in tokens:
-            physical_lines = max(physical_lines, t.line + t.text.count("\n"))
     unit.physical_lines = physical_lines
     return unit
 

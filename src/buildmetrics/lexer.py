@@ -4,9 +4,16 @@ Token kinds follow a fixed classification: identifier, keyword,
 operator-symbol, literal, comment, punctuation. Comments are kept as single
 tokens (delimiters included) so downstream comment counts see one token per
 comment regardless of span.
+
+The whole lexical grammar is one compiled alternation, tried in order at each
+offset. A word starts with a character that `\\w` matches but `\\d` does not,
+or `$`, and continues with `[\\w$]`. So Unicode numerics that are neither
+letters nor decimal digits (categories No and Nl, such as `²`, `½`, `Ⅻ`) are
+identifier characters, while a number starts with a decimal digit.
 """
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import LexicalError
 
@@ -21,158 +28,55 @@ KEYWORDS = frozenset(
 # true/false/null lex as literals, not keywords.
 WORD_LITERALS = frozenset({"true", "false", "null"})
 
-# Longest match first.
-OPERATORS = [
-    ">>>=", "<<=", ">>=", ">>>", "==", "!=", "<=", ">=", "&&", "||", "++",
-    "--", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<", ">>", "->",
-    "::", "+", "-", "*", "/", "%", "=", "<", ">", "!", "&", "|", "^", "~",
-    "?", ".",
-]
+_WORD_KINDS = dict.fromkeys(KEYWORDS, "keyword") | dict.fromkeys(WORD_LITERALS, "literal")
 
-PUNCTUATION = frozenset(";,{}()[]:@")
+_UNTERMINATED = {"/*": "block comment", '"': "string literal", "'": "character literal"}
+
+# Digits, underscores and exponent pairs such as `e5` or `E-`.
+_RUN = r"(?:[\d_]|[eE][\d+-])*"
+
+_TOKEN = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in [
+    ("space", r"[ \t\r\n]+"),
+    ("comment", r"//[^\n]*|/\*.*?\*/"),
+    ("literal", r'"(?:\\.|[^"\\\n])*"|' r"'(?:\\.|[^'\\\n])*'|"
+                r"0[xX][\da-fA-F_]*[lLfFdD]?|"
+                rf"(?:\.\d|\d{_RUN}\.(?=\d)|\d){_RUN}[lLfFdD]?"),
+    ("word", r"(?:[^\W\d]|\$)[\w$]*"),
+    # Reached only by a `/*` or quote that the groups above cannot close.
+    ("unterminated", r"/\*|[\"']"),
+    ("punctuation", r"[;,{}()\[\]:@]"),
+    # Longest first. `::` never forms: `:` is punctuation.
+    ("operator", r">>>?=?|<<=?|[-+*/%=<>!&|^]=|&&|\|\||\+\+|--|->|[-+*/%=<>!&|^~?.]"),
+    ("illegal", r"."),
+]), re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # identifier | keyword | operator-symbol | literal | comment | punctuation
     text: str
     line: int
     column: int
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch in "_$"
-
-
-def _is_ident_part(ch: str) -> bool:
-    return ch.isalnum() or ch in "_$"
-
-
 def tokenize(source_text: str) -> list[Token]:
     """Split source text into tokens; raises LexicalError on unterminated
-    block comments or string/char literals."""
+    block comments or string/char literals, and on illegal characters."""
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source_text)
-
-    def advance(text: str):
-        nonlocal line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-
-    while i < n:
-        ch = source_text[i]
-        if ch in " \t\r\n":
-            advance(ch)
-            i += 1
-            continue
-
-        start_line, start_col = line, col
-
-        if ch == "/" and source_text.startswith("//", i):
-            end = source_text.find("\n", i)
-            if end == -1:
-                end = n
-            text = source_text[i:end]
-            tokens.append(Token("comment", text, start_line, start_col))
-            advance(text)
-            i = end
-            continue
-
-        if ch == "/" and source_text.startswith("/*", i):
-            end = source_text.find("*/", i + 2)
-            if end == -1:
-                raise LexicalError("unterminated block comment", start_line, start_col)
-            text = source_text[i : end + 2]
-            tokens.append(Token("comment", text, start_line, start_col))
-            advance(text)
-            i = end + 2
-            continue
-
-        if ch in "\"'":
-            quote = ch
-            j = i + 1
-            while j < n:
-                if source_text[j] == "\\":
-                    j += 2
-                    continue
-                if source_text[j] == quote:
-                    break
-                if source_text[j] == "\n":
-                    j = n
-                    break
-                j += 1
-            if j >= n:
-                what = "string" if quote == '"' else "character"
-                raise LexicalError(f"unterminated {what} literal", start_line, start_col)
-            text = source_text[i : j + 1]
-            tokens.append(Token("literal", text, start_line, start_col))
-            advance(text)
-            i = j + 1
-            continue
-
-        if ch.isdigit() or (ch == "." and i + 1 < n and source_text[i + 1].isdigit()):
-            j = i
-            if source_text.startswith(("0x", "0X"), i):
-                j = i + 2
-                while j < n and (source_text[j] in "abcdefABCDEF_" or source_text[j].isdigit()):
-                    j += 1
-            else:
-                seen_dot = False
-                while j < n:
-                    c = source_text[j]
-                    if c.isdigit() or c == "_":
-                        j += 1
-                    elif c == "." and not seen_dot and j + 1 < n and source_text[j + 1].isdigit():
-                        seen_dot = True
-                        j += 1
-                    elif c in "eE" and j + 1 < n and (source_text[j + 1].isdigit() or source_text[j + 1] in "+-"):
-                        j += 2
-                    else:
-                        break
-            if j < n and source_text[j] in "lLfFdD":
-                j += 1
-            text = source_text[i:j]
-            tokens.append(Token("literal", text, start_line, start_col))
-            advance(text)
-            i = j
-            continue
-
-        if _is_ident_start(ch):
-            j = i + 1
-            while j < n and _is_ident_part(source_text[j]):
-                j += 1
-            text = source_text[i:j]
-            if text in WORD_LITERALS:
-                kind = "literal"
-            elif text in KEYWORDS:
-                kind = "keyword"
-            else:
-                kind = "identifier"
-            tokens.append(Token(kind, text, start_line, start_col))
-            advance(text)
-            i = j
-            continue
-
-        if ch in PUNCTUATION:
-            tokens.append(Token("punctuation", ch, start_line, start_col))
-            advance(ch)
-            i += 1
-            continue
-
-        for op in OPERATORS:
-            if source_text.startswith(op, i):
-                tokens.append(Token("operator-symbol", op, start_line, start_col))
-                advance(op)
-                i += len(op)
-                break
-        else:
-            raise LexicalError(f"illegal character {ch!r}", start_line, start_col)
-
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source_text):
+        kind, text, start = m.lastgroup, m.group(), m.start()
+        if kind != "space":
+            column = start - line_start + 1
+            if kind == "word":
+                kind = _WORD_KINDS.get(text, "identifier")
+            elif kind == "operator":
+                kind = "operator-symbol"
+            elif kind == "unterminated":
+                raise LexicalError(f"unterminated {_UNTERMINATED[text]}", line, column)
+            elif kind == "illegal":
+                raise LexicalError(f"illegal character {text!r}", line, column)
+            tokens.append(Token(kind, text, line, column))
+        if "\n" in text:
+            line += text.count("\n")
+            line_start = start + text.rindex("\n") + 1
     return tokens

@@ -86,6 +86,42 @@ def test_extract_excludes_unstorable_file(tmp_path, capsys, name, content, reaso
     assert set(lookup) == {"p/A.java"}
 
 
+@pytest.mark.parametrize(
+    "files, excluded",
+    [
+        pytest.param({"p/A1.java": "package p; class A {}", "p/A2.java": "package p; class A {}"},
+                     {"p/A1.java": "duplicate type p.A declared in p/A1.java and p/A2.java",
+                      "p/A2.java": "duplicate type p.A declared in p/A1.java and p/A2.java"},
+                     id="duplicate-type"),
+        pytest.param({"p/D.java": "package p; class D {} class D {}"},
+                     {"p/D.java": "duplicate type p.D declared in p/D.java and p/D.java"},
+                     id="duplicate-in-one-file"),
+        pytest.param({"p/A.java": "package p; class A extends B {}",
+                      "p/B.java": "package p; class B extends A {}",
+                      "q/C.java": "package q; import p.A; class C extends A {}"},
+                     {"p/A.java": "inheritance cycle: p.A -> p.B -> p.A",
+                      "p/B.java": "inheritance cycle: p.B -> p.A -> p.B",
+                      "q/C.java": "inheritance cycle: q.C -> p.A -> p.B -> p.A"},
+                     id="cycle"),
+        pytest.param({"p/S.java": "package p; class S extends S {}"},
+                     {"p/S.java": "inheritance cycle: p.S extends itself"}, id="self-extends"),
+    ],
+)
+def test_extract_excludes_type_conflicts(tmp_path, capsys, files, excluded):
+    src = tmp_path / "src"
+    for name, text in {"p/Good.java": "package p; class Good extends Base {}",
+                       "p/Base.java": "package p; class Base { int a; }", **files}.items():
+        (src / name).parent.mkdir(parents=True, exist_ok=True)
+        (src / name).write_text(text)
+    code, _, err = run(capsys, "extract", str(src), "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    log = (tmp_path / "out" / "extract_exclusions.log").read_text()
+    assert log == "".join(f"{path}: {reason}\n" for path, reason in sorted(excluded.items()))
+    lookup = metrics.parse_metrics_csv((tmp_path / "out" / "metrics.csv").read_text())
+    assert set(lookup) == {"p/Base.java", "p/Good.java"}
+    assert lookup["p/Good.java"].values[42] == 1.0  # depth of inheritance
+
+
 def test_extract_empty_tree_usage_error(tmp_path, capsys):
     src = tmp_path / "empty"
     src.mkdir()
@@ -356,7 +392,7 @@ def test_freq_malformed_report_is_one_line_data_error(tmp_path, capsys, row):
     assert "Traceback" not in err
 
 
-# -- one-line errors for paths and --replay ---------------------------------------
+# -- one-line errors for paths, --folds and --replay ------------------------------
 
 
 @pytest.mark.parametrize(
@@ -378,6 +414,9 @@ def test_freq_malformed_report_is_one_line_data_error(tmp_path, capsys, row):
         pytest.param("evaluate {csv} --out {file}", 1, id="evaluate-out-file"),
         pytest.param("evaluate --replay 0,0,0,0", 1, id="replay-all-zero"),
         pytest.param("evaluate --replay=-1,2,3,4", 1, id="replay-negative"),
+        pytest.param("evaluate {csv} --folds 0 --out {tmp}/o", 1, id="folds-0"),
+        pytest.param("evaluate {csv} --folds=-2 --out {tmp}/o", 1, id="folds-negative"),
+        pytest.param("evaluate {csv} --folds 1 --out {tmp}/o", 1, id="folds-1"),
     ],
 )
 def test_bad_path_or_replay_is_one_line_error(tmp_path, capsys, argv, expected):

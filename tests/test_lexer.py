@@ -1,8 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracle_lexer
 from buildmetrics.errors import LexicalError
 from buildmetrics.lexer import Token, tokenize
+from conftest import CORPUS
+from synth import coupled_corpus, generate_corpus
 
 
 def kinds(tokens):
@@ -83,3 +86,87 @@ def test_reprint_is_lexically_equivalent():
     toks = [t for t in tokenize(src) if t.kind != "comment"]
     reprinted = " ".join(t.text for t in toks)
     assert [t.text for t in tokenize(reprinted)] == [t.text for t in toks]
+
+
+def _stream(lex, error, text):
+    """(kind, text, line, column) per token, or the error's message and position."""
+    try:
+        return [(t.kind, t.text, t.line, t.column) for t in lex(text)]
+    except error as exc:
+        return (str(exc), exc.line, exc.column)
+
+
+def assert_matches_oracle(text):
+    assert _stream(tokenize, LexicalError, text) == _stream(
+        oracle_lexer.tokenize, oracle_lexer.LexicalError, text
+    )
+
+
+# Java-like fragments that meet at the boundaries the scanners decide on.
+EDGES = ["/*", "*/", "//", '"', "'", "\\", "0x", "0X", "_", "1", "7.", ".5", "e", "E",
+         "1e+", "2E-", "L", "f", "ab", "if", "true", "$", " ", "\n", "\r", "\t", "\x0c",
+         "é", "一", "`"]
+SYMBOLS = oracle_lexer.OPERATORS + sorted(oracle_lexer.PUNCTUATION)
+
+
+# The two scanners part only on Unicode numerics that are neither letters nor
+# decimal digits (categories No and Nl), pinned in test_no_nl_numerics_are_word_characters.
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.lists(
+    st.sampled_from(EDGES) | st.sampled_from(SYMBOLS)
+    | st.characters(exclude_categories=("No", "Nl")),
+    min_size=4, max_size=32,
+))
+def test_matches_oracle_on_fragments(parts):
+    assert_matches_oracle("".join(parts))
+
+
+@pytest.mark.parametrize("src", [
+    "0x_1F_L 0X 0xg 0x",
+    "1.a 1..2 1.2.3 .5.5 ..5 5.",
+    "1e+e+5.5e-5 1e 1E-- 1_000L 3.5f 2.d 1e5.3",
+    "/* a */ b */ /*/ x */ /**/",
+    "// c\r\n x //",
+    "a::b -> c ? d : e $x _y a$1",
+    ">>>= >>= >>> >> <<= << >>>> ||| &&& ++- --> !==",
+    '"a\\"b" \'\\\'\' "a\\\nb" \'\\\\\'',
+    '"\\',
+    '"ab\ncd" \'x\ny\'',
+])
+def test_matches_oracle_on_edge_cases(src):
+    assert_matches_oracle(src)
+
+
+def test_matches_oracle_on_corpora(tmp_path):
+    generate_corpus(tmp_path / "synth", n_success=10, n_failed=10, seed=7)
+    coupled_corpus(tmp_path / "coupled", n_packages=14, seed=3)
+    paths = sorted(CORPUS.rglob("*.java")) + sorted(tmp_path.rglob("*.java"))
+    assert len(paths) > 80
+    for path in paths:
+        assert_matches_oracle(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("src, expected", [
+    ("x²", [("identifier", "x²")]),  # the oracle agrees: it continues words on isalnum()
+    ("²", [("identifier", "²")]),  # the oracle lexes a number literal (isdigit())
+    ("½", [("identifier", "½")]),  # the oracle raises illegal character
+    ("1²", [("literal", "1"), ("identifier", "²")]),  # the oracle lexes one literal
+    ("Ⅻ = .5;", [("identifier", "Ⅻ"), ("operator-symbol", "="), ("literal", ".5"),
+                 ("punctuation", ";")]),
+])
+def test_no_nl_numerics_are_word_characters(src, expected):
+    assert kinds(tokenize(src)) == expected
+
+
+@pytest.mark.parametrize("src, message, line, column", [
+    ("int a;\n  /* open", "unterminated block comment", 2, 3),
+    ('x = "ab\ncd";', "unterminated string literal", 1, 5),
+    ("c = '\\';", "unterminated character literal", 1, 5),
+    ("a\r\n\tb # c", "illegal character '#'", 2, 4),
+    ("a\x0cb", "illegal character '\\x0c'", 1, 2),
+])
+def test_error_message_and_position(src, message, line, column):
+    with pytest.raises(LexicalError) as exc:
+        tokenize(src)
+    assert (str(exc.value), exc.value.line, exc.value.column) == (
+        f"{message} at line {line}, column {column}", line, column)
