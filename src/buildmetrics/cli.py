@@ -11,9 +11,9 @@ from pathlib import Path
 
 from . import dataset as ds
 from . import featsel, metrics, tree
-from .errors import BuildMetricsError, DataError, EvaluationError, ModelError, SelectionError
+from .errors import BuildMetricsError, DataError, EvaluationError, SelectionError
 from .javaparse import parse_source
-from .model import build_code_model, qualify
+from .model import build_code_model
 
 STRATEGY_FLAGS = {"avg": "average", "max": "maximum", "sum": "sum"}
 
@@ -67,7 +67,8 @@ def cmd_extract(args) -> int:
             exclusions.append(f"{rel}: cannot read: {exc.strerror or exc}")
         except BuildMetricsError as exc:
             exclusions.append(f"{rel}: {exc}")
-    model = _consistent_model(units, exclusions)
+    model = build_code_model(units)
+    exclusions.extend(f"{path}: {reason}" for path, reason in model.excluded)
     vectors = metrics.compute_all_metrics(model)
     for vec in vectors:
         if not vec.complete:
@@ -80,32 +81,6 @@ def cmd_extract(args) -> int:
     print(f"wrote {out / 'metrics.csv'} ({sum(v.complete for v in vectors)} files, "
           f"{len(exclusions)} excluded)")
     return 0
-
-
-def _consistent_model(units, exclusions: list[str]):
-    """Code model of the units without each file that declares a type declared
-    elsewhere too, or holds a type whose extends chain reaches a cycle; each
-    left-out file's reason is appended to exclusions."""
-    declared: dict[str, list[str]] = {}
-    for unit in units:
-        for decl in unit.types:
-            declared.setdefault(qualify(unit.package_name, decl.name), []).append(unit.file_path)
-    clashes = {path: f"duplicate type {qname} declared in {' and '.join(sorted(paths))}"
-               for qname, paths in declared.items() if len(paths) > 1
-               for path in paths}
-    model = build_code_model([u for u in units if u.file_path not in clashes])
-    cycles: dict[str, str] = {}
-    for qname, unit in model.unit_of_type.items():
-        try:
-            metrics.depth_of_inheritance(model, qname)
-        except ModelError as exc:
-            cycles.setdefault(unit.file_path, str(exc))
-    exclusions.extend(f"{path}: {reason}" for path, reason in sorted((clashes | cycles).items()))
-    if cycles:
-        # A type whose extends name resolved to a left-out type reaches the
-        # same cycle and is left out too, so the rebuilt model has none.
-        model = build_code_model([u for u in model.units if u.file_path not in cycles])
-    return model
 
 
 def cmd_dataset(args) -> int:
@@ -205,6 +180,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_freq(args) -> int:
+    if args.threshold < 1:
+        raise UsageError("--threshold must be at least 1")
     runs = []
     text = _read(args.selection)
     lines = [ln for ln in text.splitlines() if ln.strip()]

@@ -203,6 +203,8 @@ def read_csv(text: str) -> Dataset:
                 strategy = part.split("=", 1)[1]
             elif part.startswith("filter="):
                 filter_tag = part.split("=", 1)[1]
+        if strategy not in STRATEGIES or filter_tag not in FILTER_TAGS:
+            raise DataError(f"unknown provenance in dataset footer: {footer!r}")
     header = lines[0].split(",")
     if header[:2] != ["build_id", "label"]:
         raise DataError("malformed dataset header: expected build_id,label,...")

@@ -25,7 +25,7 @@ class ParseError(BuildMetricsError):
 
 
 class ModelError(BuildMetricsError):
-    """Corpus-level inconsistency: duplicate type names, inheritance cycles."""
+    """Code-model misuse: a file path given twice, an unknown package or file."""
 
 
 class DataError(BuildMetricsError):

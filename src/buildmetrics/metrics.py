@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import DataError, ModelError
 from .javaparse import CompilationUnit, MethodDecl, TypeDecl
-from .model import CodeModel, qualify, resolve_name
+from .model import CodeModel, qualify
 
 METRIC_IDS = tuple(range(1, 43))
 
@@ -183,29 +183,6 @@ def maintainability_index(ave_volume: float, ave_cyclomatic: float, ave_loc: flo
     )
 
 
-def depth_of_inheritance(model: CodeModel, qualified_name: str) -> int:
-    """Longest extends-chain; unresolved supertypes contribute one level."""
-    return _dit(model, qualified_name, ())
-
-
-def _dit(model: CodeModel, qualified_name: str, path: tuple[str, ...]) -> int:
-    if qualified_name in path:
-        cycle = " -> ".join(path + (qualified_name,))
-        raise ModelError(f"inheritance cycle: {cycle}")
-    decl = model.type_index[qualified_name]
-    if not decl.extends_names:
-        return 0
-    unit = model.unit_of_type[qualified_name]
-    best = 1  # unresolved supertype counts one level
-    for sup in decl.extends_names:
-        target = resolve_name(model, unit, sup)
-        if target is not None and target != qualified_name:
-            best = max(best, 1 + _dit(model, target, path + (qualified_name,)))
-        elif target == qualified_name:
-            raise ModelError(f"inheritance cycle: {qualified_name} extends itself")
-    return best
-
-
 def _method_volume(method: MethodDecl) -> float:
     n_total = sum(method.operator_tokens.values()) + sum(method.operand_tokens.values())
     n_distinct = len(method.operator_tokens) + len(method.operand_tokens)
@@ -300,9 +277,7 @@ def _unit_metrics(model: CodeModel, unit: CompilationUnit) -> MetricVector:
     v[29] = _mean(l[2] for l in lcoms)
 
     v.update(halstead_suite(pooled_halstead(methods + ctors)))
-    v[42] = _mean(
-        depth_of_inheritance(model, qualify(unit.package_name, t.name)) for t in types
-    )
+    v[42] = _mean(model.depth[qualify(unit.package_name, t.name)] for t in types)
     return vector
 
 

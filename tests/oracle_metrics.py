@@ -478,3 +478,66 @@ class OracleCorpus:
 
     def all_metrics(self):
         return {u.path: self.file_metrics(u) for u in self.units}
+
+
+class CycleFound(Exception):
+    pass
+
+
+class OracleInheritance:
+    """Left-out files and depths of inheritance by the recursive algorithm that
+    extract used before the code model computed depths in one pass.
+
+    Files declaring a type that is declared twice are left out first. Then a
+    path-tracking DFS runs from every type, and each file whose first such DFS
+    meets a cycle is left out with the path the DFS was on. The older
+    algorithm rebuilt its index once and then failed on any cycle the rebuild
+    uncovered; this one repeats the DFS step until no cycle is left.
+    """
+
+    resolve = OracleCorpus.resolve
+
+    def __init__(self, root: Path):
+        units = sorted(
+            (OracleUnit(p.relative_to(root).as_posix(), p.read_text()) for p in root.rglob("*.java")),
+            key=lambda u: u.path,
+        )
+        declared = {}
+        for u in units:
+            for t in u.types:
+                declared.setdefault(_qualify(u, t), []).append(u.path)
+        excluded = {
+            path: f"duplicate type {q} declared in {' and '.join(sorted(paths))}"
+            for q, paths in declared.items() if len(paths) > 1
+            for path in paths
+        }
+        while True:
+            self.index = {_qualify(u, t): (u, t) for u in units if u.path not in excluded for t in u.types}
+            cycles = {}
+            for q, (u, _) in self.index.items():
+                try:
+                    self.dit(q)
+                except CycleFound as exc:
+                    cycles.setdefault(u.path, str(exc))
+            if not cycles:
+                break
+            excluded.update(cycles)
+        self.excluded = sorted(excluded.items())
+        self.depth = {q: self.dit(q) for q in self.index}
+
+    def dit(self, qname, path=()):
+        if qname in path:
+            raise CycleFound("inheritance cycle: " + " -> ".join(path + (qname,)))
+        unit, t = self.index[qname]
+        best = 1 if t["extends"] else 0  # an unresolved supertype counts one level
+        for sup in t["extends"]:
+            target = self.resolve(unit, sup)
+            if target == qname:
+                raise CycleFound(f"inheritance cycle: {qname} extends itself")
+            if target is not None:
+                best = max(best, 1 + self.dit(target, path + (qname,)))
+        return best
+
+
+def _qualify(unit, t):
+    return f"{unit.package}.{t['name']}" if unit.package else t["name"]

@@ -105,6 +105,14 @@ def test_extract_excludes_unstorable_file(tmp_path, capsys, name, content, reaso
                      id="cycle"),
         pytest.param({"p/S.java": "package p; class S extends S {}"},
                      {"p/S.java": "inheritance cycle: p.S extends itself"}, id="self-extends"),
+        # Once p/A.java is left out, p.Z extends the default-package B, which extends p.Z.
+        pytest.param({"p/A.java": "package p; class A extends A {} class B {}",
+                      "p/Z.java": "package p; class Z extends B {}",
+                      "B.java": "class B extends p.Z {}"},
+                     {"B.java": "inheritance cycle: B -> p.Z -> B",
+                      "p/A.java": "inheritance cycle: p.A extends itself",
+                      "p/Z.java": "inheritance cycle: p.Z -> B -> p.Z"},
+                     id="cycle-after-leaving-out"),
     ],
 )
 def test_extract_excludes_type_conflicts(tmp_path, capsys, files, excluded):
@@ -120,6 +128,19 @@ def test_extract_excludes_type_conflicts(tmp_path, capsys, files, excluded):
     lookup = metrics.parse_metrics_csv((tmp_path / "out" / "metrics.csv").read_text())
     assert set(lookup) == {"p/Base.java", "p/Good.java"}
     assert lookup["p/Good.java"].values[42] == 1.0  # depth of inheritance
+
+
+def test_extract_long_extends_chain(tmp_path, capsys):
+    src = tmp_path / "src" / "p"
+    src.mkdir(parents=True)
+    (src / "C0.java").write_text("package p; class C0 { }")
+    for i in range(1, 1100):
+        (src / f"C{i}.java").write_text(f"package p; class C{i} extends C{i - 1} {{ }}")
+    code, _, err = run(capsys, "extract", str(tmp_path / "src"), "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    lookup = metrics.parse_metrics_csv((tmp_path / "out" / "metrics.csv").read_text())
+    assert len(lookup) == 1100
+    assert lookup["p/C1099.java"].values[42] == 1099.0
 
 
 def test_extract_empty_tree_usage_error(tmp_path, capsys):
@@ -417,6 +438,10 @@ def test_freq_malformed_report_is_one_line_data_error(tmp_path, capsys, row):
         pytest.param("evaluate {csv} --folds 0 --out {tmp}/o", 1, id="folds-0"),
         pytest.param("evaluate {csv} --folds=-2 --out {tmp}/o", 1, id="folds-negative"),
         pytest.param("evaluate {csv} --folds 1 --out {tmp}/o", 1, id="folds-1"),
+        pytest.param("freq {selection} --threshold 0", 1, id="threshold-0"),
+        pytest.param("freq {selection} --threshold=-3", 1, id="threshold-negative"),
+        pytest.param("select {bogus} --out {tmp}/o", 2, id="select-unknown-strategy"),
+        pytest.param("evaluate {bogus} --out {tmp}/o", 2, id="evaluate-unknown-strategy"),
     ],
 )
 def test_bad_path_or_replay_is_one_line_error(tmp_path, capsys, argv, expected):
@@ -429,9 +454,12 @@ def test_bad_path_or_replay_is_one_line_error(tmp_path, capsys, argv, expected):
     (tmp_path / "latin1.csv").write_bytes(b"build_id,label,m9\nb\xe9,failed,1\n")
     rows = [(f"b{i}", ("failed", "success")[i % 2], [float(i)]) for i in range(6)]
     (tmp_path / "2.csv").write_text(ds.write_csv(ds.Dataset([9], rows, "maximum")))
+    (tmp_path / "bogus.csv").write_text(ds.write_csv(ds.Dataset([9], rows, "bogus")))
+    (tmp_path / "selection.csv").write_text("dataset_id,algorithm,metric_id,rank_or_member,score\n1,cfs,9,1,\n")
     names = {name: tmp_path / name for name in ("dir", "file", "manifests", "dir_manifests")}
     names.update(missing=tmp_path / "missing.csv", latin1=tmp_path / "latin1.csv",
-                 metrics=tmp_path / "metrics.csv", csv=tmp_path / "2.csv", corpus=CORPUS, tmp=tmp_path)
+                 metrics=tmp_path / "metrics.csv", csv=tmp_path / "2.csv", corpus=CORPUS, tmp=tmp_path,
+                 bogus=tmp_path / "bogus.csv", selection=tmp_path / "selection.csv")
     code, _, err = run(capsys, *argv.format(**names).split())
     assert code == expected
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

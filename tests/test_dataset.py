@@ -263,6 +263,11 @@ def test_csv_header_validation():
         read_csv("id,label,m9\nb1,success,1\n")
     with pytest.raises(DataError):
         read_csv("build_id,label,m9,m9\nb1,success,1,2\n")
+    assert read_csv("build_id,label,m9\nb1,success,1\n# strategy=sum filter=c\n").dataset_id == "3c"
+    for footer in ("strategy=bogus filter=full", "strategy=sum filter=e", "strategy= filter=a"):
+        with pytest.raises(DataError) as exc:
+            read_csv(f"build_id,label,m9\nb1,success,1\n# {footer}\n")
+        assert footer in str(exc.value)
 
 
 def test_csv_rejects_warning_label():

@@ -11,7 +11,6 @@ from buildmetrics.metrics import (
     compute_all_metrics,
     compute_file_metrics,
     cyclomatic,
-    depth_of_inheritance,
     format_value,
     halstead_suite,
     lcom_suite,
@@ -191,9 +190,7 @@ def test_dit_examples():
         ("p/A.java", "package p; class A extends Root { }"),
         ("p/Ext.java", "package p; class Ext extends External { }"),
     )
-    assert depth_of_inheritance(model, "p.Root") == 0
-    assert depth_of_inheritance(model, "p.A") == 1
-    assert depth_of_inheritance(model, "p.Ext") == 1
+    assert model.depth == {"p.Root": 0, "p.A": 1, "p.Ext": 1}
 
 
 def test_dit_cycle_error():
@@ -201,8 +198,11 @@ def test_dit_cycle_error():
         ("p/A.java", "package p; class A extends B { }"),
         ("p/B.java", "package p; class B extends A { }"),
     )
-    with pytest.raises(ModelError):
-        depth_of_inheritance(model, "p.A")
+    assert model.excluded == [
+        ("p/A.java", "inheritance cycle: p.A -> p.B -> p.A"),
+        ("p/B.java", "inheritance cycle: p.B -> p.A -> p.B"),
+    ]
+    assert model.units == [] and model.depth == {}
 
 
 # -- compute_file_metrics ------------------------------------------------
@@ -276,6 +276,23 @@ def test_compute_all_metrics_walks_edges_and_units_once(tmp_path):
     assert len(vectors) == len(model.units)
     assert model.dependency_edges.iterations <= 1
     assert model.units.iterations == 1
+
+
+def test_depths_resolve_each_extends_list_once():
+    # Depth by unmemoised recursion doubles in cost with each level of this
+    # lattice; counting iterations catches that without a clock.
+    sources = [(f"p/I0{s}.java", f"package p; interface I0{s} {{ }}") for s in "ab"]
+    sources += [
+        (f"p/I{k}{s}.java", f"package p; interface I{k}{s} extends I{k - 1}a, I{k - 1}b {{ }}")
+        for k in range(1, 18) for s in "ab"
+    ]
+    units = [parse_source(text, path) for path, text in sources]
+    decls = [decl for unit in units for decl in unit.types]
+    for decl in decls:
+        decl.extends_names = _CountingList(decl.extends_names)
+    vectors = {v.file_path: v for v in compute_all_metrics(build_code_model(units))}
+    assert vectors["p/I17b.java"].values[42] == 17.0
+    assert [decl.extends_names.iterations for decl in decls] == [1] * len(decls)
 
 
 # -- corpus-wide properties ----------------------------------------------

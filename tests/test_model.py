@@ -1,7 +1,10 @@
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from buildmetrics.errors import ModelError
 from buildmetrics.javaparse import parse_source
@@ -9,6 +12,7 @@ from buildmetrics.metrics import compute_file_metrics
 from buildmetrics.model import build_code_model, dump_model_json, qualify, resolve_name
 
 from conftest import load_corpus_units
+from oracle_metrics import OracleInheritance
 
 
 def _units(*sources):
@@ -50,13 +54,26 @@ def test_package_count_matches_distinct_names(corpus_model):
 
 
 def test_duplicate_type_rejected():
-    units = _units(
+    model = build_code_model(_units(
         ("A1.java", "package p; class A { }"),
         ("A2.java", "package p; class A { }"),
-    )
-    with pytest.raises(ModelError) as exc:
-        build_code_model(units)
-    assert "A1.java" in str(exc.value) and "A2.java" in str(exc.value)
+        ("B.java", "package p; class B extends A { }"),
+    ))
+    reason = "duplicate type p.A declared in A1.java and A2.java"
+    assert model.excluded == [("A1.java", reason), ("A2.java", reason)]
+    assert [u.file_path for u in model.units] == ["B.java"]
+    assert model.depth == {"p.B": 1}
+
+
+def test_leaving_out_a_file_re_resolves_extends_names():
+    # With p/A.java in, Z extends p.B; without it, Z extends the default-package B.
+    model = build_code_model(_units(
+        ("p/A.java", "package p; class A extends A { } class B { }"),
+        ("p/Z.java", "package p; class Z extends B { }"),
+        ("B.java", "class B extends Ext { }"),
+    ))
+    assert model.excluded == [("p/A.java", "inheritance cycle: p.A extends itself")]
+    assert model.depth == {"B": 1, "p.Z": 2}
 
 
 def test_duplicate_path_rejected():
@@ -122,3 +139,54 @@ def test_corpus_edges_and_unresolved(corpus_model):
 def test_unit_for_missing_path(corpus_model):
     with pytest.raises(ModelError):
         compute_file_metrics(corpus_model, "no/Such.java")
+
+
+# -- exclusions and depths against the recursive reference -----------------
+
+
+@st.composite
+def _inheritance_trees(draw):
+    """Source files of one or two types each. Every type extends up to three
+    of the drawn types, by simple or qualified name, or an unknown name. A
+    type may reuse an earlier type's name, so clashes, self-extends, cycles
+    and chains into them all come up."""
+    packages = draw(st.lists(st.sampled_from(("", "p", "q")), min_size=1, max_size=6))
+    types = []
+    for f in range(len(packages)):
+        for _ in range(draw(st.integers(1, 2))):
+            # A fresh name about two times in three, else an earlier type's name.
+            reuse = draw(st.sampled_from((None,) * (2 * len(types) + 1) + tuple(range(len(types)))))
+            types.append((f, "ABCDEFGHIJKL"[len(types)] if reuse is None else types[reuse][1]))
+    qualified = [f"{packages[f]}.{name}" if packages[f] else name for f, name in types]
+    pick = st.integers(0, len(types) - 1)
+    files = ["" if not package else f"package {package}; " for package in packages]
+    for f, package in enumerate(packages):
+        if package:
+            files[f] += "".join(f"import {qualified[k]}; " for k in draw(st.lists(pick, max_size=1)))
+    for j, (f, name) in enumerate(types):
+        others = [k for k in range(len(types)) if k != j]
+        target = st.sampled_from([None, j] + others * 3)  # None: an unknown supertype
+        supers = [
+            "Ext" if k is None else qualified[k] if full else types[k][1]
+            for k, full in draw(st.lists(st.tuples(target, st.booleans()), max_size=3))
+        ]
+        kind = "interface" if len(supers) > 1 else "class"
+        extends = f" extends {', '.join(supers)}" if supers else ""
+        files[f] += f"{kind} {name}{extends} {{ }} "
+    return {f"{package}/F{f}.java".lstrip("/"): text for f, (package, text) in enumerate(zip(packages, files))}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_inheritance_trees())
+def test_exclusions_and_depths_match_recursive_reference(files):
+    # No golden input holds a cycle, so the exclusion reasons and depths are
+    # checked against the old recursive algorithm here.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, text in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(text)
+        model = build_code_model(load_corpus_units(root))
+        reference = OracleInheritance(root)
+    assert model.excluded == reference.excluded
+    assert model.depth == reference.depth
