@@ -1,10 +1,12 @@
 """Structural parser for a Java subset.
 
 Captures packages, imports, class/interface declarations (including nested
-ones), fields, constructors and methods. Method bodies are skimmed at token
-level: brace tracking gives block depths, a fixed keyword/symbol table gives
-decision points and operator/operand tallies. Generics, annotations and
-lambdas are tolerated token-wise but not modeled structurally.
+ones), fields, constructors and methods. Each method body is walked once at
+token level: brace tracking gives block depths, a fixed keyword/symbol table
+gives decision points and operator/operand tallies, and bare or `this.`
+identifiers give the candidate field accesses. A parsed unit keeps counts and
+names, not tokens. Generics, annotations and lambdas are tolerated token-wise
+but not modeled structurally.
 """
 
 from collections import Counter
@@ -25,39 +27,6 @@ HALSTEAD_KEYWORDS = frozenset(
     "if else for while do switch case return new try catch finally throw instanceof".split()
 )
 
-#: Symbols that never count as operators or operands.
-_NEUTRAL_SYMBOLS = frozenset({":"})
-
-
-def classify_halstead(tokens: list[Token]) -> tuple[Counter, Counter]:
-    """Classify body tokens into operator and operand multisets.
-
-    Operators: arithmetic/logical/relational/assignment symbols, member
-    access, method-call names (identifier followed by '('), control keywords,
-    ternary pairs counted once. Operands: remaining identifiers and literals.
-    Punctuation and non-control keywords count as neither.
-    """
-    operators: Counter = Counter()
-    operands: Counter = Counter()
-    code = [t for t in tokens if t.kind != "comment"]
-    for idx, tok in enumerate(code):
-        if tok.kind == "operator-symbol":
-            if tok.text in _NEUTRAL_SYMBOLS:
-                continue
-            operators["?:" if tok.text == "?" else tok.text] += 1
-        elif tok.kind == "keyword":
-            if tok.text in HALSTEAD_KEYWORDS:
-                operators[tok.text] += 1
-        elif tok.kind == "identifier":
-            nxt = code[idx + 1] if idx + 1 < len(code) else None
-            if nxt is not None and nxt.text == "(":
-                operators[tok.text] += 1
-            else:
-                operands[tok.text] += 1
-        elif tok.kind == "literal":
-            operands[tok.text] += 1
-    return operators, operands
-
 
 @dataclass
 class FieldDecl:
@@ -71,16 +40,10 @@ class MethodDecl:
     parameter_count: int = 0
     body_lines: int = 0
     decision_points: int = 0
-    max_block_depth: int = 0
     block_depths: list[int] = field(default_factory=list)
     accessed_field_names: set[str] = field(default_factory=set)
     operator_tokens: Counter = field(default_factory=Counter)
     operand_tokens: Counter = field(default_factory=Counter)
-    body_tokens: list[Token] = field(default_factory=list)
-
-    @property
-    def has_body(self) -> bool:
-        return bool(self.block_depths)
 
 
 @dataclass
@@ -102,7 +65,7 @@ class CompilationUnit:
     package_name: str = ""
     imports: list[str] = field(default_factory=list)
     types: list[TypeDecl] = field(default_factory=list)
-    comments: list[Token] = field(default_factory=list)
+    comment_count: int = 0
     physical_lines: int = 0
     code_lines: int = 0
 
@@ -111,7 +74,7 @@ class _Parser:
     def __init__(self, tokens: list[Token], file_path: str):
         self.toks = [t for t in tokens if t.kind != "comment"]
         self.unit = CompilationUnit(file_path=file_path)
-        self.unit.comments = [t for t in tokens if t.kind == "comment"]
+        self.unit.comment_count = len(tokens) - len(self.toks)
         self.unit.code_lines = len({t.line for t in self.toks})
         self.i = 0
 
@@ -126,6 +89,8 @@ class _Parser:
         return t is not None and t.text == text
 
     def take(self) -> Token:
+        if self.i >= len(self.toks):
+            raise ParseError("unexpected end of file")
         t = self.toks[self.i]
         self.i += 1
         return t
@@ -272,7 +237,9 @@ class _Parser:
         decl.referenced_type_names.update(decl.supertype_names)
         self.expect("{")
         self.parse_type_body(decl)
-        self.finalize_type(decl)
+        field_names = {f.name for f in decl.fields_}
+        for method in decl.constructors + decl.methods:
+            method.accessed_field_names &= field_names
         self.unit.types.append(decl)
         return decl
 
@@ -398,57 +365,61 @@ class _Parser:
             decl.referenced_type_names.update(t.text for t in idents[:-1])
 
     def parse_body(self, decl: TypeDecl, method: MethodDecl):
+        """Walk the body once, from its '{' to the matching '}'.
+
+        Halstead operators are operator symbols (a ternary counts once, as
+        '?:'), control keywords and called method names; operands are the other
+        identifiers and literals. Every identifier not behind a '.', or behind
+        'this .', is a candidate field access; parse_type keeps those that name
+        a field of the type."""
         opener = self.expect("{")
-        depth = 1
-        body: list[Token] = []
-        depths = [1]
-        closer = opener
-        while self.peek() is not None:
-            t = self.take()
-            if t.text == "{":
+        toks, end = self.toks, len(self.toks)
+        operators, operands = method.operator_tokens, method.operand_tokens
+        fields = method.accessed_field_names
+        depth, depths, decisions = 1, [1], 0
+        i = self.i
+        while i < end:
+            t = toks[i]
+            kind, text = t.kind, t.text
+            if text == "{":
                 depth += 1
                 depths.append(depth)
-            elif t.text == "}":
+            elif text == "}":
                 depth -= 1
                 if depth == 0:
-                    closer = t
                     break
-            if depth > 0:
-                body.append(t)
+            elif kind == "identifier":
+                if i + 1 < end and toks[i + 1].text == "(":
+                    operators[text] += 1
+                else:
+                    operands[text] += 1
+                if toks[i - 1].text != "." or toks[i - 2].text == "this":
+                    fields.add(text)
+            elif kind == "operator-symbol":
+                operators["?:" if text == "?" else text] += 1
+                if text in ("?", "&&", "||"):
+                    decisions += 1
+            elif kind == "keyword":
+                if text in HALSTEAD_KEYWORDS:
+                    operators[text] += 1
+                if text in DECISION_KEYWORDS:
+                    decisions += 1
+                elif text == "new" and i + 1 < end and toks[i + 1].kind == "identifier":
+                    j = i + 1
+                    parts = [toks[j].text]
+                    while j + 2 < end and toks[j + 1].text == "." and toks[j + 2].kind == "identifier":
+                        parts.append(toks[j + 2].text)
+                        j += 2
+                    decl.referenced_type_names.add(".".join(parts))
+            elif kind == "literal":
+                operands[text] += 1
+            i += 1
         else:
             raise ParseError("unbalanced method body", opener.line, opener.column)
-        method.body_tokens = body
+        self.i = i + 1
         method.block_depths = depths
-        method.max_block_depth = max(depths)
-        method.body_lines = closer.line - opener.line + 1
-        for idx, t in enumerate(body):
-            if t.text in DECISION_KEYWORDS and t.kind == "keyword":
-                method.decision_points += 1
-            elif t.text in ("?", "&&", "||"):
-                method.decision_points += 1
-            elif t.text == "new" and idx + 1 < len(body) and body[idx + 1].kind == "identifier":
-                j = idx + 1
-                parts = [body[j].text]
-                while j + 2 < len(body) and body[j + 1].text == "." and body[j + 2].kind == "identifier":
-                    parts.append(body[j + 2].text)
-                    j += 2
-                decl.referenced_type_names.add(".".join(parts))
-        method.operator_tokens, method.operand_tokens = classify_halstead(body)
-
-    def finalize_type(self, decl: TypeDecl):
-        """Resolve field accesses now that the full field list is known."""
-        field_names = {f.name for f in decl.fields_}
-        for method in decl.constructors + decl.methods:
-            body = method.body_tokens
-            for idx, t in enumerate(body):
-                if t.kind != "identifier" or t.text not in field_names:
-                    continue
-                prev = body[idx - 1] if idx > 0 else None
-                if prev is not None and prev.text == ".":
-                    before = body[idx - 2] if idx > 1 else None
-                    if before is None or before.text != "this":
-                        continue
-                method.accessed_field_names.add(t.text)
+        method.decision_points = decisions
+        method.body_lines = toks[i].line - opener.line + 1
 
     def parse_field_decl(self, decl: TypeDecl, head: list[Token]):
         """head holds the type part plus the first declarator name."""

@@ -229,7 +229,7 @@ def _unit_metrics(model: CodeModel, unit: CompilationUnit) -> MetricVector:
     methods = [m for t in types for m in t.methods]
     ctors = [c for t in types for c in t.constructors]
     n_classes = len(types)
-    n_comments = len(unit.comments)
+    n_comments = unit.comment_count
     n_fields = sum(len(t.fields_) for t in types)
 
     v = vector.values

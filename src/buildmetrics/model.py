@@ -32,20 +32,26 @@ def qualify(package_name: str, type_name: str) -> str:
 
 
 def resolve_name(model: CodeModel, unit: CompilationUnit, name: str) -> str | None:
-    """Resolve a (possibly qualified) type name within the corpus."""
-    if name in model.type_index and "." in name:
-        return name
-    simple = name.rsplit(".", 1)[-1]
+    """Resolve a type name within the corpus. A simple name is looked up through
+    the unit's imports, its package and the default package. A dotted name is
+    itself when indexed; otherwise its qualifier is resolved by the same rule
+    and the last part is looked up in that type's package (as for Outer.Inner)."""
+    if "." in name:
+        if name in model.type_index:
+            return name
+        qualifier, simple = name.rsplit(".", 1)
+        owner = resolve_name(model, unit, qualifier)
+        if owner is None:
+            return None
+        candidate = qualify(model.unit_of_type[owner].package_name, simple)
+        return candidate if candidate in model.type_index else None
     for imp in unit.imports:
-        if imp.endswith("." + simple):
-            if imp in model.type_index:
-                return imp
-    candidate = qualify(unit.package_name, simple)
+        if imp.endswith("." + name) and imp in model.type_index:
+            return imp
+    candidate = qualify(unit.package_name, name)
     if candidate in model.type_index:
         return candidate
-    if simple in model.type_index:  # default package
-        return simple
-    return None
+    return name if name in model.type_index else None  # default package
 
 
 def build_code_model(units: list[CompilationUnit]) -> CodeModel:
@@ -154,7 +160,7 @@ def dump_model_json(model: CodeModel) -> str:
                 "imports": list(u.imports),
                 "physical_lines": u.physical_lines,
                 "code_lines": u.code_lines,
-                "comments": len(u.comments),
+                "comments": u.comment_count,
                 "types": [
                     {
                         "name": t.name,

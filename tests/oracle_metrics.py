@@ -98,7 +98,7 @@ class OracleUnit:
         self.path = path
         self.physical_lines = len(text.splitlines())
         toks = lex(text)
-        self.comments = sum(1 for k, _, _ in toks if k == "comment")
+        self.comment_count = sum(1 for k, _, _ in toks if k == "comment")
         code = [t for t in toks if t[0] != "comment"]
         self.code_lines = len({ln for _, _, ln in code})
         self.package = ""
@@ -378,18 +378,23 @@ class OracleCorpus:
                         self.edges.add((q, target))
 
     def resolve(self, unit, name):
-        if "." in name and name in self.index:
-            return name
-        simple = name.rsplit(".", 1)[-1]
+        if "." in name:
+            if name in self.index:
+                return name
+            qualifier, simple = name.rsplit(".", 1)
+            owner = self.resolve(unit, qualifier)
+            if owner is None:
+                return None
+            package = self.index[owner][0].package
+            candidate = f"{package}.{simple}" if package else simple
+            return candidate if candidate in self.index else None
         for imp in unit.imports:
-            if imp.endswith("." + simple) and imp in self.index:
+            if imp.endswith("." + name) and imp in self.index:
                 return imp
-        candidate = f"{unit.package}.{simple}" if unit.package else simple
+        candidate = f"{unit.package}.{name}" if unit.package else name
         if candidate in self.index:
             return candidate
-        if simple in self.index:
-            return simple
-        return None
+        return name if name in self.index else None
 
     def dit(self, qname, seen=()):
         assert qname not in seen, f"inheritance cycle at {qname}"
@@ -421,17 +426,17 @@ class OracleCorpus:
         v[1] = sum(len(t["fields"]) for t in types)
         v[2] = v[1] / nc
         v[3] = len(ctors) / nc
-        v[4] = unit.comments / nc
+        v[4] = unit.comment_count / nc
         v[5] = _entropy_free_mean(m["lines"] for m in methods)
         v[6] = len(methods) / nc
         v[7] = _entropy_free_mean(m["params"] for m in methods)
         v[8] = len(self.packages[unit.package])
-        v[9] = unit.code_lines / max(1, unit.comments)
+        v[9] = unit.code_lines / max(1, unit.comment_count)
         v[10] = len(ctors)
         v[11] = len(unit.imports)
         v[12] = sum(1 for t in types if t["kind"] == "interface")
         v[13] = unit.code_lines
-        v[14] = unit.comments
+        v[14] = unit.comment_count
         v[15] = len(methods)
         v[16] = sum(m["params"] for m in methods)
         v[17] = unit.physical_lines

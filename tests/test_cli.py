@@ -86,6 +86,19 @@ def test_extract_excludes_unstorable_file(tmp_path, capsys, name, content, reaso
     assert set(lookup) == {"p/A.java"}
 
 
+def test_extract_excludes_truncated_file(tmp_path, capsys):
+    src = tmp_path / "src"
+    (src / "p").mkdir(parents=True)
+    (src / "p" / "A.java").write_text("package p; class A { int a; }")
+    (src / "p" / "B.java").write_text("package p; class B extends")
+    code, _, err = run(capsys, "extract", str(src), "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    log = (tmp_path / "out" / "extract_exclusions.log").read_text()
+    assert log == "p/B.java: unexpected end of file\n"
+    lookup = metrics.parse_metrics_csv((tmp_path / "out" / "metrics.csv").read_text())
+    assert set(lookup) == {"p/A.java"}
+
+
 @pytest.mark.parametrize(
     "files, excluded",
     [

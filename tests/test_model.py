@@ -76,6 +76,26 @@ def test_leaving_out_a_file_re_resolves_extends_names():
     assert model.depth == {"B": 1, "p.Z": 2}
 
 
+def test_qualified_name_does_not_fall_back_to_its_simple_name():
+    model = build_code_model(_units(
+        ("p/C.java", "package p; class C { }"),
+        ("p/E.java", "package p; class E extends q.C { }"),
+    ))
+    assert ("p.E", "p.C") not in model.dependency_edges
+    assert "q.C" in model.unresolved_names
+    assert model.depth["p.E"] == 1
+
+
+def test_qualified_nested_name_resolves_through_its_owner():
+    model = build_code_model(_units(
+        ("p/O.java", "package p; class O { class I { } }"),
+        ("p/E.java", "package p; class E extends O.I { }"),
+        ("p/F.java", "package p; class F extends p.O.I { }"),
+        ("r/G.java", "package r; import p.O; class G extends O.I { }"),
+    ))
+    assert {("p.E", "p.I"), ("p.F", "p.I"), ("r.G", "p.I")} <= model.dependency_edges
+
+
 def test_duplicate_path_rejected():
     units = _units(("A.java", "class A { }"), ("A.java", "class B { }"))
     with pytest.raises(ModelError):
