@@ -22,6 +22,13 @@ class UsageError(Exception):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a command line it cannot parse as a UsageError, not exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _read(path) -> str:
     """Text of an input file; unreadable is a usage error, non-UTF-8 a data error."""
     try:
@@ -165,8 +172,7 @@ def cmd_evaluate(args) -> int:
         data = data.project(_parse_feature_list(args.features))
         if not data.feature_ids:
             raise UsageError("feature set shares no columns with the dataset")
-    params = tree.TrainParams(seed=args.seed)
-    report = tree.cross_validate(data, k=args.folds, params=params)
+    report = tree.cross_validate(data, k=args.folds, seed=args.seed)
     name = data.dataset_id
     _write(Path(args.out), {
         f"{name}_report.txt": tree.report_table(report),
@@ -203,7 +209,7 @@ def cmd_freq(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="buildmetrics",
         description="Source-code metrics and build-outcome classification pipeline",
     )
@@ -250,22 +256,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "evaluate" and not args.replay and not args.dataset:
-        print("error: dataset CSV required unless --replay is given", file=sys.stderr)
-        return 1
     try:
+        args = build_parser().parse_args(argv)
+        if args.command == "evaluate" and not args.replay and not args.dataset:
+            raise UsageError("dataset CSV required unless --replay is given")
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _report("error", exc, 1)
     except (DataError, SelectionError, EvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _report("error", exc, 2)
     except BuildMetricsError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+        return _report("internal error", exc, 3)
+
+
+def _report(prefix: str, exc: Exception, code: int) -> int:
+    # A message may quote a path or an argument; it still prints as one line.
+    print(f"{prefix}: " + " ".join(str(exc).splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -52,10 +52,6 @@ class Dataset:
     filter_tag: str = "full"
 
     @property
-    def provenance(self) -> tuple[str, str]:
-        return self.strategy, self.filter_tag
-
-    @property
     def dataset_id(self) -> str:
         return dataset_id(self.strategy, self.filter_tag)
 
@@ -80,7 +76,7 @@ class Dataset:
 def parse_manifest(text: str) -> BuildManifest:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
         raise DataError(f"malformed manifest JSON: {exc}")
     if not isinstance(doc, dict):
         raise DataError("manifest is not a JSON object")
@@ -168,7 +164,10 @@ def assemble(
             exclusions.append((manifest.build_id, "missing-metrics"))
             continue
         aggregated = aggregate_build(vectors, strategy)
-        rows.append((manifest.build_id, manifest.result, [aggregated.values[i] for i in METRIC_IDS]))
+        values = [aggregated.values[i] for i in METRIC_IDS]
+        if not all(map(math.isfinite, values)):
+            raise DataError(f"build {manifest.build_id!r}: the {strategy} of a metric overflows")
+        rows.append((manifest.build_id, manifest.result, values))
     if not rows:
         raise DataError("no builds retained after exclusions")
     full = Dataset(feature_ids=list(METRIC_IDS), rows=rows, strategy=strategy, filter_tag="full")
@@ -193,10 +192,8 @@ def write_csv(dataset: Dataset) -> str:
 
 def read_csv(text: str) -> Dataset:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise DataError("empty dataset CSV")
     strategy, filter_tag = "average", "full"
-    if lines[-1].startswith("#"):
+    if lines and lines[-1].startswith("#"):
         footer = lines.pop()
         for part in footer.lstrip("# ").split():
             if part.startswith("strategy="):
@@ -205,12 +202,14 @@ def read_csv(text: str) -> Dataset:
                 filter_tag = part.split("=", 1)[1]
         if strategy not in STRATEGIES or filter_tag not in FILTER_TAGS:
             raise DataError(f"unknown provenance in dataset footer: {footer!r}")
+    if not lines:
+        raise DataError("dataset CSV has no header")
     header = lines[0].split(",")
     if header[:2] != ["build_id", "label"]:
         raise DataError("malformed dataset header: expected build_id,label,...")
     feature_ids = []
     for col in header[2:]:
-        if not col.startswith("m") or not col[1:].isdigit():
+        if not col.startswith("m") or not (col[1:].isascii() and col[1:].isdigit()):
             raise DataError(f"malformed metric column {col!r}")
         mid = int(col[1:])
         if mid not in METRIC_IDS:

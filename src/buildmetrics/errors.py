@@ -25,7 +25,7 @@ class ParseError(BuildMetricsError):
 
 
 class ModelError(BuildMetricsError):
-    """Code-model misuse: a file path given twice, an unknown package or file."""
+    """Code-model misuse: a file path given twice, or an unknown package."""
 
 
 class DataError(BuildMetricsError):

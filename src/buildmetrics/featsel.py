@@ -34,18 +34,6 @@ class SelectionRun:
     scores: dict[int, float] = field(default_factory=dict)
 
 
-@dataclass
-class FrequencyTally:
-    counts: Counter = field(default_factory=Counter)
-
-    @classmethod
-    def from_runs(cls, runs: list["SelectionRun"]) -> "FrequencyTally":
-        tally = cls()
-        for run in runs:
-            tally.counts.update(set(run.selected))
-        return tally
-
-
 def _entropy(counts, n: int) -> float:
     """Shannon entropy in bits of class counts summing to n."""
     h = 0.0
@@ -96,10 +84,17 @@ def best_cut(order, values, ys, counts, min_size=1, eps=_GAIN_EPS):
     return best
 
 
+def cut_point(a: float, b: float) -> float:
+    """Threshold between sorted values a < b: values <= it go left. The
+    midpoint, unless it rounds up to b or overflows; then a."""
+    mid = (a + b) / 2.0
+    return mid if a <= mid < b else a
+
+
 def discretize_mdl(values: list[float], labels: list) -> list[float]:
     """Fayyad-Irani recursive binary partitioning.
 
-    Cut points are midpoints between consecutive distinct values; a cut is
+    Cut points fall between consecutive distinct values (cut_point); a cut is
     accepted only when its information gain beats the MDL criterion. Returns
     a (possibly empty) ascending cut list.
     """
@@ -132,7 +127,7 @@ def _mdl_split(values: list[float], ys: list[int], lo: int, hi: int, counts: lis
     if gain <= threshold:
         return
     mid = lo + pos
-    cuts.append((values[mid - 1] + values[mid]) / 2.0)
+    cuts.append(cut_point(values[mid - 1], values[mid]))
     _mdl_split(values, ys, lo, mid, left, cuts)
     _mdl_split(values, ys, mid, hi, right, cuts)
 
@@ -270,14 +265,18 @@ def cfs_select(dataset: Dataset) -> SelectionRun:
     return SelectionRun(dataset.dataset_id, "cfs", sorted(best_subset))
 
 
+def _run_counts(runs: list[SelectionRun]) -> Counter:
+    """Number of runs that selected each metric ID."""
+    return Counter(mid for run in runs for mid in set(run.selected))
+
+
 def frequency_select(runs: list[SelectionRun], threshold: int) -> set[int]:
     """Metric IDs selected by at least `threshold` of the given runs."""
     if not runs:
         raise SelectionError("no selection runs supplied")
     if threshold < 1:
         raise SelectionError("threshold must be at least 1")
-    tally = FrequencyTally.from_runs(runs)
-    return {mid for mid, count in tally.counts.items() if count >= threshold}
+    return {mid for mid, count in _run_counts(runs).items() if count >= threshold}
 
 
 def selection_report_csv(runs: list[SelectionRun]) -> str:
@@ -293,8 +292,6 @@ def selection_report_csv(runs: list[SelectionRun]) -> str:
 
 def frequency_csv(runs: list[SelectionRun]) -> str:
     """metric_id,count tally across runs (histogram analogue)."""
-    tally = FrequencyTally.from_runs(runs)
-    lines = ["metric_id,count"]
-    for mid in sorted(tally.counts):
-        lines.append(f"{mid},{tally.counts[mid]}")
+    counts = _run_counts(runs)
+    lines = ["metric_id,count"] + [f"{mid},{counts[mid]}" for mid in sorted(counts)]
     return "\n".join(lines) + "\n"

@@ -29,12 +29,6 @@ HALSTEAD_KEYWORDS = frozenset(
 
 
 @dataclass
-class FieldDecl:
-    name: str
-    type_names: list[str] = field(default_factory=list)
-
-
-@dataclass
 class MethodDecl:
     name: str
     parameter_count: int = 0
@@ -51,9 +45,8 @@ class TypeDecl:
     name: str
     kind: str  # class | interface
     is_abstract: bool = False
-    supertype_names: list[str] = field(default_factory=list)
     extends_names: list[str] = field(default_factory=list)
-    fields_: list[FieldDecl] = field(default_factory=list)
+    field_names: list[str] = field(default_factory=list)
     constructors: list[MethodDecl] = field(default_factory=list)
     methods: list[MethodDecl] = field(default_factory=list)
     referenced_type_names: set[str] = field(default_factory=set)
@@ -219,34 +212,26 @@ class _Parser:
             is_abstract=(kind == "interface" or "abstract" in mods),
         )
         self.skip_generics()
-        if self.at("extends"):
-            self.take()
-            decl.extends_names.append(self._supertype_name())
-            while self.at(","):  # interfaces may extend several
-                self.take()
-                decl.extends_names.append(self._supertype_name())
-        if self.at("implements"):
-            self.take()
-            decl.supertype_names.append(self._supertype_name())
-            while self.at(","):
-                self.take()
-                decl.supertype_names.append(self._supertype_name())
-        decl.supertype_names = decl.extends_names + [
-            s for s in decl.supertype_names if s not in decl.extends_names
-        ]
-        decl.referenced_type_names.update(decl.supertype_names)
+        if self.at("extends"):  # interfaces may extend several
+            decl.extends_names = self._type_list()
+        implemented = self._type_list() if self.at("implements") else []
+        decl.referenced_type_names.update(decl.extends_names, implemented)
         self.expect("{")
         self.parse_type_body(decl)
-        field_names = {f.name for f in decl.fields_}
+        field_names = set(decl.field_names)
         for method in decl.constructors + decl.methods:
             method.accessed_field_names &= field_names
         self.unit.types.append(decl)
         return decl
 
-    def _supertype_name(self) -> str:
-        name = self.dotted_name()
-        self.skip_generics()
-        return name
+    def _type_list(self) -> list[str]:
+        """The comma-separated names after 'extends' or 'implements'."""
+        names = []
+        while not names or self.at(","):
+            self.take()
+            names.append(self.dotted_name())
+            self.skip_generics()
+        return names
 
     def parse_type_body(self, decl: TypeDecl):
         while True:
@@ -427,10 +412,8 @@ class _Parser:
             if self.peek() is not None:
                 self.take()
             return
-        names = [head[-1].text]
-        type_part = head[:-1]
-        type_names = [t.text for t in type_part if t.kind == "identifier"]
-        decl.referenced_type_names.update(type_names)
+        decl.field_names.append(head[-1].text)
+        decl.referenced_type_names.update(t.text for t in head[:-1] if t.kind == "identifier")
         # Consume initializers and further declarators up to ';'.
         depth = 0
         expecting_name = False
@@ -445,10 +428,8 @@ class _Parser:
             elif depth == 0 and t.text == ";":
                 break
             elif expecting_name and t.kind == "identifier":
-                names.append(t.text)
+                decl.field_names.append(t.text)
                 expecting_name = False
-        for name in names:
-            decl.fields_.append(FieldDecl(name=name, type_names=list(type_names)))
 
 
 def parse_unit(tokens: list[Token], file_path: str, physical_lines: int) -> CompilationUnit:

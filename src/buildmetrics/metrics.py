@@ -130,8 +130,7 @@ def _attribute_access(decl: TypeDecl) -> tuple[list[set[str]], list[str]]:
     """Field-access sets for cohesion; constructors count as methods here."""
     methods = decl.constructors + decl.methods
     access = [m.accessed_field_names for m in methods]
-    fields = [f.name for f in decl.fields_]
-    return access, fields
+    return access, decl.field_names
 
 
 def lcom_suite(decl: TypeDecl) -> tuple[float, float, float]:
@@ -208,18 +207,6 @@ def pooled_halstead(methods: list[MethodDecl]) -> HalsteadCounts:
     )
 
 
-def compute_file_metrics(model: CodeModel, file_path: str) -> MetricVector:
-    """Full 42-value vector for one file.
-
-    Files with no type declarations yield an incomplete (empty) vector, which
-    downstream dataset assembly treats as an exclusion.
-    """
-    unit = next((u for u in model.units if u.file_path == file_path), None)
-    if unit is None:
-        raise ModelError(f"no such file in model: {file_path}")
-    return _unit_metrics(model, unit)
-
-
 def _unit_metrics(model: CodeModel, unit: CompilationUnit) -> MetricVector:
     vector = MetricVector(file_path=unit.file_path)
     types = unit.types
@@ -230,7 +217,7 @@ def _unit_metrics(model: CodeModel, unit: CompilationUnit) -> MetricVector:
     ctors = [c for t in types for c in t.constructors]
     n_classes = len(types)
     n_comments = unit.comment_count
-    n_fields = sum(len(t.fields_) for t in types)
+    n_fields = sum(len(t.field_names) for t in types)
 
     v = vector.values
     v[1] = float(n_fields)
@@ -282,7 +269,9 @@ def _unit_metrics(model: CodeModel, unit: CompilationUnit) -> MetricVector:
 
 
 def compute_all_metrics(model: CodeModel) -> list[MetricVector]:
-    """Vectors for every file in the model, ordered by path."""
+    """Vectors for every file in the model, ordered by path. A file with no
+    type declarations gets an incomplete (empty) vector, which dataset
+    assembly treats as an exclusion."""
     return [_unit_metrics(model, unit) for unit in model.units]
 
 

@@ -2,11 +2,10 @@
 excluded files, and the dependency graph and package coupling of one reference pass.
 
 The merge is keyed by file path and fully order-independent: units are
-sorted by path before indexing, and all serialized collections are ordered
-by name, so identical input bytes always yield an identical model.
+sorted by path before indexing, so identical input bytes always yield an
+identical model.
 """
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import ModelError
@@ -19,7 +18,6 @@ class CodeModel:
     packages: dict[str, set[str]] = field(default_factory=dict)  # package -> qualified type names
     type_index: dict[str, TypeDecl] = field(default_factory=dict)  # qualified name -> decl
     dependency_edges: set[tuple[str, str]] = field(default_factory=set)
-    unresolved_names: set[str] = field(default_factory=set)
     unit_of_type: dict[str, CompilationUnit] = field(default_factory=dict)
     afferent: dict[str, set[str]] = field(default_factory=dict)  # package -> outside types using it
     efferent: dict[str, set[str]] = field(default_factory=dict)  # package -> its types using outside
@@ -93,9 +91,7 @@ def build_code_model(units: list[CompilationUnit]) -> CodeModel:
             qname = qualify(unit.package_name, decl.name)
             for ref in sorted(decl.referenced_type_names):
                 target = resolve_name(model, unit, ref)
-                if target is None:
-                    model.unresolved_names.add(ref)
-                elif target != qname:
+                if target is not None and target != qname:
                     model.dependency_edges.add((qname, target))
                     target_package = model.unit_of_type[target].package_name
                     if target_package != unit.package_name:
@@ -144,37 +140,3 @@ def _cycle_reason(qname: str, supers: dict[str, list[str]], depth: dict[str, int
         path.append(target)
         on_path.add(target)
 
-
-def dump_model_json(model: CodeModel) -> str:
-    """Debug dump with stable key ordering."""
-    doc = {
-        "packages": {
-            pkg: sorted(types) for pkg, types in sorted(model.packages.items())
-        },
-        "dependency_edges": sorted(list(e) for e in model.dependency_edges),
-        "unresolved_names": sorted(model.unresolved_names),
-        "units": [
-            {
-                "file_path": u.file_path,
-                "package": u.package_name,
-                "imports": list(u.imports),
-                "physical_lines": u.physical_lines,
-                "code_lines": u.code_lines,
-                "comments": u.comment_count,
-                "types": [
-                    {
-                        "name": t.name,
-                        "kind": t.kind,
-                        "is_abstract": t.is_abstract,
-                        "supertypes": list(t.supertype_names),
-                        "fields": sorted(f.name for f in t.fields_),
-                        "constructors": len(t.constructors),
-                        "methods": sorted(m.name for m in t.methods),
-                    }
-                    for t in u.types
-                ],
-            }
-            for u in model.units
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)

@@ -6,8 +6,10 @@ All features are numeric; every split is binary on a midpoint threshold
 at the root and split into ordered halves at every node (as in SLIQ).
 Pruning is one bottom-up pass of subtree replacement using the binomial
 upper confidence bound on the leaf error rate; the bound is computed in log
-space, so it stays finite at any node size. All randomness flows through
-the caller-supplied seed.
+space, so it stays finite at any node size. The settings are C4.5's
+defaults: at least 2 instances per leaf and a confidence factor of 0.25.
+Trees are grown and walked with explicit stacks, so any depth works. All
+randomness flows through the caller-supplied seed.
 """
 
 import json
@@ -18,10 +20,11 @@ from dataclasses import dataclass, field, replace
 
 from .dataset import Dataset
 from .errors import EvaluationError
-from .featsel import best_cut
+from .featsel import best_cut, cut_point
 from .metrics import METRIC_NAMES, format_value
 
 _GAIN_EPS = 1e-12
+_MIN_LEAF = 2  # C4.5's default minimum of instances per leaf
 
 
 @dataclass
@@ -39,16 +42,21 @@ class TreeNode:
         return self.label is not None
 
     def node_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return 1 + self.left.node_count() + self.right.node_count()
+        return sum(1 for _ in _preorder(self))
 
 
-@dataclass
-class TrainParams:
-    min_leaf_instances: int = 2
-    confidence_factor: float = 0.25
-    seed: int = 0
+def _preorder(tree: TreeNode):
+    """(node, depth, parent, op) for every node, each before its subtrees and
+    left subtrees before right ones; op is '<=' for a left child, '>' for a
+    right one. A loop, not recursion, so any depth is walked."""
+    stack = [(tree, 0, None, "")]
+    while stack:
+        item = stack.pop()
+        yield item
+        node, depth = item[:2]
+        if not node.is_leaf:
+            stack.append((node.right, depth + 1, node, ">"))
+            stack.append((node.left, depth + 1, node, "<="))
 
 
 @dataclass
@@ -85,34 +93,29 @@ def _majority(counts: Counter, global_counts: Counter) -> str:
     return "failed" if "failed" in gtied else sorted(gtied)[0]
 
 
-def _leaf(counts: Counter, global_counts: Counter) -> TreeNode:
-    return TreeNode(label=_majority(counts, global_counts), training_counts=Counter(counts))
-
-
-def _best_split_for_feature(order, values, ys, counts, min_leaf):
+def _best_split_for_feature(order, values, ys, counts):
     """Best (gain, threshold, split_info) for one feature, or None.
 
     order lists the node's rows sorted by this feature's values; ys holds
     each row's class index and counts the node's class counts.
     """
-    best = best_cut(order, values, ys, counts, min_size=min_leaf, eps=_GAIN_EPS)
+    best = best_cut(order, values, ys, counts, min_size=_MIN_LEAF, eps=_GAIN_EPS)
     if best is None:
         return None
     gain, pos = best[:2]
     n = len(order)
     split_info = -(pos / n) * math.log2(pos / n) - ((n - pos) / n) * math.log2((n - pos) / n)
-    return gain, (values[order[pos - 1]] + values[order[pos]]) / 2.0, split_info
+    return gain, cut_point(values[order[pos - 1]], values[order[pos]]), split_info
 
 
-def train(dataset: Dataset, params: TrainParams | None = None) -> TreeNode:
+def train(dataset: Dataset) -> TreeNode:
     """Grow an unpruned tree by gain ratio over binary numeric splits.
 
     At each node the best split per feature is found by information gain;
     among features whose gain reaches the mean positive gain, the one with
-    the highest gain ratio wins (ties: ascending metric ID).
+    the highest gain ratio wins (ties: ascending metric ID). Nodes are grown
+    from a stack, not by recursion, so any depth is reached.
     """
-    params = params or TrainParams()
-    min_leaf = params.min_leaf_instances
     labels = dataset.labels()
     if not labels:
         raise EvaluationError("cannot train on an empty dataset")
@@ -122,48 +125,39 @@ def train(dataset: Dataset, params: TrainParams | None = None) -> TreeNode:
     ys = [class_index[label] for label in labels]
     columns = {mid: dataset.column(mid) for mid in dataset.feature_ids}
     goes_left = [False] * len(labels)
-
-    def grow(lists: list[list[int]]) -> TreeNode:
-        # lists[0] holds the node's rows in index order and lists[1 + k] the
-        # same rows sorted by feature k. A split node empties lists, so the
-        # lists still alive along a path hold disjoint rows.
-        counts = Counter(labels[i] for i in lists[0])
-        if len(counts) == 1 or len(lists[0]) < 2 * min_leaf:
-            return _leaf(counts, global_counts)
-        class_counts = [counts[label] for label in classes]
+    rows = range(len(labels))
+    root = TreeNode()
+    # lists[0] holds a node's rows in index order and lists[1 + k] the same
+    # rows sorted by feature k; each column is sorted once, here, and splits
+    # keep every list in order. A split drops its node's lists, so the lists
+    # alive at once hold disjoint rows.
+    stack = [(root, [list(rows)] + [sorted(rows, key=columns[mid].__getitem__)
+                                     for mid in dataset.feature_ids])]
+    while stack:
+        node, lists = stack.pop()
+        node.training_counts = counts = Counter(labels[i] for i in lists[0])
         candidates = []
-        for k, mid in enumerate(dataset.feature_ids):
-            best = _best_split_for_feature(
-                lists[1 + k], columns[mid], ys, class_counts, min_leaf
-            )
-            if best is not None:
-                candidates.append((mid,) + best)
+        if len(counts) > 1 and len(lists[0]) >= 2 * _MIN_LEAF:
+            class_counts = [counts[label] for label in classes]
+            for k, mid in enumerate(dataset.feature_ids):
+                best = _best_split_for_feature(lists[1 + k], columns[mid], ys, class_counts)
+                if best is not None:
+                    candidates.append((mid,) + best)
         if not candidates:
-            return _leaf(counts, global_counts)
+            node.label = _majority(counts, global_counts)
+            continue
         mean_gain = sum(c[1] for c in candidates) / len(candidates)
         eligible = [c for c in candidates if c[1] >= mean_gain - _GAIN_EPS]
         eligible.sort(key=lambda c: (-(c[1] / c[3]), c[0]))
-        mid, gain, threshold, _ = eligible[0]
-        column = columns[mid]
+        node.metric_id, _, node.threshold, _ = eligible[0]
+        column = columns[node.metric_id]
         for i in lists[0]:
-            goes_left[i] = column[i] <= threshold
+            goes_left[i] = column[i] <= node.threshold
+        node.left, node.right = TreeNode(), TreeNode()
         # Both halves are taken before either child reuses goes_left.
-        left = [[i for i in lst if goes_left[i]] for lst in lists]
-        right = [[i for i in lst if not goes_left[i]] for lst in lists]
-        lists.clear()
-        return TreeNode(
-            metric_id=mid,
-            threshold=threshold,
-            left=grow(left),
-            right=grow(right),
-            training_counts=Counter(counts),
-        )
-
-    rows = range(len(labels))
-    # Each column is sorted once, here; splits keep every list in order.
-    return grow(
-        [list(rows)] + [sorted(rows, key=columns[mid].__getitem__) for mid in dataset.feature_ids]
-    )
+        stack.append((node.right, [[i for i in lst if not goes_left[i]] for lst in lists]))
+        stack.append((node.left, [[i for i in lst if goes_left[i]] for lst in lists]))
+    return root
 
 
 def _binomial_upper_bound(errors: int, n: int, cf: float) -> float:
@@ -206,8 +200,8 @@ def prune(tree: TreeNode, confidence_factor: float = 0.25) -> TreeNode:
     """Bottom-up subtree replacement by a majority leaf whenever the leaf's
     pessimistic error estimate does not exceed the subtree's.
 
-    One pass: each call returns its subtree's estimate to the parent, and
-    the bound is computed once per (errors, n) within this call.
+    One pass, children before parents: each node's estimate goes to its
+    parent, and the bound is computed once per (errors, n) within this call.
     """
     bounds: dict[tuple[int, int], float] = {}
 
@@ -218,20 +212,20 @@ def prune(tree: TreeNode, confidence_factor: float = 0.25) -> TreeNode:
             bounds[key] = _binomial_upper_bound(*key, confidence_factor)
         return n * bounds[key]
 
-    def walk(node: TreeNode) -> tuple[TreeNode, float]:
-        if node.is_leaf:
-            return node, leaf_estimate(node.training_counts)
-        node.left, left_estimate = walk(node.left)
-        node.right, right_estimate = walk(node.right)
-        subtree_estimate = left_estimate + right_estimate
+    pruned: dict[int, tuple[TreeNode, float]] = {}  # id(node) -> (replacement, estimate)
+    for node, *_ in reversed(list(_preorder(tree))):
         estimate = leaf_estimate(node.training_counts)
-        if estimate <= subtree_estimate:
-            counts = node.training_counts
-            leaf = TreeNode(label=_majority(counts, counts), training_counts=Counter(counts))
-            return leaf, estimate
-        return node, subtree_estimate
-
-    return walk(tree)[0]
+        replacement = node
+        if not node.is_leaf:
+            node.left, left_estimate = pruned.pop(id(node.left))
+            node.right, right_estimate = pruned.pop(id(node.right))
+            if estimate <= left_estimate + right_estimate:
+                counts = node.training_counts
+                replacement = TreeNode(label=_majority(counts, counts), training_counts=Counter(counts))
+            else:
+                estimate = left_estimate + right_estimate
+        pruned[id(node)] = replacement, estimate
+    return pruned[id(tree)][0]
 
 
 def predict(tree: TreeNode, features: dict[int, float]) -> str:
@@ -259,13 +253,12 @@ def stratified_folds(labels: list[str], k: int, seed: int) -> list[int]:
     return assignment
 
 
-def cross_validate(dataset: Dataset, k: int = 10, params: TrainParams | None = None) -> EvaluationReport:
+def cross_validate(dataset: Dataset, k: int = 10, seed: int = 0) -> EvaluationReport:
     """Stratified k-fold cross-validation with summed confusion counts.
 
     If the minority class has fewer than k instances, k is reduced to that
     count (recorded via requested_k on the report).
     """
-    params = params or TrainParams()
     labels = dataset.labels()
     class_counts = Counter(labels)
     if len(class_counts) < 2:
@@ -274,7 +267,7 @@ def cross_validate(dataset: Dataset, k: int = 10, params: TrainParams | None = N
     k = min(k, min(class_counts.values()))
     if k < 2:
         raise EvaluationError("minority class too small for cross-validation")
-    assignment = stratified_folds(labels, k, params.seed)
+    assignment = stratified_folds(labels, k, seed)
 
     correct: Counter = Counter()
     incorrect: Counter = Counter()
@@ -282,7 +275,7 @@ def cross_validate(dataset: Dataset, k: int = 10, params: TrainParams | None = N
     for fold in range(k):
         train_rows = [row for i, row in enumerate(dataset.rows) if assignment[i] != fold]
         test_rows = [row for i, row in enumerate(dataset.rows) if assignment[i] == fold]
-        model = prune(train(replace(dataset, rows=train_rows), params), params.confidence_factor)
+        model = prune(train(replace(dataset, rows=train_rows)))
         for bid, label, values in test_rows:
             folds[fold].append(bid)
             features = dict(zip(dataset.feature_ids, values))
@@ -293,7 +286,7 @@ def cross_validate(dataset: Dataset, k: int = 10, params: TrainParams | None = N
 
     total = sum(correct.values()) + sum(incorrect.values())
     acc = accuracy_percent(sum(correct.values()), total)
-    full_tree = prune(train(dataset, params), params.confidence_factor)
+    full_tree = prune(train(dataset))
     per_class = {
         label: (correct.get(label, 0), incorrect.get(label, 0))
         for label in sorted(class_counts)
@@ -305,7 +298,7 @@ def cross_validate(dataset: Dataset, k: int = 10, params: TrainParams | None = N
         folds=folds,
         k=k,
         requested_k=requested_k,
-        seed=params.seed,
+        seed=seed,
         tree=full_tree,
     )
 
@@ -313,25 +306,15 @@ def cross_validate(dataset: Dataset, k: int = 10, params: TrainParams | None = N
 def render_tree(tree: TreeNode) -> str:
     """Indented text rendering; branch lines carry the metric's name."""
     lines: list[str] = []
-
-    def leaf_line(node: TreeNode) -> str:
-        total = sum(node.training_counts.values())
-        right = node.training_counts.get(node.label, 0)
-        return f"{node.label} ({right}/{total - right})"
-
-    def walk(node: TreeNode, indent: int):
-        pad = "    " * indent
+    for node, depth, parent, op in _preorder(tree):
+        if parent is not None:
+            name = METRIC_NAMES.get(parent.metric_id, "")
+            thr = format_value(parent.threshold)
+            lines.append("    " * (depth - 1) + f"m{parent.metric_id} {op} {thr} ({name})")
         if node.is_leaf:
-            lines.append(pad + leaf_line(node))
-            return
-        name = METRIC_NAMES.get(node.metric_id, "")
-        thr = format_value(node.threshold)
-        lines.append(pad + f"m{node.metric_id} <= {thr} ({name})")
-        walk(node.left, indent + 1)
-        lines.append(pad + f"m{node.metric_id} > {thr} ({name})")
-        walk(node.right, indent + 1)
-
-    walk(tree, 0)
+            right = node.training_counts.get(node.label, 0)
+            total = sum(node.training_counts.values())
+            lines.append("    " * depth + f"{node.label} ({right}/{total - right})")
     return "\n".join(lines) + "\n"
 
 

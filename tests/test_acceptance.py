@@ -27,7 +27,7 @@ from buildmetrics.featsel import (
     symmetric_uncertainty,
 )
 from buildmetrics.metrics import METRIC_IDS
-from buildmetrics.tree import TrainParams, cross_validate, predict, prune, train
+from buildmetrics.tree import cross_validate, predict, prune, train
 
 from conftest import CORPUS
 from oracle_metrics import OracleCorpus
@@ -344,7 +344,7 @@ def test_criterion_7_planted_rule_recovered(planted_pipeline):
     assert GAP_LOW < grown.threshold < GAP_HIGH
 
     for seed in range(5):
-        report = cross_validate(data, k=10, params=TrainParams(seed=seed))
+        report = cross_validate(data, k=10, seed=seed)
         assert report.accuracy >= 95.0, seed
     assert time.perf_counter() - start < 30.0
 

@@ -1,7 +1,11 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from buildmetrics import dataset as ds
 from buildmetrics import featsel, metrics, tree
@@ -246,6 +250,12 @@ _METRICS_HEADER = "file_path," + ",".join(f"m{i}" for i in metrics.METRIC_IDS)
             _METRICS_HEADER + "\nA.java,nan" + ",1" * 41 + "\n",
             id="metrics-nan-cell",
         ),
+        pytest.param("[" * 100000, _METRICS_HEADER + "\n", id="manifest-nested-too-deep"),
+        pytest.param(
+            _MANIFEST.replace('"A.java"', '"A.java", "B.java"'),
+            _METRICS_HEADER + "\nA.java" + ",1e308" * 42 + "\nB.java" + ",1e308" * 42 + "\n",
+            id="aggregate-overflows",
+        ),
     ],
 )
 def test_dataset_parse_failure_is_one_line_data_error(tmp_path, capsys, manifest, metrics_text):
@@ -373,6 +383,31 @@ def test_evaluate_replay_prints_reference_row():
 def test_evaluate_requires_dataset_or_replay(capsys):
     code, _, err = run(capsys, "evaluate")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "freq s.csv --threshold x",
+        "evaluate --replay -1,2,3,4",
+        "dataset m metrics.csv --strategy median --out o",
+        "bogus",
+        "select d.csv",
+        "select d.csv --out o --bogus",
+    ],
+    ids=["bad-int", "option-like-value", "bad-choice", "bad-command", "missing-out", "unknown-option"],
+)
+def test_argument_error_is_one_line_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--help"])
+    assert exc.value.code == 0
+    assert "--replay" in capsys.readouterr().out
 
 
 def test_evaluate_fold_reduction_note(extracted, tmp_path, capsys):
@@ -522,7 +557,7 @@ def test_staged_equals_in_process(synth_root, extracted, tmp_path, capsys):
     assert run(
         capsys, "evaluate", str(dsout / "3d.csv"), "--out", str(evalout), "--seed", "3"
     )[0] == 0
-    direct_report = tree.cross_validate(direct, k=10, params=tree.TrainParams(seed=3))
+    direct_report = tree.cross_validate(direct, k=10, seed=3)
     assert (evalout / "3d_report.txt").read_text() == tree.report_table(direct_report)
 
 
@@ -536,3 +571,127 @@ def test_select_and_evaluate_determinism(dataset_csv, tmp_path, capsys):
     for name in ("selection.csv", "frequency.csv", "thresholds.csv",
                  "2_report.txt", "2_report.json", "2_tree.txt"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+# -- fuzzed inputs to main() -------------------------------------------------------
+
+_CELLS = ["0", "1", "2.5", "7", "-3", "40", "1e308", "-1e308", "nan", "inf", "", "x", " 7 "]
+_OPTION_TEXT = st.text(alphabet="0123456789,-. xe", max_size=10)
+
+
+def _option(*valid):
+    return st.one_of(st.sampled_from(valid), st.sampled_from(valid), _OPTION_TEXT)
+
+
+@st.composite
+def _dataset_csv(draw):
+    broken = draw(st.booleans())  # may hold a bad column, cell, label, width or footer
+    names = ["m1", "m9", "m13", "m42"] + (["m9", "m0", "m43", "x", "m²", ""] if broken else [])
+    columns = draw(st.lists(st.sampled_from(names), max_size=3, unique=not broken))
+    cells = st.sampled_from(_CELLS if broken else _CELLS[:8])
+    rows = []
+    for k in range(draw(st.integers(0, 12))):
+        label = draw(st.sampled_from(["failed", "success", "warning"] if broken else ["failed", "success"]))
+        n = len(columns) + (draw(st.sampled_from([0, 0, 1, -1])) if broken and columns else 0)
+        rows.append(",".join([f"b{k}", label] + draw(st.lists(cells, min_size=n, max_size=n))))
+    header = ["build_id,label" + "".join("," + c for c in columns)]
+    footers = ["", "# strategy=maximum filter=full", "# strategy=sum filter=c"]
+    if broken:
+        header = draw(st.sampled_from([header, []]))
+        footers += ["# strategy=bogus filter=full", "#", "# filter=b"]
+    return "\n".join(header + rows + [draw(st.sampled_from(footers))]) + "\n"
+
+
+@st.composite
+def _manifests(draw):
+    broken = draw(st.booleans())  # may hold a bad field, a duplicate ID or bad JSON
+    kinds, results, files = ["nightly", "continuous"], ["failed", "success", "warning"], ["A.java", "B.java"]
+    if broken:
+        kinds, results, files = kinds + ["weekly"], results + ["x"], files + ["C.java", 3]
+    docs = []
+    for k in range(draw(st.integers(1, 3))):
+        doc = {
+            "build_id": draw(st.sampled_from(["b1", "", 7, "a,b"])) if broken else f"b{k}",
+            "kind": draw(st.sampled_from(kinds)),
+            "result": draw(st.sampled_from(results)),
+            "files": draw(st.lists(st.sampled_from(files), min_size=0 if broken else 1, max_size=2)),
+        }
+        docs.append(json.dumps(doc))
+    if broken:
+        docs.append(draw(st.sampled_from(["{", "[]", "[" * 5000, json.dumps(doc)])))
+    return docs
+
+
+@st.composite
+def _metrics_csv(draw):
+    broken = draw(st.booleans())  # may hold a bad header, a short row or a bad cell
+    lines = [draw(st.sampled_from([_METRICS_HEADER, "file_path,m1"])) if broken else _METRICS_HEADER]
+    cells = st.sampled_from(_CELLS if broken else _CELLS[:8])
+    for path in ("A.java", "B.java"):
+        n = 42 - (draw(st.sampled_from([0, 1])) if broken else 0)
+        lines.append(",".join([path] + draw(st.lists(cells, min_size=n, max_size=n))))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _selection_report(draw):
+    rows = draw(st.lists(st.sampled_from(["1,cfs,9,1,", "2,infogain,13,1,0.5", "1,cfs,x", "1", "1,cfs,1"]), max_size=4))
+    header = "dataset_id,algorithm,metric_id,rank_or_member,score" if draw(st.booleans()) else "id"
+    return "\n".join([header] + rows) + "\n"
+
+
+_EXTRA_ARGS = st.sampled_from([[]] * 12 + [["--bogus"], ["--folds"], ["-h"], ["--force", "x"], ["two\nlines"]])
+
+
+@st.composite
+def _invocation(draw, root):
+    """argv for one subcommand, and the input files it reads."""
+    command = draw(st.sampled_from(["dataset", "select", "evaluate", "replay", "freq"]))
+    out = ["--out", str(root / "o"), "--force"]
+    files = {}
+    if command == "dataset":
+        for k, doc in enumerate(draw(_manifests())):
+            files[f"m/{k}.json"] = doc
+        files["metrics.csv"] = draw(_metrics_csv())
+        strategy = draw(st.sampled_from(["avg", "max", "sum"]))
+        argv = ["dataset", str(root / "m"), str(root / "metrics.csv"), "--strategy", strategy] + out
+    elif command == "select":
+        files["d.csv"] = draw(_dataset_csv())
+        argv = ["select", str(root / "d.csv")] + out
+    elif command == "evaluate":
+        files["d.csv"] = draw(_dataset_csv())
+        argv = ["evaluate", str(root / "d.csv"), "--folds=" + draw(_option("2", "3", "10"))]
+        if draw(st.booleans()):
+            argv.append("--features=" + draw(_option("1,9", "13", "42,1,9")))
+        argv += out
+    elif command == "replay":
+        argv = ["evaluate", "--replay=" + draw(_option("37,14,67,11"))] + out
+    else:
+        files["s.csv"] = draw(_selection_report())
+        argv = ["freq", str(root / "s.csv"), "--threshold=" + draw(_option("1", "2"))]
+    return argv + draw(_EXTRA_ARGS), files
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_inputs_end_in_one_line_and_exit_0_1_or_2(fuzz_root, data):
+    with tempfile.TemporaryDirectory(dir=fuzz_root) as tmp:
+        root = Path(tmp)
+        argv, files = data.draw(_invocation(root))
+        for name, text in files.items():
+            (root / name).parent.mkdir(exist_ok=True)
+            (root / name).write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help
+                code = exc.code
+    assert code in (0, 1, 2), err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -234,7 +234,7 @@ def test_assemble_provenance():
     lookup = {"a.java": vec("a.java", 1.0)}
     data, _ = assemble([manifest("b1")], lookup, "maximum", "c")
     assert data.dataset_id == "2c"
-    assert data.provenance == ("maximum", "c")
+    assert (data.strategy, data.filter_tag) == ("maximum", "c")
 
 
 # -- CSV ----------------------------------------------------------------------
@@ -263,6 +263,8 @@ def test_csv_header_validation():
         read_csv("id,label,m9\nb1,success,1\n")
     with pytest.raises(DataError):
         read_csv("build_id,label,m9,m9\nb1,success,1,2\n")
+    with pytest.raises(DataError):
+        read_csv("# strategy=average filter=full\n")
     assert read_csv("build_id,label,m9\nb1,success,1\n# strategy=sum filter=c\n").dataset_id == "3c"
     for footer in ("strategy=bogus filter=full", "strategy=sum filter=e", "strategy= filter=a"):
         with pytest.raises(DataError) as exc:

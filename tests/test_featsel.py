@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from buildmetrics.dataset import Dataset
 from buildmetrics.errors import SelectionError
 from buildmetrics.featsel import (
-    FrequencyTally,
     SelectionRun,
     cfs_merit,
     cfs_select,
@@ -381,8 +380,7 @@ def test_frequency_tally_counts_runs_not_ranks():
         SelectionRun("1", "infogain", [3, 3, 14]),  # duplicate IDs count once
         SelectionRun("1", "cfs", [14]),
     ]
-    tally = FrequencyTally.from_runs(runs)
-    assert tally.counts == Counter({3: 1, 14: 2})
+    assert frequency_csv(runs) == "metric_id,count\n3,1\n14,2\n"
     assert frequency_select(runs, 2) == {14}
 
 

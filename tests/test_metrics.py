@@ -9,7 +9,6 @@ from buildmetrics.metrics import (
     HalsteadCounts,
     METRIC_IDS,
     compute_all_metrics,
-    compute_file_metrics,
     cyclomatic,
     format_value,
     halstead_suite,
@@ -178,7 +177,7 @@ def test_mi_hand_arithmetic():
 
 def test_mi_zero_method_file():
     model = _model(("p/A.java", "package p; class A { int x; }"))
-    assert compute_file_metrics(model, "p/A.java").values[25] == 171.0
+    assert compute_all_metrics(model)[0].values[25] == 171.0
 
 
 # -- depth of inheritance ------------------------------------------------
@@ -205,7 +204,7 @@ def test_dit_cycle_error():
     assert model.units == [] and model.depth == {}
 
 
-# -- compute_file_metrics ------------------------------------------------
+# -- one file's vector ----------------------------------------------------
 
 
 def test_hand_counted_file():
@@ -223,7 +222,7 @@ class A {
 }
 """
     model = _model(("p/A.java", src))
-    v = compute_file_metrics(model, "p/A.java").values
+    v = compute_all_metrics(model)[0].values
     assert v[1] == 2 and v[2] == 2
     assert v[3] == 1 and v[10] == 1
     assert v[11] == 1 and v[12] == 0
@@ -235,14 +234,14 @@ def test_comment_free_file_ratio():
     body = "\n".join(f"    int f{i};" for i in range(37))
     src = f"package p;\nclass A {{\n{body}\n}}\n"
     model = _model(("p/A.java", src))
-    v = compute_file_metrics(model, "p/A.java").values
+    v = compute_all_metrics(model)[0].values
     assert v[13] == 40
     assert v[9] == 40.0
 
 
 def test_typeless_file_incomplete():
     model = _model(("p/Doc.java", "// documentation only\n"))
-    vec = compute_file_metrics(model, "p/Doc.java")
+    vec = compute_all_metrics(model)[0]
     assert not vec.complete
     assert vec.values == {}
 
@@ -335,8 +334,8 @@ def test_cyclomatic_at_least_method_count(corpus_model, corpus_vectors):
 def test_monotone_under_extra_if():
     base = "package p; class A { int x; void m() { x = 1; } }"
     extra = "package p; class A { int x; void m() { x = 1; if (x > 0) { x = 2; } } }"
-    v0 = compute_file_metrics(_model(("p/A.java", base)), "p/A.java").values
-    v1 = compute_file_metrics(_model(("p/A.java", extra)), "p/A.java").values
+    v0 = compute_all_metrics(_model(("p/A.java", base)))[0].values
+    v1 = compute_all_metrics(_model(("p/A.java", extra)))[0].values
     for mid in (13, 26, 31):
         assert v1[mid] >= v0[mid]
 

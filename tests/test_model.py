@@ -1,4 +1,3 @@
-import json
 import random
 import tempfile
 from pathlib import Path
@@ -8,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from buildmetrics.errors import ModelError
 from buildmetrics.javaparse import parse_source
-from buildmetrics.metrics import compute_file_metrics
-from buildmetrics.model import build_code_model, dump_model_json, qualify, resolve_name
+from buildmetrics.metrics import compute_all_metrics, metrics_csv
+from buildmetrics.model import build_code_model, qualify, resolve_name
 
 from conftest import load_corpus_units
 from oracle_metrics import OracleInheritance
@@ -17,6 +16,11 @@ from oracle_metrics import OracleInheritance
 
 def _units(*sources):
     return [parse_source(text, path) for path, text in sources]
+
+
+def _unresolved(model):
+    return {ref for unit in model.units for decl in unit.types
+            for ref in decl.referenced_type_names if resolve_name(model, unit, ref) is None}
 
 
 def test_reference_creates_edge():
@@ -32,7 +36,7 @@ def test_external_supertype_unresolved():
         ("A.java", "package p; class A extends External { }"),
     ))
     assert model.dependency_edges == set()
-    assert "External" in model.unresolved_names
+    assert "External" in _unresolved(model)
 
 
 def test_non_referencing_corpus_has_no_edges():
@@ -82,7 +86,7 @@ def test_qualified_name_does_not_fall_back_to_its_simple_name():
         ("p/E.java", "package p; class E extends q.C { }"),
     ))
     assert ("p.E", "p.C") not in model.dependency_edges
-    assert "q.C" in model.unresolved_names
+    assert "q.C" in _unresolved(model)
     assert model.depth["p.E"] == 1
 
 
@@ -127,18 +131,17 @@ def test_qualify():
 
 
 def test_order_independence():
+    def facts(model):
+        return ([u.file_path for u in model.units], model.packages, model.dependency_edges,
+                model.afferent, model.efferent, model.depth, model.excluded,
+                metrics_csv(compute_all_metrics(model)))
+
     units = load_corpus_units()
-    reference = dump_model_json(build_code_model(units))
+    reference = facts(build_code_model(units))
     for seed in range(5):
         shuffled = list(units)
         random.Random(seed).shuffle(shuffled)
-        assert dump_model_json(build_code_model(shuffled)) == reference
-
-
-def test_dump_is_valid_json_with_sorted_keys(corpus_model):
-    doc = json.loads(dump_model_json(corpus_model))
-    assert set(doc) == {"packages", "dependency_edges", "unresolved_names", "units"}
-    assert doc["dependency_edges"] == sorted(doc["dependency_edges"])
+        assert facts(build_code_model(shuffled)) == reference
 
 
 def test_corpus_edges_and_unresolved(corpus_model):
@@ -153,12 +156,7 @@ def test_corpus_edges_and_unresolved(corpus_model):
         ("app.Launcher", "core.Rect"),
         ("app.Launcher", "app.Registry"),
     }
-    assert corpus_model.unresolved_names == {"Closeable", "String"}
-
-
-def test_unit_for_missing_path(corpus_model):
-    with pytest.raises(ModelError):
-        compute_file_metrics(corpus_model, "no/Such.java")
+    assert _unresolved(corpus_model) == {"Closeable", "String"}
 
 
 # -- exclusions and depths against the recursive reference -----------------

@@ -46,7 +46,7 @@ def test_constructor_not_counted_as_method():
 
 def test_multi_declarator_field():
     decl = parse_source("class C { int width, height; }", "C.java").types[0]
-    assert [f.name for f in decl.fields_] == ["width", "height"]
+    assert decl.field_names == ["width", "height"]
 
 
 def test_field_access_through_this():
@@ -95,8 +95,7 @@ def test_extends_and_implements():
     src = "class A extends B implements C, D { }"
     decl = parse_source(src, "A.java").types[0]
     assert decl.extends_names == ["B"]
-    assert decl.supertype_names == ["B", "C", "D"]
-    assert {"B", "C", "D"} <= decl.referenced_type_names
+    assert decl.referenced_type_names == {"B", "C", "D"}
 
 
 def test_generics_and_annotations_tolerated():
@@ -142,8 +141,8 @@ def test_identifier_multiset_preserved():
     after = Counter()
     after[unit.package_name] += 1
     after[decl.name] += 1
-    for f in decl.fields_:
-        after[f.name] += 1
+    for name in decl.field_names:
+        after[name] += 1
     for m in decl.methods:
         after[m.name] += 1
         for counts in (m.operator_tokens, m.operand_tokens):
@@ -243,7 +242,7 @@ def test_fragment_sources_parse_or_fail_cleanly(template, fragments):
     except (LexicalError, ParseError):
         return
     for decl in unit.types:
-        field_names = {f.name for f in decl.fields_}
+        field_names = set(decl.field_names)
         for method in decl.constructors + decl.methods:
             assert method.block_depths[:1] in ([], [1])
             assert method.accessed_field_names <= field_names

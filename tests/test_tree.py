@@ -1,15 +1,16 @@
 import json
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
 
 from buildmetrics.dataset import Dataset
 from buildmetrics.errors import EvaluationError
+from buildmetrics.featsel import info_gain_rank
 from buildmetrics.tree import (
     EvaluationReport,
-    TrainParams,
     TreeNode,
     _binomial_upper_bound,
     accuracy_percent,
@@ -260,6 +261,81 @@ def test_majority_tie_breaks_to_failed():
     assert tree.is_leaf and tree.label == "failed"
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [(math.nextafter(1.0, 0.0), 1.0), (1.7e308, 1.75e308), (-1.75e308, -1.7e308)],
+    ids=["midpoint-rounds-up", "midpoint-overflows", "midpoint-overflows-negative"],
+)
+def test_cut_separates_adjacent_and_huge_values(a, b):
+    # (a + b) / 2 is b or infinite here; a threshold there separates nothing.
+    data = make_dataset({1: [a] * 4 + [b] * 4}, ["failed"] * 4 + ["success"] * 4)
+    tree = train(data)
+    assert not tree.is_leaf and a <= tree.threshold < b
+    assert (predict(tree, {1: a}), predict(tree, {1: b})) == ("failed", "success")
+    assert cross_validate(data, k=4).accuracy == 100.0
+    assert info_gain_rank(data).selected == [1]
+
+
+def _nodes(tree):
+    """(node, depth) pairs, walked without recursion."""
+    stack, out = [(tree, 0)], []
+    while stack:
+        node, depth = stack.pop()
+        out.append((node, depth))
+        if not node.is_leaf:
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+    return out
+
+
+def test_train_grows_a_chain_deeper_than_the_recursion_limit():
+    # Labels alternate every two rows along one feature: every split peels
+    # off one pure pair, so the tree is a chain of about n/2 levels.
+    n = 2100
+    labels = [("failed", "success")[i // 2 % 2] for i in range(n)]
+    tree = train(make_dataset({1: [float(i) for i in range(n)]}, labels))
+    nodes = _nodes(tree)
+    assert max(depth for _, depth in nodes) > sys.getrecursionlimit()
+    leaves = [node.training_counts for node, _ in nodes if node.is_leaf]
+    assert all(len(counts) == 1 for counts in leaves)
+    assert sum(sum(counts.values()) for counts in leaves) == n
+    assert tree.node_count() == len(nodes)
+    assert len(render_tree(tree).splitlines()) == len(nodes) + len(nodes) // 2
+
+
+def _chain(internal_nodes, inner_counts, leaf_counts):
+    """Each split has a leaf on its left and the rest of the chain on its right."""
+    node = TreeNode(label="failed", training_counts=Counter(leaf_counts))
+    for k in range(internal_nodes):
+        left = TreeNode(label="failed", training_counts=Counter(leaf_counts))
+        node = TreeNode(metric_id=1, threshold=float(k), left=left, right=node,
+                        training_counts=Counter(inner_counts))
+    return node
+
+
+def test_prune_node_count_and_render_on_a_3000_node_chain():
+    # One error per node: every subtree costs more than a leaf, so the whole
+    # chain folds, from the bottom up, into one leaf.
+    tree = _chain(1500, {"failed": 2, "success": 1}, {"failed": 2, "success": 1})
+    assert tree.node_count() == 3001
+    lines = render_tree(tree).splitlines()
+    assert len(lines) == 2 * 1500 + 1501
+    assert lines[:3] == ["m1 <= 1499 (Number of attributes)", "    failed (2/1)",
+                         "m1 > 1499 (Number of attributes)"]
+    assert lines[-1] == "    " * 1500 + "failed (2/1)"
+    pruned = prune(tree)
+    assert pruned.node_count() == 1 and render_tree(pruned) == "failed (2/1)\n"
+
+
+def test_prune_keeps_a_3000_node_chain_whose_leaves_are_pure():
+    # Each split holds 2000 errors in 4000 rows, more than the 1501 pure
+    # one-row leaves' estimates sum to (0.75 each), so nothing is pruned.
+    tree = _chain(1500, {"failed": 2000, "success": 2000}, {"failed": 1})
+    before = render_tree(tree)
+    pruned = prune(tree)
+    assert pruned.node_count() == 3001
+    assert render_tree(pruned) == before
+
+
 # -- pruning ------------------------------------------------------------------------
 
 
@@ -489,7 +565,7 @@ def _cv_dataset(n_failed=30, n_success=26, seed=9):
 
 def test_cross_validate_confusion_totals():
     data = _cv_dataset()
-    report = cross_validate(data, k=10, params=TrainParams(seed=0))
+    report = cross_validate(data, k=10, seed=0)
     assert report.k == 10 and report.requested_k == 10
     populations = Counter(data.labels())
     for label, (c, i) in report.per_class.items():
@@ -504,7 +580,7 @@ def test_cross_validate_confusion_totals():
 
 def test_cross_validate_reduces_k():
     data = _cv_dataset(n_failed=40, n_success=4)
-    report = cross_validate(data, k=10, params=TrainParams(seed=1))
+    report = cross_validate(data, k=10, seed=1)
     assert report.requested_k == 10
     assert report.k == 4
 
@@ -517,10 +593,10 @@ def test_cross_validate_single_class_rejected():
 
 def test_cross_validate_deterministic():
     data = _cv_dataset()
-    a = cross_validate(data, k=10, params=TrainParams(seed=5))
-    b = cross_validate(data, k=10, params=TrainParams(seed=5))
+    a = cross_validate(data, k=10, seed=5)
+    b = cross_validate(data, k=10, seed=5)
     assert report_json(a) == report_json(b)
-    c = cross_validate(data, k=10, params=TrainParams(seed=6))
+    c = cross_validate(data, k=10, seed=6)
     assert c.folds != a.folds
     # Different seeds vary fold assignment only; the full-data tree is seedless.
     assert render_tree(c.tree) == render_tree(a.tree)
@@ -581,7 +657,7 @@ def test_report_table_shape():
 
 def test_report_json_round_trip():
     data = _cv_dataset()
-    report = cross_validate(data, k=5, params=TrainParams(seed=2))
+    report = cross_validate(data, k=5, seed=2)
     doc = json.loads(report_json(report))
     assert doc["k"] == 5 and doc["seed"] == 2
     assert doc["accuracy"].endswith("%")
