@@ -6,6 +6,7 @@ nothing to work with), 3 internal invariant violation.
 """
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -16,6 +17,10 @@ from .javaparse import parse_source
 from .model import build_code_model
 
 STRATEGY_FLAGS = {"avg": "average", "max": "maximum", "sum": "sum"}
+
+# metrics.csv holds each path as one unquoted UTF-8 cell. A surrogate is what
+# a file name's undecodable byte becomes, and UTF-8 cannot encode it.
+_UNSTORABLE_PATH = re.compile("[,\r\n\ud800-\udfff]")
 
 
 class UsageError(Exception):
@@ -63,8 +68,11 @@ def cmd_extract(args) -> int:
     exclusions = []
     for path in paths:
         rel = path.relative_to(root).as_posix()
-        if any(c in rel for c in ",\r\n"):
-            exclusions.append(f"{rel}: path holds a comma or line break, which metrics.csv cannot store")
+        if _UNSTORABLE_PATH.search(rel):
+            # The log names an undecodable byte by its escape, so it stays UTF-8.
+            shown = rel.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+            exclusions.append(f"{shown}: path holds a comma, a line break or a byte that is not "
+                              "UTF-8, which metrics.csv cannot store")
             continue
         try:
             units.append(parse_source(path.read_text(encoding="utf-8"), rel))
@@ -77,16 +85,14 @@ def cmd_extract(args) -> int:
     model = build_code_model(units)
     exclusions.extend(f"{path}: {reason}" for path, reason in model.excluded)
     vectors = metrics.compute_all_metrics(model)
-    for vec in vectors:
-        if not vec.complete:
-            exclusions.append(f"{vec.file_path}: no type declarations")
+    exclusions.extend(f"{u.file_path}: no type declarations" for u in model.units
+                      if u.file_path not in vectors)
     out = Path(args.out)
     _write(out, {
         "metrics.csv": metrics.metrics_csv(vectors),
         "extract_exclusions.log": "".join(e + "\n" for e in exclusions),
     }, args.force)
-    print(f"wrote {out / 'metrics.csv'} ({sum(v.complete for v in vectors)} files, "
-          f"{len(exclusions)} excluded)")
+    print(f"wrote {out / 'metrics.csv'} ({len(vectors)} files, {len(exclusions)} excluded)")
     return 0
 
 

@@ -3,8 +3,9 @@
 A build manifest is one JSON document: build_id, kind (continuous, nightly,
 integration), result (success, failed; warning results are ingested but
 excluded at assembly), and the list of member source files. Per-file metric
-vectors are aggregated to the build level by average, maximum or sum; builds
-with any missing metric vector are excluded, never imputed.
+vectors are aggregated to the build level by average, maximum or sum, one
+metric column at a time; builds with an empty file list or any missing metric
+vector are excluded, never imputed.
 """
 
 import json
@@ -12,9 +13,11 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import DataError
-from .metrics import AVERAGE_IDS, HALSTEAD_IDS, METRIC_IDS, MetricVector, OBJECT_ORIENTED_IDS, TRADITIONAL_IDS
+from .metrics import AVERAGE_IDS, HALSTEAD_IDS, METRIC_IDS, OBJECT_ORIENTED_IDS, TRADITIONAL_IDS
 
-STRATEGIES = ("average", "maximum", "sum")
+# Each strategy folds one metric's per-file values, in manifest file order.
+AGGREGATE = {"average": lambda column: sum(column) / len(column), "maximum": max, "sum": sum}
+STRATEGIES = tuple(AGGREGATE)
 FILTER_TAGS = ("full", "a", "b", "c", "d")
 BUILD_KINDS = ("continuous", "nightly", "integration")
 LABELS = ("success", "failed")
@@ -91,33 +94,12 @@ def parse_manifest(text: str) -> BuildManifest:
         raise DataError(f"unknown build kind {doc['kind']!r}")
     if doc["result"] not in LABELS + ("warning",):
         raise DataError(f"unknown build result {doc['result']!r}")
-    if not isinstance(doc["files"], list) or not doc["files"]:
-        raise DataError(f"manifest {build_id!r} has an empty file list")
+    if not isinstance(doc["files"], list):
+        raise DataError(f"manifest {build_id!r}: files is not a list")
     for path in doc["files"]:
         if not isinstance(path, str) or "," in path:
             raise DataError(f"manifest {build_id!r}: file entry {path!r} is not a string without a comma")
     return BuildManifest(build_id, doc["kind"], doc["result"], list(doc["files"]))
-
-
-def aggregate_build(file_vectors: list[MetricVector], strategy: str) -> MetricVector:
-    """Propagate per-file metric values to the build level."""
-    if strategy not in STRATEGIES:
-        raise DataError(f"unknown aggregation strategy {strategy!r}")
-    if not file_vectors:
-        raise DataError("cannot aggregate an empty file list")
-    for vec in file_vectors:
-        if not vec.complete:
-            raise DataError(f"incomplete metric vector for {vec.file_path}")
-    out = MetricVector(file_path="")
-    for mid in METRIC_IDS:
-        column = [vec.values[mid] for vec in file_vectors]
-        if strategy == "average":
-            out.values[mid] = sum(column) / len(column)
-        elif strategy == "maximum":
-            out.values[mid] = max(column)
-        else:
-            out.values[mid] = sum(column)
-    return out
 
 
 def apply_filter(dataset: Dataset, tag: str) -> Dataset:
@@ -131,7 +113,7 @@ def apply_filter(dataset: Dataset, tag: str) -> Dataset:
 
 def assemble(
     manifests: list[BuildManifest],
-    metric_lookup: dict[str, MetricVector],
+    metric_lookup: dict[str, list[float]],
     strategy: str,
     filter_tag: str = "full",
 ) -> tuple[Dataset, list[tuple[str, str]]]:
@@ -139,6 +121,9 @@ def assemble(
 
     Exclusion reasons: warning-result, empty-file-list, missing-metrics.
     """
+    if strategy not in AGGREGATE:
+        raise DataError(f"unknown aggregation strategy {strategy!r}")
+    aggregate = AGGREGATE[strategy]
     seen: set[str] = set()
     rows = []
     exclusions: list[tuple[str, str]] = []
@@ -152,19 +137,10 @@ def assemble(
         if not manifest.files:
             exclusions.append((manifest.build_id, "empty-file-list"))
             continue
-        vectors = []
-        ok = True
-        for path in manifest.files:
-            vec = metric_lookup.get(path)
-            if vec is None or not vec.complete:
-                ok = False
-                break
-            vectors.append(vec)
-        if not ok:
+        if not all(path in metric_lookup for path in manifest.files):
             exclusions.append((manifest.build_id, "missing-metrics"))
             continue
-        aggregated = aggregate_build(vectors, strategy)
-        values = [aggregated.values[i] for i in METRIC_IDS]
+        values = [aggregate(column) for column in zip(*(metric_lookup[p] for p in manifest.files))]
         if not all(map(math.isfinite, values)):
             raise DataError(f"build {manifest.build_id!r}: the {strategy} of a metric overflows")
         rows.append((manifest.build_id, manifest.result, values))

@@ -16,7 +16,7 @@ cohesion (27-29) but are excluded from the method-count family
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DataError, ModelError
 from .javaparse import CompilationUnit, MethodDecl, TypeDecl
@@ -81,16 +81,6 @@ class HalsteadCounts:
     N2: int = 0  # total operands
     n1: int = 0  # distinct operators
     n2: int = 0  # distinct operands
-
-
-@dataclass
-class MetricVector:
-    file_path: str
-    values: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def complete(self) -> bool:
-        return set(self.values) == set(METRIC_IDS)
 
 
 def halstead_suite(counts: HalsteadCounts) -> dict[int, float]:
@@ -207,19 +197,15 @@ def pooled_halstead(methods: list[MethodDecl]) -> HalsteadCounts:
     )
 
 
-def _unit_metrics(model: CodeModel, unit: CompilationUnit) -> MetricVector:
-    vector = MetricVector(file_path=unit.file_path)
+def _unit_metrics(model: CodeModel, unit: CompilationUnit) -> list[float]:
     types = unit.types
-    if not types:
-        return vector
-
     methods = [m for t in types for m in t.methods]
     ctors = [c for t in types for c in t.constructors]
     n_classes = len(types)
     n_comments = unit.comment_count
     n_fields = sum(len(t.field_names) for t in types)
 
-    v = vector.values
+    v: dict[int, float] = {}
     v[1] = float(n_fields)
     v[2] = n_fields / n_classes
     v[3] = len(ctors) / n_classes
@@ -265,14 +251,13 @@ def _unit_metrics(model: CodeModel, unit: CompilationUnit) -> MetricVector:
 
     v.update(halstead_suite(pooled_halstead(methods + ctors)))
     v[42] = _mean(model.depth[qualify(unit.package_name, t.name)] for t in types)
-    return vector
+    return [v[i] for i in METRIC_IDS]
 
 
-def compute_all_metrics(model: CodeModel) -> list[MetricVector]:
-    """Vectors for every file in the model, ordered by path. A file with no
-    type declarations gets an incomplete (empty) vector, which dataset
-    assembly treats as an exclusion."""
-    return [_unit_metrics(model, unit) for unit in model.units]
+def compute_all_metrics(model: CodeModel) -> dict[str, list[float]]:
+    """Each file's metric vector, its 42 values in METRIC_IDS order, keyed by
+    path in path order. A file that declares no type has no vector."""
+    return {unit.file_path: _unit_metrics(model, unit) for unit in model.units if unit.types}
 
 
 def format_value(v: float) -> str:
@@ -283,36 +268,35 @@ def format_value(v: float) -> str:
     return s if s else "0"
 
 
-def metrics_csv(vectors: list[MetricVector]) -> str:
+_HEADER = "file_path," + ",".join(f"m{i}" for i in METRIC_IDS)
+
+
+def metrics_csv(vectors: dict[str, list[float]]) -> str:
     """Per-file metric dump: file_path,m1,...,m42 in ID order."""
-    header = "file_path," + ",".join(f"m{i}" for i in METRIC_IDS)
-    lines = [header]
-    for vec in vectors:
-        if not vec.complete:
-            continue
-        lines.append(
-            vec.file_path + "," + ",".join(format_value(vec.values[i]) for i in METRIC_IDS)
-        )
+    lines = [_HEADER]
+    for path, values in vectors.items():
+        lines.append(path + "," + ",".join(map(format_value, values)))
     return "\n".join(lines) + "\n"
 
 
-def parse_metrics_csv(text: str) -> dict[str, MetricVector]:
+def parse_metrics_csv(text: str) -> dict[str, list[float]]:
     """Inverse of metrics_csv; returns a file_path -> vector lookup."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    expected = "file_path," + ",".join(f"m{i}" for i in METRIC_IDS)
-    if not lines or lines[0] != expected:
+    if not lines or lines[0] != _HEADER:
         raise DataError("malformed metrics CSV header")
-    out: dict[str, MetricVector] = {}
+    out: dict[str, list[float]] = {}
     for rownum, ln in enumerate(lines[1:], start=2):
         cells = ln.split(",")
         if len(cells) != 1 + len(METRIC_IDS):
             raise DataError(f"malformed metrics CSV row {rownum}: {ln!r}")
         path = cells[0]
+        if path in out:
+            raise DataError(f"metrics CSV row {rownum}: repeated file path {path!r}")
         try:
-            values = {i: float(cells[k]) for k, i in enumerate(METRIC_IDS, start=1)}
+            values = [float(cell) for cell in cells[1:]]
         except ValueError as exc:
             raise DataError(f"metrics CSV row {rownum}: {exc}")
-        if not all(map(math.isfinite, values.values())):
+        if not all(map(math.isfinite, values)):
             raise DataError(f"metrics CSV row {rownum}: non-finite value")
-        out[path] = MetricVector(file_path=path, values=values)
+        out[path] = values
     return out

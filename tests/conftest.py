@@ -6,10 +6,15 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from buildmetrics.javaparse import parse_source
-from buildmetrics.metrics import compute_all_metrics
+from buildmetrics.metrics import METRIC_IDS, compute_all_metrics
 from buildmetrics.model import build_code_model
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
+
+
+def by_id(values: list[float]) -> dict[int, float]:
+    """A metric vector keyed by metric ID; it must hold one value per ID."""
+    return dict(zip(METRIC_IDS, values, strict=True))
 
 
 def load_corpus_units(root: Path = CORPUS):
@@ -26,4 +31,4 @@ def corpus_model():
 
 @pytest.fixture(scope="session")
 def corpus_vectors(corpus_model):
-    return {v.file_path: v for v in compute_all_metrics(corpus_model)}
+    return {path: by_id(values) for path, values in compute_all_metrics(corpus_model).items()}

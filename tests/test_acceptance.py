@@ -146,16 +146,15 @@ def test_criterion_3_metric_oracle(corpus_vectors):
     oracle = OracleCorpus(CORPUS).all_metrics()
     assert set(oracle) == set(corpus_vectors)
     for path, expected in oracle.items():
-        actual = corpus_vectors[path].values
-        assert set(actual) == set(METRIC_IDS)
+        actual = corpus_vectors[path]
+        assert list(actual) == list(METRIC_IDS)
         for mid in METRIC_IDS:
             if mid in INTEGRAL_IDS:
                 assert actual[mid] == expected[mid], (path, mid)
             else:
                 assert actual[mid] == pytest.approx(expected[mid], abs=1e-9), (path, mid)
 
-    for path, vec in corpus_vectors.items():
-        v = vec.values
+    for path, v in corpus_vectors.items():
         assert v[38] == v[30] + v[31], path
         assert v[40] == v[32] + v[33], path
         if v[40] > 0:

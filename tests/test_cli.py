@@ -11,7 +11,7 @@ from buildmetrics import dataset as ds
 from buildmetrics import featsel, metrics, tree
 from buildmetrics.cli import main
 
-from conftest import CORPUS
+from conftest import CORPUS, by_id
 from synth import generate_corpus
 
 
@@ -90,6 +90,22 @@ def test_extract_excludes_unstorable_file(tmp_path, capsys, name, content, reaso
     assert set(lookup) == {"p/A.java"}
 
 
+def test_extract_excludes_undecodable_file_name(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "B.java").write_text("class B { int b; }")
+    try:
+        (src / "\udcff.java").write_bytes(b"class C { int c; }")  # the name's bytes: ff .java
+    except (OSError, UnicodeEncodeError):
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    code, _, err = run(capsys, "extract", str(src), "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    log = (tmp_path / "out" / "extract_exclusions.log").read_text(encoding="utf-8")
+    assert log.startswith("\\xff.java: ") and len(log.splitlines()) == 1
+    lookup = metrics.parse_metrics_csv((tmp_path / "out" / "metrics.csv").read_text())
+    assert set(lookup) == {"B.java"}
+
+
 def test_extract_excludes_truncated_file(tmp_path, capsys):
     src = tmp_path / "src"
     (src / "p").mkdir(parents=True)
@@ -144,7 +160,7 @@ def test_extract_excludes_type_conflicts(tmp_path, capsys, files, excluded):
     assert log == "".join(f"{path}: {reason}\n" for path, reason in sorted(excluded.items()))
     lookup = metrics.parse_metrics_csv((tmp_path / "out" / "metrics.csv").read_text())
     assert set(lookup) == {"p/Base.java", "p/Good.java"}
-    assert lookup["p/Good.java"].values[42] == 1.0  # depth of inheritance
+    assert by_id(lookup["p/Good.java"])[42] == 1.0  # depth of inheritance
 
 
 def test_extract_long_extends_chain(tmp_path, capsys):
@@ -157,7 +173,7 @@ def test_extract_long_extends_chain(tmp_path, capsys):
     assert code == 0, err
     lookup = metrics.parse_metrics_csv((tmp_path / "out" / "metrics.csv").read_text())
     assert len(lookup) == 1100
-    assert lookup["p/C1099.java"].values[42] == 1099.0
+    assert by_id(lookup["p/C1099.java"])[42] == 1099.0
 
 
 def test_extract_empty_tree_usage_error(tmp_path, capsys):
@@ -227,6 +243,22 @@ def test_dataset_nothing_retained_is_data_error(extracted, tmp_path, capsys):
     assert code == 2
 
 
+def test_dataset_excludes_empty_file_list(extracted, tmp_path, capsys):
+    mdir = tmp_path / "manifests"
+    mdir.mkdir()
+    for bid, files in (("a", ["b000/Signal.java"]), ("b", [])):
+        (mdir / f"{bid}.json").write_text(json.dumps({
+            "build_id": bid, "kind": "continuous", "result": "success", "files": files,
+        }))
+    code, _, err = run(
+        capsys, "dataset", str(mdir), str(extracted),
+        "--strategy", "avg", "--out", str(tmp_path / "o"),
+    )
+    assert code == 0, err
+    assert (tmp_path / "o" / "1_exclusions.log").read_text() == "b: empty-file-list\n"
+    assert [bid for bid, _, _ in ds.read_csv((tmp_path / "o" / "1.csv").read_text()).rows] == ["a"]
+
+
 _MANIFEST = json.dumps(
     {"build_id": "b1", "kind": "nightly", "result": "failed", "files": ["A.java"]}
 )
@@ -251,6 +283,11 @@ _METRICS_HEADER = "file_path," + ",".join(f"m{i}" for i in metrics.METRIC_IDS)
             id="metrics-nan-cell",
         ),
         pytest.param("[" * 100000, _METRICS_HEADER + "\n", id="manifest-nested-too-deep"),
+        pytest.param(
+            _MANIFEST,
+            _METRICS_HEADER + ("\nA.java" + ",1" * 42) * 2 + "\n",
+            id="metrics-repeated-path",
+        ),
         pytest.param(
             _MANIFEST.replace('"A.java"', '"A.java", "B.java"'),
             _METRICS_HEADER + "\nA.java" + ",1e308" * 42 + "\nB.java" + ",1e308" * 42 + "\n",

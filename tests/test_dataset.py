@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from buildmetrics.dataset import (
+    AGGREGATE,
     FILTER_IDS,
     FILTER_TAGS,
     STRATEGIES,
     BuildManifest,
     Dataset,
-    aggregate_build,
     apply_filter,
     assemble,
     dataset_id,
@@ -18,18 +18,25 @@ from buildmetrics.dataset import (
     write_csv,
 )
 from buildmetrics.errors import DataError
-from buildmetrics.metrics import METRIC_IDS, MetricVector
+from buildmetrics.metrics import METRIC_IDS
+
+from conftest import by_id
 
 
-def vec(path, value=0.0, **overrides):
-    values = {mid: float(value) for mid in METRIC_IDS}
-    for key, v in overrides.items():
-        values[int(key[1:])] = float(v)
-    return MetricVector(file_path=path, values=values)
+def vec(value=0.0, **overrides):
+    """A file's metric vector: every metric at value, except m<ID>=v overrides."""
+    return [float(overrides.get(f"m{mid}", value)) for mid in METRIC_IDS]
 
 
 def manifest(bid, result="success", files=("a.java",), kind="continuous"):
     return BuildManifest(bid, kind, result, list(files))
+
+
+def aggregate(vectors, strategy):
+    """The assembled row of one build whose files have these vectors, by metric ID."""
+    lookup = {f"f{k}.java": v for k, v in enumerate(vectors)}
+    data, _ = assemble([manifest("b", files=lookup)], lookup, strategy)
+    return by_id(data.rows[0][2])
 
 
 # -- dataset id convention -------------------------------------------------
@@ -45,36 +52,36 @@ def test_dataset_id_convention():
 
 
 def test_singleton_identity():
-    v = vec("a.java", 2.0, m13=10)
+    v = vec(2.0, m13=10)
     for strategy in STRATEGIES:
-        agg = aggregate_build([v], strategy)
-        assert agg.values == v.values
+        assert aggregate([v], strategy) == by_id(v)
 
 
 def test_two_file_arithmetic():
-    a = vec("a.java", 1.0, m13=10)
-    b = vec("b.java", 1.0, m13=30)
-    assert aggregate_build([a, b], "average").values[13] == 20
-    assert aggregate_build([a, b], "maximum").values[13] == 30
-    assert aggregate_build([a, b], "sum").values[13] == 40
+    a = vec(1.0, m13=10)
+    b = vec(1.0, m13=30)
+    assert aggregate([a, b], "average")[13] == 20
+    assert aggregate([a, b], "maximum")[13] == 30
+    assert aggregate([a, b], "sum")[13] == 40
+    assert [AGGREGATE[s]((10.0, 30.0)) for s in STRATEGIES] == [20.0, 30.0, 40.0]
 
 
 def test_all_zero_vectors():
-    vecs = [vec("a.java"), vec("b.java")]
+    vecs = [vec(), vec()]
     for strategy in STRATEGIES:
-        agg = aggregate_build(vecs, strategy)
-        assert all(v == 0 for v in agg.values.values())
+        assert all(v == 0 for v in aggregate(vecs, strategy).values())
 
 
-def test_empty_list_rejected():
+def test_empty_file_list_excluded():
+    lookup = {"a.java": vec(1.0)}
+    data, exclusions = assemble([manifest("a"), manifest("b", files=())], lookup, "average")
+    assert [bid for bid, _, _ in data.rows] == ["a"]
+    assert exclusions == [("b", "empty-file-list")]
+
+
+def test_unknown_strategy():
     with pytest.raises(DataError):
-        aggregate_build([], "average")
-
-
-def test_incomplete_vector_rejected():
-    partial = MetricVector(file_path="a.java", values={1: 1.0})
-    with pytest.raises(DataError):
-        aggregate_build([partial], "sum")
+        assemble([manifest("a")], {"a.java": vec(1.0)}, "median")
 
 
 @given(
@@ -85,15 +92,40 @@ def test_incomplete_vector_rejected():
     )
 )
 def test_average_max_sum_ordering(columns):
-    vecs = []
-    for k, (x, y, z) in enumerate(columns):
-        vecs.append(vec(f"f{k}.java", 0.0, m1=x, m13=y, m41=z))
-    avg = aggregate_build(vecs, "average").values
-    mx = aggregate_build(vecs, "maximum").values
-    sm = aggregate_build(vecs, "sum").values
+    vecs = [vec(0.0, m1=x, m13=y, m41=z) for x, y, z in columns]
+    avg = aggregate(vecs, "average")
+    mx = aggregate(vecs, "maximum")
+    sm = aggregate(vecs, "sum")
     for mid in (1, 13, 41):
         assert avg[mid] <= mx[mid] + 1e-9
         assert mx[mid] <= sm[mid] + 1e-9
+
+
+@given(
+    st.lists(st.lists(st.floats(0, 1e9), min_size=42, max_size=42), min_size=1, max_size=4),
+    st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=6), min_size=1, max_size=4),
+)
+def test_assembled_rows_equal_plain_loop_aggregates(vectors, builds):
+    lookup = {f"f{k}.java": v for k, v in enumerate(vectors)}
+    manifests = [
+        manifest(f"b{n}", files=[f"f{k % len(vectors)}.java" for k in picks])
+        for n, picks in enumerate(builds)
+    ]
+    for strategy in STRATEGIES:
+        data, exclusions = assemble(manifests, lookup, strategy)
+        assert exclusions == []
+        rows = {bid: values for bid, _, values in data.rows}
+        for m in manifests:
+            expected = []
+            for k in range(len(METRIC_IDS)):
+                total, peak = 0.0, None
+                for path in m.files:  # manifest file order
+                    x = lookup[path][k]
+                    total += x
+                    if peak is None or x > peak:
+                        peak = x
+                expected.append({"average": total / len(m.files), "maximum": peak, "sum": total}[strategy])
+            assert rows[m.build_id] == expected  # bit for bit
 
 
 # -- filters ----------------------------------------------------------------
@@ -171,7 +203,7 @@ def test_parse_manifest_roundtrip():
         {"kind": "continuous", "result": "success", "files": ["x"]},
         {"build_id": "b", "kind": "weekly", "result": "success", "files": ["x"]},
         {"build_id": "b", "kind": "continuous", "result": "broken", "files": ["x"]},
-        {"build_id": "b", "kind": "continuous", "result": "success", "files": []},
+        {"build_id": "b", "kind": "continuous", "result": "success", "files": "x"},
         {"build_id": 5, "kind": "continuous", "result": "success", "files": ["x"]},
         {"build_id": "", "kind": "continuous", "result": "success", "files": ["x"]},
         {"build_id": "b,1", "kind": "continuous", "result": "success", "files": ["x"]},
@@ -195,7 +227,7 @@ def test_parse_manifest_rejects_text_that_is_not_a_json_object(text):
 
 
 def test_assemble_basic():
-    lookup = {"a.java": vec("a.java", 1.0), "b.java": vec("b.java", 3.0)}
+    lookup = {"a.java": vec(1.0), "b.java": vec(3.0)}
     manifests = [
         manifest("b2", "failed", ("b.java",)),
         manifest("b1", "success", ("a.java", "b.java")),
@@ -208,7 +240,7 @@ def test_assemble_basic():
 
 
 def test_assemble_exclusions_accounted():
-    lookup = {"a.java": vec("a.java", 1.0)}
+    lookup = {"a.java": vec(1.0)}
     manifests = [
         manifest("keep", "success", ("a.java",)),
         manifest("warn", "warning", ("a.java",)),
@@ -220,7 +252,7 @@ def test_assemble_exclusions_accounted():
 
 
 def test_assemble_duplicate_build_id():
-    lookup = {"a.java": vec("a.java", 1.0)}
+    lookup = {"a.java": vec(1.0)}
     with pytest.raises(DataError):
         assemble([manifest("b1"), manifest("b1")], lookup, "average")
 
@@ -231,7 +263,7 @@ def test_assemble_nothing_retained():
 
 
 def test_assemble_provenance():
-    lookup = {"a.java": vec("a.java", 1.0)}
+    lookup = {"a.java": vec(1.0)}
     data, _ = assemble([manifest("b1")], lookup, "maximum", "c")
     assert data.dataset_id == "2c"
     assert (data.strategy, data.filter_tag) == ("maximum", "c")
@@ -241,7 +273,7 @@ def test_assemble_provenance():
 
 
 def test_csv_round_trip():
-    lookup = {"a.java": vec("a.java", 1.5), "b.java": vec("b.java", 2.25)}
+    lookup = {"a.java": vec(1.5), "b.java": vec(2.25)}
     manifests = [
         manifest("b1", "success", ("a.java",)),
         manifest("b2", "failed", ("b.java",)),

@@ -20,7 +20,7 @@ from buildmetrics.metrics import (
 )
 from buildmetrics.model import build_code_model
 
-from conftest import CORPUS, load_corpus_units
+from conftest import CORPUS, by_id, load_corpus_units
 from oracle_metrics import OracleCorpus
 from synth import coupled_corpus
 
@@ -177,7 +177,7 @@ def test_mi_hand_arithmetic():
 
 def test_mi_zero_method_file():
     model = _model(("p/A.java", "package p; class A { int x; }"))
-    assert compute_all_metrics(model)[0].values[25] == 171.0
+    assert by_id(compute_all_metrics(model)["p/A.java"])[25] == 171.0
 
 
 # -- depth of inheritance ------------------------------------------------
@@ -222,7 +222,7 @@ class A {
 }
 """
     model = _model(("p/A.java", src))
-    v = compute_all_metrics(model)[0].values
+    v = by_id(compute_all_metrics(model)["p/A.java"])
     assert v[1] == 2 and v[2] == 2
     assert v[3] == 1 and v[10] == 1
     assert v[11] == 1 and v[12] == 0
@@ -234,16 +234,18 @@ def test_comment_free_file_ratio():
     body = "\n".join(f"    int f{i};" for i in range(37))
     src = f"package p;\nclass A {{\n{body}\n}}\n"
     model = _model(("p/A.java", src))
-    v = compute_all_metrics(model)[0].values
+    v = by_id(compute_all_metrics(model)["p/A.java"])
     assert v[13] == 40
     assert v[9] == 40.0
 
 
-def test_typeless_file_incomplete():
-    model = _model(("p/Doc.java", "// documentation only\n"))
-    vec = compute_all_metrics(model)[0]
-    assert not vec.complete
-    assert vec.values == {}
+def test_typeless_file_has_no_vector():
+    model = _model(("p/Doc.java", "// documentation only\n"), ("p/A.java", "package p; class A { }"))
+    assert [unit.file_path for unit in model.units] == ["p/A.java", "p/Doc.java"]
+    vectors = compute_all_metrics(model)
+    assert list(vectors) == ["p/A.java"]
+    assert len(vectors["p/A.java"]) == len(METRIC_IDS)
+    assert metrics_csv(vectors).splitlines()[1].startswith("p/A.java,")
 
 
 class _CountingSet(set):
@@ -289,8 +291,8 @@ def test_depths_resolve_each_extends_list_once():
     decls = [decl for unit in units for decl in unit.types]
     for decl in decls:
         decl.extends_names = _CountingList(decl.extends_names)
-    vectors = {v.file_path: v for v in compute_all_metrics(build_code_model(units))}
-    assert vectors["p/I17b.java"].values[42] == 17.0
+    vectors = compute_all_metrics(build_code_model(units))
+    assert by_id(vectors["p/I17b.java"])[42] == 17.0
     assert [decl.extends_names.iterations for decl in decls] == [1] * len(decls)
 
 
@@ -300,23 +302,21 @@ def test_depths_resolve_each_extends_list_once():
 def test_vectors_complete(corpus_vectors):
     assert len(corpus_vectors) == 11
     for vec in corpus_vectors.values():
-        assert vec.complete
+        assert list(vec) == list(METRIC_IDS)
 
 
 def test_range_invariants(corpus_vectors):
-    for vec in corpus_vectors.values():
-        v = vec.values
+    for path, v in corpus_vectors.items():
         for mid in (18, 21, 22, 27, 28, 39):
-            assert 0.0 <= v[mid] <= 1.0, (vec.file_path, mid)
+            assert 0.0 <= v[mid] <= 1.0, (path, mid)
         assert 0.0 <= v[29] <= 2.0
         assert v[22] == pytest.approx(abs(v[18] + v[21] - 1.0), abs=1e-12)
         for mid in INTEGRAL_IDS:
-            assert v[mid] >= 0 and v[mid] == int(v[mid]), (vec.file_path, mid)
+            assert v[mid] >= 0 and v[mid] == int(v[mid]), (path, mid)
 
 
 def test_halstead_identities_on_corpus(corpus_vectors):
-    for vec in corpus_vectors.values():
-        v = vec.values
+    for v in corpus_vectors.values():
         assert v[38] == v[30] + v[31]
         assert v[40] == v[32] + v[33]
         if v[40] > 0:
@@ -328,14 +328,14 @@ def test_halstead_identities_on_corpus(corpus_vectors):
 def test_cyclomatic_at_least_method_count(corpus_model, corpus_vectors):
     for unit in corpus_model.units:
         n_methods = sum(len(t.methods) for t in unit.types)
-        assert corpus_vectors[unit.file_path].values[26] >= n_methods
+        assert corpus_vectors[unit.file_path][26] >= n_methods
 
 
 def test_monotone_under_extra_if():
     base = "package p; class A { int x; void m() { x = 1; } }"
     extra = "package p; class A { int x; void m() { x = 1; if (x > 0) { x = 2; } } }"
-    v0 = compute_all_metrics(_model(("p/A.java", base)))[0].values
-    v1 = compute_all_metrics(_model(("p/A.java", extra)))[0].values
+    v0 = by_id(compute_all_metrics(_model(("p/A.java", base)))["p/A.java"])
+    v1 = by_id(compute_all_metrics(_model(("p/A.java", extra)))["p/A.java"])
     for mid in (13, 26, 31):
         assert v1[mid] >= v0[mid]
 
@@ -347,7 +347,7 @@ def test_all_metrics_match_oracle(corpus_vectors):
     oracle = OracleCorpus(CORPUS).all_metrics()
     assert set(oracle) == set(corpus_vectors)
     for path, expected in oracle.items():
-        actual = corpus_vectors[path].values
+        actual = corpus_vectors[path]
         for mid in METRIC_IDS:
             if mid in INTEGRAL_IDS:
                 assert actual[mid] == expected[mid], (path, mid)
@@ -365,17 +365,23 @@ def test_format_value():
     assert format_value(0.0) == "0"
 
 
-def test_metrics_csv_round_trip(corpus_vectors):
-    text = metrics_csv(list(corpus_vectors.values()))
-    parsed = parse_metrics_csv(text)
-    assert set(parsed) == set(corpus_vectors)
-    for path, vec in parsed.items():
-        for mid in METRIC_IDS:
-            assert vec.values[mid] == pytest.approx(
-                corpus_vectors[path].values[mid], abs=5e-7
-            )
+def test_metrics_csv_round_trip(corpus_model):
+    vectors = compute_all_metrics(corpus_model)
+    parsed = parse_metrics_csv(metrics_csv(vectors))
+    assert list(parsed) == list(vectors)
+    for path, values in parsed.items():
+        assert values == pytest.approx(vectors[path], abs=5e-7)
 
 
 def test_metrics_csv_rejects_bad_header():
     with pytest.raises(DataError):
         parse_metrics_csv("file,m1\nx,1\n")
+
+
+def test_metrics_csv_rejects_repeated_path():
+    header = "file_path," + ",".join(f"m{i}" for i in METRIC_IDS)
+    row = ",".join(["0"] * len(METRIC_IDS))
+    text = f"{header}\np/A.java,{row}\np/B.java,{row}\np/A.java,{row}\n"
+    with pytest.raises(DataError) as exc:
+        parse_metrics_csv(text)
+    assert "row 4" in str(exc.value) and "p/A.java" in str(exc.value)
