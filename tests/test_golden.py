@@ -1,7 +1,9 @@
 """Golden-artifact gate: every pipeline artifact must keep its recorded bytes.
 
 The test builds small seeded inputs in a temporary directory -- the fixture
-corpus, a planted-rule corpus and a coupled cross-package corpus from
+corpus, the hand-written grammar tree (annotations, enums, initializers,
+`throws` lists, deep generics, recovery inputs and one file that fails to
+parse), a planted-rule corpus and a coupled cross-package corpus from
 `tests/synth.py`, and two noisy 150-row datasets -- and runs all five
 subcommands on them through `main()`. `tests/data/golden.json` holds, for each
 artifact, the SHA-256 of its bytes and a short digest of every line; the
@@ -29,6 +31,7 @@ from conftest import CORPUS
 from synth import coupled_corpus, generate_corpus
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
+GRAMMAR = Path(__file__).parent / "fixtures" / "grammar"
 
 
 def _run(*argv) -> str:
@@ -76,6 +79,7 @@ def build_artifacts(root: Path) -> dict[str, bytes]:
     """Run every subcommand on the seeded inputs; artifact name -> bytes."""
     out = root / "out"
     _run("extract", CORPUS, "--out", out / "fixture")
+    _run("extract", GRAMMAR, "--out", out / "grammar")
     src, manifests = generate_corpus(root / "synth", n_success=10, n_failed=10, seed=7)
     _pipeline("synth", src, manifests, out, [("max", "full"), ("avg", "full"), ("sum", "d")])
     src, manifests = coupled_corpus(root / "coupled", n_packages=14, seed=3)

@@ -100,6 +100,8 @@ def test_extends_and_implements():
 
 def test_generics_and_annotations_tolerated():
     src = """
+    @Generated("p")
+    package p;
     @Deprecated
     public class Box<T> {
         private java.util.List<T> items;
@@ -108,6 +110,7 @@ def test_generics_and_annotations_tolerated():
     }
     """
     unit = parse_source(src, "Box.java")
+    assert unit.package_name == "p"
     assert [t.name for t in unit.types] == ["Box"]
     assert [m.name for m in unit.types[0].methods] == ["get"]
 
@@ -224,14 +227,20 @@ def test_truncated_source_is_parse_error(src):
 
 _FRAGMENTS = (
     "package import class interface enum extends implements throws new this "
-    ". , ; { } ( ) < > >> @ ? : && = A B x y total 0 1.5 'c' \"s\" true null /* \""
+    "public static abstract final default void int . , ; { } ( ) [ ] < > >> >>> @ ? : && * = "
+    "A B x y total 0 1.5 'c' \"s\" true null /* \""
 ).split(" ")
 
 
-# Bare fragments rarely form a type, so most sources put them in a method
-# body; the spare closing braces let a body open a block that it never closes,
-# and the last template leaves the file to end inside the body.
-_TEMPLATES = ("{}", "class A {{ int x, y; void m() {{ {} }} }} }} }}", "class A {{ int x; void m() {{ {}")
+# Bare fragments rarely form a type, so the other sources put them in a type
+# body or a method body; the spare closing braces let a body open a block that
+# it never closes, and the last template leaves the file to end inside the body.
+_TEMPLATES = (
+    "{}",
+    "class A {{ {} }}",
+    "class A {{ int x, y; void m() {{ {} }} }} }} }}",
+    "class A {{ int x; void m() {{ {}",
+)
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None)
