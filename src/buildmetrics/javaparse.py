@@ -27,6 +27,9 @@ HALSTEAD_KEYWORDS = frozenset(
     "if else for while do switch case return new try catch finally throw instanceof".split()
 )
 
+#: Levels of generic nesting that each closing token ends.
+_CLOSERS = {">": 1, ">>": 2, ">>>": 3}
+
 
 @dataclass
 class MethodDecl:
@@ -99,13 +102,9 @@ class _Parser:
 
     def dotted_name(self) -> str:
         parts = [self.take().text]
-        while self.at(".") and self.peek(1) is not None and self.peek(1).kind in ("identifier", "keyword", "operator-symbol"):
-            nxt = self.peek(1)
-            if nxt.kind == "identifier" or nxt.text == "*":
-                self.take()
-                parts.append(self.take().text)
-            else:
-                break
+        while self.at(".") and (nxt := self.peek(1)) is not None and (nxt.kind == "identifier" or nxt.text == "*"):
+            self.take()
+            parts.append(self.take().text)
         return ".".join(parts)
 
     def skip_generics(self):
@@ -116,14 +115,7 @@ class _Parser:
         depth = 0
         while self.peek() is not None:
             text = self.take().text
-            if text == "<":
-                depth += 1
-            elif text == ">":
-                depth -= 1
-            elif text == ">>":
-                depth -= 2
-            elif text == ">>>":
-                depth -= 3
+            depth += 1 if text == "<" else -_CLOSERS.get(text, 0)
             if depth <= 0:
                 return
         raise ParseError("unterminated generic parameter list")
@@ -134,8 +126,8 @@ class _Parser:
         if self.at("("):
             self.skim_balanced("(", ")")
 
-    def skim_balanced(self, open_text: str, close_text: str) -> tuple[Token, Token]:
-        """Consume a balanced bracketed section; returns (open, close) tokens."""
+    def skim_balanced(self, open_text: str, close_text: str):
+        """Consume a balanced bracketed section."""
         opener = self.expect(open_text)
         depth = 1
         while self.peek() is not None:
@@ -145,7 +137,7 @@ class _Parser:
             elif t.text == close_text:
                 depth -= 1
                 if depth == 0:
-                    return opener, t
+                    return
         raise ParseError(f"unbalanced {open_text!r}", opener.line, opener.column)
 
     # -- grammar -------------------------------------------------------
@@ -165,45 +157,39 @@ class _Parser:
                 self.unit.imports.append(self.dotted_name())
                 if self.at(";"):
                     self.take()
-            elif t.text in MODIFIERS or t.text in ("class", "interface"):
-                self.parse_type_with_modifiers()
-            elif t.text == "@":
+            elif t.text == "@":  # alone, so that an annotated package declaration is read
                 self.skip_annotation()
-            elif t.text == "enum":
-                self.skim_enum()
-            elif t.text == ";":
-                self.take()
             else:
-                # Recovery: unknown top-level construct, consume one token.
-                self.take()
+                mods = self.modifiers()
+                if self.at("enum"):
+                    self.skim_enum()
+                elif self.at("class") or self.at("interface"):
+                    self.parse_type(mods)
+                elif self.peek() is not None:
+                    # Recovery: skip one token of what we don't model, with
+                    # any modifiers before it.
+                    self.take()
         return self.unit
 
-    def parse_type_with_modifiers(self):
+    def modifiers(self) -> set[str]:
+        """Consume modifiers and the annotations before and between them."""
         mods = set()
-        while self.peek() is not None and self.peek().text in MODIFIERS:
-            mods.add(self.take().text)
-            while self.at("@"):
+        while True:
+            if self.at("@"):
                 self.skip_annotation()
-        if self.at("enum"):
-            self.skim_enum()
-            return
-        if not (self.at("class") or self.at("interface")):
-            # Recovery: modifiers prefixing something we don't model.
-            if self.peek() is not None:
-                self.take()
-            return
-        self.parse_type(mods)
+            elif self.peek() is not None and self.peek().text in MODIFIERS:
+                mods.add(self.take().text)
+            else:
+                return mods
 
     def skim_enum(self):
         self.expect("enum")
-        if self.peek() is not None and self.peek().kind == "identifier":
-            self.take()
         while self.peek() is not None and not self.at("{"):
             self.take()
         if self.at("{"):
             self.skim_balanced("{", "}")
 
-    def parse_type(self, mods: set[str]) -> TypeDecl:
+    def parse_type(self, mods: set[str]):
         kind = self.take().text  # class | interface
         name = self.take().text
         decl = TypeDecl(
@@ -222,7 +208,6 @@ class _Parser:
         for method in decl.constructors + decl.methods:
             method.accessed_field_names &= field_names
         self.unit.types.append(decl)
-        return decl
 
     def _type_list(self) -> list[str]:
         """The comma-separated names after 'extends' or 'implements'."""
@@ -241,30 +226,15 @@ class _Parser:
             if t.text == "}":
                 self.take()
                 return
-            if t.text == ";":
-                self.take()
-                continue
-            if t.text == "@":
-                self.skip_annotation()
-                continue
-            if t.text == "{":  # instance/static initializer block
+            mods = self.modifiers()
+            if self.at("{"):  # instance/static initializer block
                 self.skim_balanced("{", "}")
-                continue
-            mods = set()
-            while self.peek() is not None and self.peek().text in MODIFIERS:
-                mods.add(self.take().text)
-                while self.at("@"):
-                    self.skip_annotation()
-            if self.at("{"):
-                self.skim_balanced("{", "}")
-                continue
-            if self.at("class") or self.at("interface"):
+            elif self.at("class") or self.at("interface"):
                 self.parse_type(mods)
-                continue
-            if self.at("enum"):
+            elif self.at("enum"):
                 self.skim_enum()
-                continue
-            self.parse_member(decl)
+            else:  # a bare ';' is an empty member
+                self.parse_member(decl)
 
     def parse_member(self, decl: TypeDecl):
         """Parse one field or method/constructor declaration."""
@@ -277,8 +247,8 @@ class _Parser:
                 return  # recovery: truncated member
             if t.text == "<":
                 angle += 1
-            elif t.text in (">", ">>", ">>>") and angle > 0:
-                angle -= {">": 1, ">>": 2, ">>>": 3}[t.text]
+            elif t.text in _CLOSERS and angle > 0:
+                angle -= _CLOSERS[t.text]
             elif angle == 0 and t.text in ("(", "=", ",", ";"):
                 break
             head.append(self.take())
@@ -307,18 +277,13 @@ class _Parser:
             while self.at(","):
                 self.take()
                 decl.referenced_type_names.add(self.dotted_name())
+        # Recovery: skim whatever comes before the body or the statement end.
+        while self.peek() is not None and not self.at(";") and not self.at("{"):
+            self.take()
         if self.at("{"):
             self.parse_body(decl, method)
         elif self.at(";"):
             self.take()
-        else:
-            # Recovery: skim to statement end.
-            while self.peek() is not None and not self.at(";") and not self.at("{"):
-                self.take()
-            if self.at("{"):
-                self.parse_body(decl, method)
-            elif self.at(";"):
-                self.take()
         (decl.constructors if is_ctor else decl.methods).append(method)
 
     def parse_parameters(self, decl: TypeDecl, method: MethodDecl):
