@@ -96,9 +96,13 @@ def parse_manifest(text: str) -> BuildManifest:
         raise DataError(f"unknown build result {doc['result']!r}")
     if not isinstance(doc["files"], list):
         raise DataError(f"manifest {build_id!r}: files is not a list")
+    seen = set()
     for path in doc["files"]:
         if not isinstance(path, str) or "," in path:
             raise DataError(f"manifest {build_id!r}: file entry {path!r} is not a string without a comma")
+        if path in seen:  # it would be aggregated twice
+            raise DataError(f"manifest {build_id!r}: file {path!r} is listed twice")
+        seen.add(path)
     return BuildManifest(build_id, doc["kind"], doc["result"], list(doc["files"]))
 
 

@@ -293,6 +293,11 @@ _METRICS_HEADER = "file_path," + ",".join(f"m{i}" for i in metrics.METRIC_IDS)
             _METRICS_HEADER + "\nA.java" + ",1e308" * 42 + "\nB.java" + ",1e308" * 42 + "\n",
             id="aggregate-overflows",
         ),
+        pytest.param(
+            _MANIFEST.replace('"A.java"', '"A.java", "A.java"'),
+            _METRICS_HEADER + "\nA.java" + ",1" * 42 + "\n",
+            id="manifest-repeated-file",
+        ),
     ],
 )
 def test_dataset_parse_failure_is_one_line_data_error(tmp_path, capsys, manifest, metrics_text):

@@ -217,6 +217,12 @@ def test_parse_manifest_rejects(doc):
         parse_manifest(json.dumps(doc))
 
 
+def test_parse_manifest_rejects_repeated_file():
+    doc = {"build_id": "b", "kind": "continuous", "result": "success", "files": ["x", "y", "x"]}
+    with pytest.raises(DataError, match=r"^manifest 'b': file 'x' is listed twice$"):
+        parse_manifest(json.dumps(doc))
+
+
 @pytest.mark.parametrize("text", ["{bad", "", "null", "5", '["build_id", "kind", "result", "files"]'])
 def test_parse_manifest_rejects_text_that_is_not_a_json_object(text):
     with pytest.raises(DataError):
