@@ -12,6 +12,7 @@ Trees are grown and walked with explicit stacks, so any depth works. All
 randomness flows through the caller-supplied seed.
 """
 
+import functools
 import json
 import math
 import random
@@ -160,12 +161,15 @@ def train(dataset: Dataset) -> TreeNode:
     return root
 
 
+@functools.cache
 def _binomial_upper_bound(errors: int, n: int, cf: float) -> float:
     """Upper confidence limit on the error rate: the p with
     P(Binomial(n, p) <= errors) = cf, found by bisection.
 
     The CDF is summed in log space, each term scaled by the largest, so the
-    bound stays finite at any n.
+    bound stays finite at any n. The bound depends on its arguments alone, so
+    one memo serves every prune call: all cross-validation folds and the
+    final tree. Its keys are bounded by the training set sizes seen.
     """
     if n == 0:
         return 1.0
@@ -201,26 +205,18 @@ def prune(tree: TreeNode, confidence_factor: float = 0.25) -> TreeNode:
     pessimistic error estimate does not exceed the subtree's.
 
     One pass, children before parents: each node's estimate goes to its
-    parent, and the bound is computed once per (errors, n) within this call.
+    parent.
     """
-    bounds: dict[tuple[int, int], float] = {}
-
-    def leaf_estimate(counts: Counter) -> float:
-        n = sum(counts.values())
-        key = (n - max(counts.values()) if counts else 0, n)
-        if key not in bounds:
-            bounds[key] = _binomial_upper_bound(*key, confidence_factor)
-        return n * bounds[key]
-
     pruned: dict[int, tuple[TreeNode, float]] = {}  # id(node) -> (replacement, estimate)
     for node, *_ in reversed(list(_preorder(tree))):
-        estimate = leaf_estimate(node.training_counts)
+        counts = node.training_counts
+        n = sum(counts.values())
+        estimate = n * _binomial_upper_bound(n - max(counts.values(), default=0), n, confidence_factor)
         replacement = node
         if not node.is_leaf:
             node.left, left_estimate = pruned.pop(id(node.left))
             node.right, right_estimate = pruned.pop(id(node.right))
             if estimate <= left_estimate + right_estimate:
-                counts = node.training_counts
                 replacement = TreeNode(label=_majority(counts, counts), training_counts=Counter(counts))
             else:
                 estimate = left_estimate + right_estimate
