@@ -118,23 +118,19 @@ def cmd_dataset(args) -> int:
 
 
 def cmd_select(args) -> int:
-    if not args.datasets:
-        raise UsageError("at least one dataset CSV required")
-    algorithms = args.algo or ["infogain", "cfs"]
+    select = {"infogain": featsel.info_gain_rank, "cfs": featsel.cfs_select}
     runs = []
-    failures = []
+    skipped = []
     for path in args.datasets:
         data = ds.read_csv(_read(path))
-        for algo in algorithms:
-            try:
-                if algo == "infogain":
-                    runs.append(featsel.info_gain_rank(data))
-                else:
-                    runs.append(featsel.cfs_select(data))
-            except SelectionError as exc:
-                failures.append(f"{data.dataset_id}/{algo}: {exc}")
+        try:
+            table = featsel.discretize(data)
+        except SelectionError as exc:
+            skipped.append(f"{data.dataset_id}: {exc}")
+            continue
+        runs.extend(select[algo](table) for algo in args.algo or select)
     if not runs:
-        raise DataError("every selection run failed: " + "; ".join(failures))
+        raise DataError("every selection run failed: " + "; ".join(skipped))
     out = Path(args.out)
     lines = ["threshold,selected_metric_ids"]
     for threshold in (4, 6, 8, 10):
@@ -145,8 +141,8 @@ def cmd_select(args) -> int:
         "frequency.csv": featsel.frequency_csv(runs),
         "thresholds.csv": "\n".join(lines) + "\n",
     }, args.force)
-    for failure in failures:
-        print(f"skipped {failure}", file=sys.stderr)
+    for reason in skipped:
+        print(f"skipped {reason}", file=sys.stderr)
     print(f"wrote selection reports to {out} ({len(runs)} runs)")
     return 0
 

@@ -1,8 +1,9 @@
 """Feature selection: information gain ranking, CFS subset search, and
 selection-frequency thresholds.
 
-Numeric features are discretized per selection run with Fayyad-Irani MDL
-partitioning before any entropy-based scoring. MDL and tree induction share
+Numeric features are discretized once per dataset with Fayyad-Irani MDL
+partitioning (`discretize`); IG ranking and CFS both score that one table of
+bins. MDL and tree induction share
 one cut search, `best_cut`: a single sweep over rows in value order with
 running class counts. MDL sorts each feature once and recurses on index
 ranges, handing each side's class counts down. The CFS search is best-first
@@ -132,47 +133,55 @@ def _mdl_split(values: list[float], ys: list[int], lo: int, hi: int, counts: lis
     _mdl_split(values, ys, mid, hi, right, cuts)
 
 
-def _binned(values: list[float], cuts: list[float]) -> list[int]:
-    """Bin index per value given ascending cut points."""
+def _mdl_bins(values: list[float], labels: list) -> list[int]:
+    """Bin index per value, between the MDL cut points."""
+    cuts = discretize_mdl(values, labels)
     return [bisect_left(cuts, v) for v in values]
 
 
-def _conditional_entropy(bins: list[int], labels: list) -> float:
+@dataclass
+class Discretized:
+    """A dataset's labels and each feature's MDL bin list, keyed by ascending
+    metric ID: the one input of info_gain_rank, cfs_select and cfs_merit."""
+    dataset_id: str
+    labels: list[str]
+    bins: dict[int, list[int]]
+
+
+def discretize(dataset: Dataset) -> Discretized:
+    """MDL-discretize every feature of a dataset whose label takes two values."""
+    labels = dataset.labels()
+    if len(set(labels)) < 2:
+        raise SelectionError("dataset label is constant")
+    bins = {mid: _mdl_bins(dataset.column(mid), labels) for mid in sorted(dataset.feature_ids)}
+    return Discretized(dataset.dataset_id, labels, bins)
+
+
+def _gain(bins: list[int], labels: list) -> float:
+    """H(label) - H(label | bins); exactly 0.0 when every row is in bin 0,
+    that is, when MDL made no cut."""
+    if not any(bins):
+        return 0.0
     n = len(labels)
     groups: dict[int, list] = {}
     for b, lab in zip(bins, labels):
         groups.setdefault(b, []).append(lab)
-    return sum((len(g) / n) * entropy(g) for g in groups.values())
+    return entropy(labels) - sum((len(g) / n) * entropy(g) for g in groups.values())
 
 
 def info_gain(values: list[float], labels: list) -> float:
     """H(label) - H(label | MDL-discretized feature)."""
-    cuts = discretize_mdl(values, labels)
-    if not cuts:
-        return 0.0
-    return entropy(labels) - _conditional_entropy(_binned(values, cuts), labels)
+    return _gain(_mdl_bins(values, labels), labels)
 
 
-def _check_trainable(dataset: Dataset):
-    labels = dataset.labels()
-    if len(set(labels)) < 2:
-        raise SelectionError("dataset label is constant")
-    if len(labels) < 2:
-        raise SelectionError("dataset has fewer than 2 rows")
-
-
-def info_gain_rank(dataset: Dataset) -> SelectionRun:
+def info_gain_rank(table: Discretized) -> SelectionRun:
     """Rank features by information gain; keeps strictly positive gains,
     descending, ties broken by ascending metric ID."""
-    _check_trainable(dataset)
-    labels = dataset.labels()
-    scores = {
-        mid: info_gain(dataset.column(mid), labels) for mid in dataset.feature_ids
-    }
+    scores = {mid: _gain(bins, table.labels) for mid, bins in table.bins.items()}
     selected = sorted(
         (mid for mid, s in scores.items() if s > 0), key=lambda m: (-scores[m], m)
     )
-    return SelectionRun(dataset.dataset_id, "infogain", selected, scores)
+    return SelectionRun(table.dataset_id, "infogain", selected, scores)
 
 
 def symmetric_uncertainty(x: list, y: list) -> float:
@@ -209,33 +218,26 @@ def _better(merit_a: float, subset_a, merit_b: float, subset_b) -> bool:
     return subset_a < subset_b
 
 
-def _su_tables(dataset: Dataset):
-    """SU of each MDL-binned feature with the label, and of each feature pair."""
-    labels = dataset.labels()
-    features = sorted(dataset.feature_ids)
-    bins = {
-        mid: _binned(dataset.column(mid), discretize_mdl(dataset.column(mid), labels))
-        for mid in features
-    }
-    su_label = {mid: symmetric_uncertainty(bins[mid], labels) for mid in features}
+def _su_tables(table: Discretized):
+    """SU of each binned feature with the label, and of each feature pair."""
+    bins = table.bins
+    su_label = {mid: symmetric_uncertainty(b, table.labels) for mid, b in bins.items()}
     su_pair = {
-        (a, b): symmetric_uncertainty(bins[a], bins[b])
-        for a, b in combinations(features, 2)
+        (a, b): symmetric_uncertainty(bins[a], bins[b]) for a, b in combinations(bins, 2)
     }
     return su_label, su_pair
 
 
-def cfs_merit(dataset: Dataset, subset) -> float:
+def cfs_merit(table: Discretized, subset) -> float:
     """Merit of a feature subset; exposed for exhaustive oracle checks."""
-    su_label, su_pair = _su_tables(dataset)
+    su_label, su_pair = _su_tables(table)
     return _merit(su_label, su_pair, tuple(sorted(subset)))
 
 
-def cfs_select(dataset: Dataset) -> SelectionRun:
+def cfs_select(table: Discretized) -> SelectionRun:
     """Correlation-based subset selection via best-first forward search."""
-    _check_trainable(dataset)
-    features = sorted(dataset.feature_ids)
-    su_label, su_pair = _su_tables(dataset)
+    features = list(table.bins)
+    su_label, su_pair = _su_tables(table)
 
     start: tuple[int, ...] = ()
     best_subset = start
@@ -262,7 +264,7 @@ def cfs_select(dataset: Dataset) -> SelectionRun:
                 best_subset = child
                 improved = True
         stale = 0 if improved else stale + 1
-    return SelectionRun(dataset.dataset_id, "cfs", sorted(best_subset))
+    return SelectionRun(table.dataset_id, "cfs", sorted(best_subset))
 
 
 def _run_counts(runs: list[SelectionRun]) -> Counter:

@@ -21,10 +21,9 @@ from dataclasses import dataclass, field, replace
 
 from .dataset import Dataset
 from .errors import EvaluationError
-from .featsel import best_cut, cut_point
+from .featsel import _GAIN_EPS, _entropy, best_cut, cut_point
 from .metrics import METRIC_NAMES, format_value
 
-_GAIN_EPS = 1e-12
 _MIN_LEAF = 2  # C4.5's default minimum of instances per leaf
 
 
@@ -94,21 +93,6 @@ def _majority(counts: Counter, global_counts: Counter) -> str:
     return "failed" if "failed" in gtied else sorted(gtied)[0]
 
 
-def _best_split_for_feature(order, values, ys, counts):
-    """Best (gain, threshold, split_info) for one feature, or None.
-
-    order lists the node's rows sorted by this feature's values; ys holds
-    each row's class index and counts the node's class counts.
-    """
-    best = best_cut(order, values, ys, counts, min_size=_MIN_LEAF, eps=_GAIN_EPS)
-    if best is None:
-        return None
-    gain, pos = best[:2]
-    n = len(order)
-    split_info = -(pos / n) * math.log2(pos / n) - ((n - pos) / n) * math.log2((n - pos) / n)
-    return gain, cut_point(values[order[pos - 1]], values[order[pos]]), split_info
-
-
 def train(dataset: Dataset) -> TreeNode:
     """Grow an unpruned tree by gain ratio over binary numeric splits.
 
@@ -137,13 +121,17 @@ def train(dataset: Dataset) -> TreeNode:
     while stack:
         node, lists = stack.pop()
         node.training_counts = counts = Counter(labels[i] for i in lists[0])
-        candidates = []
+        candidates = []  # (metric ID, gain, threshold, split info)
         if len(counts) > 1 and len(lists[0]) >= 2 * _MIN_LEAF:
             class_counts = [counts[label] for label in classes]
+            n = len(lists[0])
             for k, mid in enumerate(dataset.feature_ids):
-                best = _best_split_for_feature(lists[1 + k], columns[mid], ys, class_counts)
+                order, values = lists[1 + k], columns[mid]
+                best = best_cut(order, values, ys, class_counts, min_size=_MIN_LEAF)
                 if best is not None:
-                    candidates.append((mid,) + best)
+                    gain, pos = best[:2]
+                    threshold = cut_point(values[order[pos - 1]], values[order[pos]])
+                    candidates.append((mid, gain, threshold, _entropy((pos, n - pos), n)))
         if not candidates:
             node.label = _majority(counts, global_counts)
             continue

@@ -20,6 +20,7 @@ from buildmetrics.featsel import (
     SelectionRun,
     cfs_merit,
     cfs_select,
+    discretize,
     entropy,
     frequency_select,
     info_gain,
@@ -237,7 +238,7 @@ def _cfs_fixtures():
 
 def test_criterion_5_cfs_exhaustive_optimality():
     for columns, labels in _cfs_fixtures():
-        data = make_dataset(columns, labels)
+        data = discretize(make_dataset(columns, labels))
         run = cfs_select(data)
         ids = sorted(columns)
         best_merit, best_subsets = 0.0, [()]
@@ -334,7 +335,7 @@ def test_criterion_7_planted_rule_recovered(planted_pipeline):
         else:
             assert ratio <= GAP_LOW, bid
 
-    run = info_gain_rank(data)
+    run = info_gain_rank(discretize(data))
     assert run.selected[0] == 9
     assert run.scores[9] == pytest.approx(entropy(data.labels()), abs=1e-12)
 

@@ -359,6 +359,29 @@ def test_select_single_run_histogram(dataset_csv, tmp_path, capsys):
     assert counts and set(counts) <= {0, 1}
 
 
+
+def test_select_discretizes_each_feature_once(dataset_csv, tmp_path, capsys, monkeypatch):
+    calls = []
+    original = featsel.discretize_mdl
+    monkeypatch.setattr(featsel, "discretize_mdl", lambda v, y: calls.append(1) or original(v, y))
+    code, _, _ = run(capsys, "select", str(dataset_csv), "--out", str(tmp_path))
+    assert code == 0
+    assert len(calls) == len(ds.read_csv(dataset_csv.read_text()).feature_ids)
+
+
+def _constant_label_csv(path):
+    rows = [(f"b{k}", "failed", [float(k), 1.0]) for k in range(4)]
+    path.write_text(ds.write_csv(ds.Dataset([1, 9], rows, "sum")))
+    return path
+
+
+def test_select_skips_a_constant_label_dataset_once(dataset_csv, tmp_path, capsys):
+    constant = _constant_label_csv(tmp_path / "c.csv")
+    code, out, err = run(capsys, "select", str(constant), str(dataset_csv), "--out", str(tmp_path / "o"))
+    assert code == 0 and "(2 runs)" in out
+    assert err == "skipped 3: dataset label is constant\n"
+
+
 # -- evaluate -------------------------------------------------------------------
 
 
@@ -586,7 +609,8 @@ def test_staged_equals_in_process(synth_root, extracted, tmp_path, capsys):
     # Selection and evaluation agree between CLI artifacts and direct calls.
     selout = tmp_path / "sel"
     assert run(capsys, "select", str(dsout / "3d.csv"), "--out", str(selout))[0] == 0
-    direct_runs = [featsel.info_gain_rank(direct), featsel.cfs_select(direct)]
+    table = featsel.discretize(direct)
+    direct_runs = [featsel.info_gain_rank(table), featsel.cfs_select(table)]
     staged_lines = (selout / "selection.csv").read_text().strip().splitlines()[1:]
     staged_sel = {}
     for ln in staged_lines:

@@ -12,6 +12,7 @@ from buildmetrics.featsel import (
     SelectionRun,
     cfs_merit,
     cfs_select,
+    discretize,
     discretize_mdl,
     entropy,
     frequency_csv,
@@ -244,16 +245,41 @@ def test_info_gain_rank_order_and_cutoff():
         2: [0.0, 0.0, 1.0, 1.0, 2.0, 2.0],  # partial
         3: [5.0] * 6,  # constant -> excluded
     }
-    run = info_gain_rank(make_dataset(columns, labels))
+    run = info_gain_rank(discretize(make_dataset(columns, labels)))
     assert run.algorithm == "infogain"
     assert run.selected[0] == 1
     assert 3 not in run.selected
     assert run.scores[1] >= run.scores[2] >= run.scores[3] == 0.0
 
 
-def test_info_gain_rank_constant_label():
-    with pytest.raises(SelectionError):
-        info_gain_rank(make_dataset({1: [0.0, 1.0]}, ["f", "f"]))
+def test_info_gain_rank_skips_a_feature_without_a_cut():
+    # Feature 2 takes two values, but MDL makes no cut on it.
+    labels = ["f", "f", "f", "s", "s", "s"]
+    columns = {1: [0.0, 0.0, 0.0, 1.0, 1.0, 1.0], 2: [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]}
+    table = discretize(make_dataset(columns, labels))
+    assert table.bins[2] == [0] * 6
+    run = info_gain_rank(table)
+    assert run.scores[2] == 0.0 and run.selected == [1]
+
+
+def test_info_gain_rank_scores_equal_info_gain():
+    rng = random.Random(31)
+    columns, labels = _random_columns(rng, 6, 40)
+    run = info_gain_rank(discretize(make_dataset(columns, labels)))
+    assert run.scores == {mid: info_gain(vals, labels) for mid, vals in columns.items()}
+
+
+def test_discretize_keys_bins_by_ascending_metric_id():
+    data = Dataset(feature_ids=[9, 1], rows=[("b0", "f", [1.0, 0.0]), ("b1", "s", [0.0, 1.0])], strategy="sum")
+    table = discretize(data)
+    assert (table.dataset_id, table.labels, list(table.bins)) == ("3", ["f", "s"], [1, 9])
+
+
+@pytest.mark.parametrize("labels", [["f", "f"], []], ids=["constant", "empty"])
+def test_discretize_rejects_constant_label(labels):
+    columns = {1: [float(k) for k in range(len(labels))]}
+    with pytest.raises(SelectionError, match="dataset label is constant"):
+        discretize(make_dataset(columns, labels))
 
 
 # -- symmetric uncertainty --------------------------------------------------------
@@ -299,14 +325,14 @@ def test_su_range_and_symmetry(pairs):
 def test_cfs_single_informative_feature():
     labels = ["f", "f", "s", "s"]
     columns = {1: [3.0] * 4, 2: [0.0, 0.0, 1.0, 1.0], 3: [9.0] * 4}
-    run = cfs_select(make_dataset(columns, labels))
+    run = cfs_select(discretize(make_dataset(columns, labels)))
     assert run.selected == [2]
 
 
 def test_cfs_duplicate_perfect_feature():
     labels = ["f", "f", "s", "s", "f", "s"]
     perfect = [0.0 if lab == "f" else 1.0 for lab in labels]
-    run = cfs_select(make_dataset({1: perfect, 2: list(perfect)}, labels))
+    run = cfs_select(discretize(make_dataset({1: perfect, 2: list(perfect)}, labels)))
     assert run.selected == [1]
 
 
@@ -333,7 +359,7 @@ def test_cfs_matches_exhaustive_oracle():
     for trial in range(25):
         n_features = rng.randrange(2, 7)
         columns, labels = _random_columns(rng, n_features, rng.randrange(6, 13))
-        data = make_dataset(columns, labels)
+        data = discretize(make_dataset(columns, labels))
         run = cfs_select(data)
 
         best_merit, best_subsets = 0.0, [()]  # empty subset has merit 0
@@ -355,16 +381,11 @@ def test_cfs_matches_exhaustive_oracle():
 def test_cfs_merit_formula_spot_check():
     labels = ["f", "f", "s", "s"]
     columns = {1: [0.0, 0.0, 1.0, 1.0], 2: [0.0, 1.0, 0.0, 1.0]}
-    data = make_dataset(columns, labels)
+    data = discretize(make_dataset(columns, labels))
     assert cfs_merit(data, [1]) == pytest.approx(1.0)
     assert cfs_merit(data, [1, 2]) == pytest.approx(
         oracle_merit(columns, labels, (1, 2)), abs=1e-12
     )
-
-
-def test_cfs_constant_label():
-    with pytest.raises(SelectionError):
-        cfs_select(make_dataset({1: [0.0, 1.0]}, ["f", "f"]))
 
 
 # -- frequency thresholds ------------------------------------------------------------

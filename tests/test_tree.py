@@ -8,7 +8,7 @@ import pytest
 
 from buildmetrics.dataset import Dataset
 from buildmetrics.errors import EvaluationError
-from buildmetrics.featsel import info_gain_rank
+from buildmetrics.featsel import discretize, info_gain_rank
 from buildmetrics.tree import (
     EvaluationReport,
     TreeNode,
@@ -273,7 +273,7 @@ def test_cut_separates_adjacent_and_huge_values(a, b):
     assert not tree.is_leaf and a <= tree.threshold < b
     assert (predict(tree, {1: a}), predict(tree, {1: b})) == ("failed", "success")
     assert cross_validate(data, k=4).accuracy == 100.0
-    assert info_gain_rank(data).selected == [1]
+    assert info_gain_rank(discretize(data)).selected == [1]
 
 
 def _nodes(tree):
