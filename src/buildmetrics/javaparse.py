@@ -287,11 +287,16 @@ class _Parser:
         (decl.constructors if is_ctor else decl.methods).append(method)
 
     def parse_parameters(self, decl: TypeDecl, method: MethodDecl):
+        """A comma splits parameters only outside brackets and generics; an
+        annotation, with its arguments, adds no type name."""
         opener = self.expect("(")
-        depth = 1
+        depth, angle = 1, 0
         segment: list[Token] = []
         segments: list[list[Token]] = []
         while self.peek() is not None:
+            if self.at("@"):
+                self.skip_annotation()
+                continue
             t = self.take()
             if t.text in ("(", "["):
                 depth += 1
@@ -299,7 +304,11 @@ class _Parser:
                 depth -= 1
                 if depth == 0 and t.text == ")":
                     break
-            elif t.text == "," and depth == 1:
+            elif t.text == "<":
+                angle += 1
+            elif t.text in _CLOSERS and angle > 0:
+                angle -= _CLOSERS[t.text]
+            elif t.text == "," and depth == 1 and angle == 0:
                 segments.append(segment)
                 segment = []
                 continue

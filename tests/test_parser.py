@@ -1,5 +1,6 @@
 import dataclasses
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +115,33 @@ def test_generics_and_annotations_tolerated():
     assert [t.name for t in unit.types] == ["Box"]
     assert [m.name for m in unit.types[0].methods] == ["get"]
 
+
+
+@pytest.mark.parametrize("params, count", [
+    ("Map<String, Integer> m", 1),
+    ("Map<K, List<V>> m, int b", 2),
+    ("Map<K, Map<K, List<V>>> m, int b", 2),
+    ("int[] a, String... rest", 2),
+])
+def test_comma_in_generic_parameter_type_splits_nothing(params, count):
+    (method,) = parse_source(f"interface I {{ void f({params}); }}", "I.java").types[0].methods
+    assert method.parameter_count == count
+
+
+def test_parameter_annotations_add_no_type_names():
+    src = 'interface I { void f(@Config(required = true, value = "x") String s, @a.Valid final int n); }'
+    decl = parse_source(src, "I.java").types[0]
+    assert decl.methods[0].parameter_count == 2
+    assert decl.referenced_type_names == {"String"}
+
+
+@pytest.mark.parametrize("path, names", [
+    ("api/Service.java", {"Config", "required", "value"}),
+    ("impl/Annotated.java", {"Valid", "groups", "Strict"}),
+])
+def test_grammar_fixture_parameter_annotations_add_no_type_names(path, names):
+    text = (Path(__file__).parent / "fixtures" / "grammar" / path).read_text()
+    assert not parse_source(text, path).types[0].referenced_type_names & names
 
 def test_enum_skimmed_without_failure():
     src = "enum Color { RED, GREEN } class A { void m() { } }"
