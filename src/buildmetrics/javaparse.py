@@ -388,22 +388,25 @@ class _Parser:
             return
         decl.field_names.append(head[-1].text)
         decl.referenced_type_names.update(t.text for t in head[:-1] if t.kind == "identifier")
-        # Consume initializers and further declarators up to ';'.
+        # Consume initializers and further declarators up to ';'. A comma in
+        # an initializer's generics is outside brackets too, so the identifier
+        # after a comma names a declarator only when '=', ',', ';' or '['
+        # follows it.
         depth = 0
-        expecting_name = False
+        after_comma = False
         while self.peek() is not None:
             t = self.take()
             if t.text in ("(", "[", "{"):
                 depth += 1
             elif t.text in (")", "]", "}"):
                 depth -= 1
-            elif depth == 0 and t.text == ",":
-                expecting_name = True
             elif depth == 0 and t.text == ";":
                 break
-            elif expecting_name and t.kind == "identifier":
-                decl.field_names.append(t.text)
-                expecting_name = False
+            elif after_comma and t.kind == "identifier":
+                nxt = self.peek()
+                if nxt is not None and nxt.text in ("=", ",", ";", "["):
+                    decl.field_names.append(t.text)
+            after_comma = depth == 0 and t.text == ","
 
 
 def parse_unit(tokens: list[Token], file_path: str, physical_lines: int) -> CompilationUnit:

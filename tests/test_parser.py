@@ -50,6 +50,17 @@ def test_multi_declarator_field():
     assert decl.field_names == ["width", "height"]
 
 
+@pytest.mark.parametrize("field, names", [
+    ("Map<String, Integer> a = new HashMap<String, Integer>(), b;", ["a", "b"]),
+    ("Map<K, List<V>> a = new HashMap<K, List<V>>(f(x, y)), b = null;", ["a", "b"]),
+    ("boolean a = x < y, b;", ["a", "b"]),
+    ("int a = 1, b[] = {2, 3}, c;", ["a", "b", "c"]),
+])
+def test_comma_in_initializer_generics_names_no_field(field, names):
+    decl = parse_source(f"class C {{ {field} }}", "C.java").types[0]
+    assert decl.field_names == names
+
+
 def test_field_access_through_this():
     src = """
     class A {
