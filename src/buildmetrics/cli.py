@@ -119,16 +119,22 @@ def cmd_dataset(args) -> int:
 
 def cmd_select(args) -> int:
     select = {"infogain": featsel.info_gain_rank, "cfs": featsel.cfs_select}
+    algorithms = dict.fromkeys(args.algo or select)  # a repeated --algo runs once
     runs = []
     skipped = []
+    seen = set()
     for path in args.datasets:
         data = ds.read_csv(_read(path))
+        if data.dataset_id in seen:
+            raise DataError(f"{path}: dataset {data.dataset_id} is already an input, "
+                            "and selection.csv could not tell their runs apart")
+        seen.add(data.dataset_id)
         try:
             table = featsel.discretize(data)
         except SelectionError as exc:
             skipped.append(f"{data.dataset_id}: {exc}")
             continue
-        runs.extend(select[algo](table) for algo in args.algo or select)
+        runs.extend(select[algo](table) for algo in algorithms)
     if not runs:
         raise DataError("every selection run failed: " + "; ".join(skipped))
     out = Path(args.out)

@@ -360,6 +360,22 @@ def test_select_single_run_histogram(dataset_csv, tmp_path, capsys):
 
 
 
+
+def test_select_runs_a_repeated_algo_once(dataset_csv, tmp_path, capsys):
+    code, out, _ = run(capsys, "select", str(dataset_csv), "--algo", "infogain",
+                       "--algo", "infogain", "--out", str(tmp_path))
+    assert code == 0 and "(1 runs)" in out
+    counts = (tmp_path / "frequency.csv").read_text().splitlines()[1:]
+    assert counts and all(ln.endswith(",1") for ln in counts)
+
+
+def test_select_rejects_two_datasets_with_one_id(dataset_csv, tmp_path, capsys):
+    copy = tmp_path / "copy.csv"
+    copy.write_text(dataset_csv.read_text())
+    code, _, err = run(capsys, "select", str(dataset_csv), str(copy), "--out", str(tmp_path / "o"))
+    assert code == 2 and "dataset 2" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
+
 def test_select_discretizes_each_feature_once(dataset_csv, tmp_path, capsys, monkeypatch):
     calls = []
     original = featsel.discretize_mdl
@@ -722,8 +738,11 @@ def _invocation(draw, root):
         strategy = draw(st.sampled_from(["avg", "max", "sum"]))
         argv = ["dataset", str(root / "m"), str(root / "metrics.csv"), "--strategy", strategy] + out
     elif command == "select":
-        files["d.csv"] = draw(_dataset_csv())
-        argv = ["select", str(root / "d.csv")] + out
+        names = ["d0.csv", "d1.csv"][:draw(st.integers(1, 2))]
+        for name in names:
+            files[name] = draw(_dataset_csv())
+        algos = draw(st.lists(st.sampled_from(["--algo=infogain", "--algo=cfs"]), max_size=2))
+        argv = ["select"] + [str(root / name) for name in names] + algos + out
     elif command == "evaluate":
         files["d.csv"] = draw(_dataset_csv())
         argv = ["evaluate", str(root / "d.csv"), "--folds=" + draw(_option("2", "3", "10"))]
