@@ -388,10 +388,9 @@ class _Parser:
             return
         decl.field_names.append(head[-1].text)
         decl.referenced_type_names.update(t.text for t in head[:-1] if t.kind == "identifier")
-        # Consume initializers and further declarators up to ';'. A comma in
-        # an initializer's generics is outside brackets too, so the identifier
-        # after a comma names a declarator only when '=', ',', ';' or '['
-        # follows it.
+        # Consume initializers and further declarators up to ';'. An initializer's
+        # generics may hold a comma, so the identifier after a comma names a
+        # declarator only when '=', ',', ';' or '[' follows it.
         depth = 0
         after_comma = False
         while self.peek() is not None:

@@ -159,9 +159,7 @@ def _binomial_upper_bound(errors: int, n: int, cf: float) -> float:
     one memo serves every prune call: all cross-validation folds and the
     final tree. Its keys are bounded by the training set sizes seen.
     """
-    if n == 0:
-        return 1.0
-    if errors >= n:
+    if errors >= n:  # also the empty node, n == 0
         return 1.0
     log_n_fact = math.lgamma(n + 1)
     log_coeffs = [
