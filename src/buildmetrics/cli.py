@@ -196,6 +196,7 @@ def cmd_evaluate(args) -> int:
 def cmd_freq(args) -> int:
     if args.threshold < 1:
         raise UsageError("--threshold must be at least 1")
+    runs = []
     text = _read(args.selection)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("dataset_id,algorithm"):
@@ -208,7 +209,8 @@ def cmd_freq(args) -> int:
         except (IndexError, ValueError):
             raise DataError(f"selection report row {rownum}: expected dataset_id,algorithm,metric_id")
         by_run.setdefault((cells[0], cells[1]), []).append(mid)
-    runs = [featsel.SelectionRun(did, algo, selected) for (did, algo), selected in sorted(by_run.items())]
+    for (did, algo), selected in sorted(by_run.items()):
+        runs.append(featsel.SelectionRun(did, algo, selected))
     chosen = sorted(featsel.frequency_select(runs, args.threshold))
     print(" ".join(str(m) for m in chosen))
     return 0

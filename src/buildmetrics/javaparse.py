@@ -210,7 +210,7 @@ class _Parser:
         self.unit.types.append(decl)
 
     def _type_list(self) -> list[str]:
-        """The comma-separated names after 'extends' or 'implements'."""
+        """The comma-separated names after 'extends', 'implements' or 'throws'."""
         names = []
         while not names or self.at(","):
             self.take()
@@ -272,11 +272,7 @@ class _Parser:
         )
         self.parse_parameters(decl, method)
         if self.at("throws"):
-            self.take()
-            decl.referenced_type_names.add(self.dotted_name())
-            while self.at(","):
-                self.take()
-                decl.referenced_type_names.add(self.dotted_name())
+            decl.referenced_type_names.update(self._type_list())
         # Recovery: skim whatever comes before the body or the statement end.
         while self.peek() is not None and not self.at(";") and not self.at("{"):
             self.take()

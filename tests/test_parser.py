@@ -110,6 +110,11 @@ def test_extends_and_implements():
     assert decl.referenced_type_names == {"B", "C", "D"}
 
 
+def test_throws_list_adds_referenced_names():
+    decl = parse_source("interface I { void f() throws A, b.C; }", "I.java").types[0]
+    assert decl.referenced_type_names == {"A", "b.C"}
+
+
 def test_generics_and_annotations_tolerated():
     src = """
     @Generated("p")
