@@ -3,13 +3,12 @@ selection-frequency thresholds.
 
 Numeric features are discretized once per dataset with Fayyad-Irani MDL
 partitioning (`discretize`); IG ranking and CFS both score that one table of
-bins. MDL and tree induction share
-one cut search, `best_cut`: a single sweep over rows in value order with
-running class counts. MDL sorts each feature once and recurses on index
-ranges, handing each side's class counts down. The CFS search is best-first
-forward search with a patience of 5 non-improving expansions; merit ties
-break toward the smaller, lexicographically earlier subset so results are
-deterministic.
+bins. MDL and tree induction share one cut search, `best_cut`: a single sweep
+over rows in value order with running class counts. MDL sorts each feature
+once and recurses on index ranges, handing each side's class counts down.
+The CFS search is best-first forward search with a patience of 5
+non-improving expansions; merit ties break toward the smaller,
+lexicographically earlier subset so results are deterministic.
 """
 
 import heapq
@@ -149,7 +148,7 @@ class Discretized:
 
 
 def discretize(dataset: Dataset) -> Discretized:
-    """MDL-discretize every feature of a dataset whose label takes two values."""
+    """MDL-discretize every feature of a dataset whose label takes two or more values."""
     labels = dataset.labels()
     if len(set(labels)) < 2:
         raise SelectionError("dataset label is constant")
