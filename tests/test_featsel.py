@@ -252,6 +252,11 @@ def test_info_gain_rank_order_and_cutoff():
     assert run.scores[1] >= run.scores[2] >= run.scores[3] == 0.0
 
 
+def test_info_gain_rank_constant_label():
+    with pytest.raises(SelectionError, match="dataset label is constant"):
+        info_gain_rank(discretize(make_dataset({1: [0.0, 1.0]}, ["f", "f"])))
+
+
 def test_info_gain_rank_skips_a_feature_without_a_cut():
     # Feature 2 takes two values, but MDL makes no cut on it.
     labels = ["f", "f", "f", "s", "s", "s"]
@@ -386,6 +391,11 @@ def test_cfs_merit_formula_spot_check():
     assert cfs_merit(data, [1, 2]) == pytest.approx(
         oracle_merit(columns, labels, (1, 2)), abs=1e-12
     )
+
+
+def test_cfs_constant_label():
+    with pytest.raises(SelectionError, match="dataset label is constant"):
+        cfs_select(discretize(make_dataset({1: [0.0, 1.0]}, ["f", "f"])))
 
 
 # -- frequency thresholds ------------------------------------------------------------
