@@ -16,7 +16,6 @@ cohesion (27-29) but are excluded from the method-count family
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import DataError, ModelError
 from .javaparse import CompilationUnit, MethodDecl, TypeDecl
@@ -75,31 +74,24 @@ HALSTEAD_IDS = tuple(range(30, 43))
 AVERAGE_IDS = (2, 3, 4, 5, 6, 7)
 
 
-@dataclass
-class HalsteadCounts:
-    N1: int = 0  # total operators
-    N2: int = 0  # total operands
-    n1: int = 0  # distinct operators
-    n2: int = 0  # distinct operands
-
-
-def halstead_suite(counts: HalsteadCounts) -> dict[int, float]:
-    """Halstead metric family (IDs 30-41) from raw operator/operand counts.
+def halstead_suite(N1: int, N2: int, n1: int, n2: int) -> dict[int, float]:
+    """Halstead metric family (IDs 30-41) from total operators N1, total
+    operands N2, distinct operators n1 and distinct operands n2.
 
     Degenerate counts take their defined limits: an all-zero program scores
     zero on every metric, and program level is clamped to at most 1.
     """
-    N = counts.N1 + counts.N2
-    n = counts.n1 + counts.n2
+    N = N1 + N2
+    n = n1 + n2
     volume = N * math.log2(n) if n > 0 else 0.0
-    difficulty = (counts.n1 / 2.0) * (counts.N2 / counts.n2) if counts.n2 > 0 else 0.0
+    difficulty = (n1 / 2.0) * (N2 / n2) if n2 > 0 else 0.0
     level = min(1.0, 1.0 / difficulty) if difficulty > 0 else 0.0
     effort = difficulty * volume
     return {
-        30: float(counts.N2),
-        31: float(counts.N1),
-        32: float(counts.n2),
-        33: float(counts.n1),
+        30: float(N2),
+        31: float(N1),
+        32: float(n2),
+        33: float(n1),
         34: volume / 3000.0,
         35: difficulty,
         36: effort,
@@ -116,21 +108,16 @@ def cyclomatic(method: MethodDecl) -> int:
     return method.decision_points + 1
 
 
-def _attribute_access(decl: TypeDecl) -> tuple[list[set[str]], list[str]]:
-    """Field-access sets for cohesion; constructors count as methods here."""
-    methods = decl.constructors + decl.methods
-    access = [m.accessed_field_names for m in methods]
-    return access, decl.field_names
-
-
 def lcom_suite(decl: TypeDecl) -> tuple[float, float, float]:
     """Three lack-of-cohesion variants for one class.
 
     lcom1 = P/(P+Q) over method pairs (P share no field, Q share one or more);
     lcom2 = 1 - sum(mu)/(m*a); lcom3 = (m - sum(mu)/a)/(m-1); each with an
-    explicit zero for its degenerate denominator.
+    explicit zero for its degenerate denominator. Constructors count as
+    methods here.
     """
-    access, fields = _attribute_access(decl)
+    access = [m.accessed_field_names for m in decl.constructors + decl.methods]
+    fields = decl.field_names
     m = len(access)
     a = len(fields)
     p = q = 0
@@ -172,29 +159,14 @@ def maintainability_index(ave_volume: float, ave_cyclomatic: float, ave_loc: flo
     )
 
 
-def _method_volume(method: MethodDecl) -> float:
-    n_total = sum(method.operator_tokens.values()) + sum(method.operand_tokens.values())
-    n_distinct = len(method.operator_tokens) + len(method.operand_tokens)
-    return n_total * math.log2(n_distinct) if n_distinct > 0 else 0.0
-
-
 def _mean(values) -> float:
     values = list(values)
     return sum(values) / len(values) if values else 0.0
 
 
-def pooled_halstead(methods: list[MethodDecl]) -> HalsteadCounts:
-    operators: Counter = Counter()
-    operands: Counter = Counter()
-    for m in methods:
-        operators.update(m.operator_tokens)
-        operands.update(m.operand_tokens)
-    return HalsteadCounts(
-        N1=sum(operators.values()),
-        N2=sum(operands.values()),
-        n1=len(operators),
-        n2=len(operands),
-    )
+def _halstead(operators: Counter, operands: Counter) -> dict[int, float]:
+    """The Halstead suite of one operator tally and one operand tally."""
+    return halstead_suite(sum(operators.values()), sum(operands.values()), len(operators), len(operands))
 
 
 def _unit_metrics(model: CodeModel, unit: CompilationUnit) -> list[float]:
@@ -234,22 +206,24 @@ def _unit_metrics(model: CodeModel, unit: CompilationUnit) -> list[float]:
     all_depths = [d for m in methods + ctors for d in m.block_depths]
     v[23] = _mean(all_depths)
     v[24] = _mean(sum(cyclomatic(m) for m in t.methods) for t in types)
+    v[26] = float(sum(cyclomatic(m) for m in methods))
     if methods:
-        v[25] = maintainability_index(
-            _mean(_method_volume(m) for m in methods),
-            _mean(cyclomatic(m) for m in methods),
-            _mean(m.body_lines for m in methods),
-        )
+        ave_volume = _mean(_halstead(m.operator_tokens, m.operand_tokens)[41] for m in methods)
+        v[25] = maintainability_index(ave_volume, v[26] / v[15], v[5])
     else:
         v[25] = 171.0
-    v[26] = float(sum(cyclomatic(m) for m in methods))
 
     lcoms = [lcom_suite(t) for t in types]
     v[27] = _mean(l[0] for l in lcoms)
     v[28] = _mean(l[1] for l in lcoms)
     v[29] = _mean(l[2] for l in lcoms)
 
-    v.update(halstead_suite(pooled_halstead(methods + ctors)))
+    operators: Counter = Counter()
+    operands: Counter = Counter()
+    for m in methods + ctors:
+        operators.update(m.operator_tokens)
+        operands.update(m.operand_tokens)
+    v.update(_halstead(operators, operands))
     v[42] = _mean(model.depth[qualify(unit.package_name, t.name)] for t in types)
     return [v[i] for i in METRIC_IDS]
 
@@ -264,8 +238,7 @@ def format_value(v: float) -> str:
     """Up to 6 decimal places; integral values print without a decimal point."""
     if v == int(v):
         return str(int(v))
-    s = f"{v:.6f}".rstrip("0").rstrip(".")
-    return s if s else "0"
+    return f"{v:.6f}".rstrip("0").rstrip(".")
 
 
 _HEADER = "file_path," + ",".join(f"m{i}" for i in METRIC_IDS)

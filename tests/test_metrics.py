@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from buildmetrics.errors import DataError, ModelError
 from buildmetrics.javaparse import parse_source
 from buildmetrics.metrics import (
-    HalsteadCounts,
     METRIC_IDS,
     compute_all_metrics,
     cyclomatic,
@@ -35,13 +34,13 @@ def _model(*sources):
 
 
 def test_halstead_all_zero():
-    values = halstead_suite(HalsteadCounts(0, 0, 0, 0))
+    values = halstead_suite(0, 0, 0, 0)
     assert all(v == 0 for v in values.values())
     assert set(values) == set(range(30, 42))
 
 
 def test_halstead_unit_counts():
-    v = halstead_suite(HalsteadCounts(N1=1, N2=1, n1=1, n2=1))
+    v = halstead_suite(N1=1, N2=1, n1=1, n2=1)
     assert v[38] == 2 and v[40] == 2
     assert v[41] == 2.0  # V = 2*log2(2)
     assert v[35] == 0.5
@@ -53,7 +52,7 @@ def test_halstead_unit_counts():
 
 def test_halstead_hand_counted_snippet():
     # `a = b + b;` -> operators {=,+}, operands {a, b, b}
-    v = halstead_suite(HalsteadCounts(N1=2, N2=3, n1=2, n2=2))
+    v = halstead_suite(N1=2, N2=3, n1=2, n2=2)
     assert v[38] == 5 and v[40] == 4
     assert v[41] == pytest.approx(10.0)
     assert v[35] == pytest.approx(1.5)
@@ -64,13 +63,12 @@ def test_halstead_hand_counted_snippet():
     st.integers(0, 50), st.integers(0, 50), st.integers(0, 50), st.integers(0, 50)
 )
 def test_halstead_identities(n1_distinct, n2_distinct, extra1, extra2):
-    counts = HalsteadCounts(
+    v = halstead_suite(
         N1=n1_distinct + extra1 if n1_distinct else 0,
         N2=n2_distinct + extra2 if n2_distinct else 0,
         n1=n1_distinct,
         n2=n2_distinct,
     )
-    v = halstead_suite(counts)
     assert v[38] == v[30] + v[31]
     assert v[40] == v[32] + v[33]
     if v[40] > 0:
@@ -173,6 +171,27 @@ def test_mi_hand_arithmetic():
     expected = 171 - 5.2 * math.log(100) - 0.23 * 10 - 16.2 * math.log(20)
     assert maintainability_index(100.0, 10.0, 20.0) == pytest.approx(expected)
     assert maintainability_index(100.0, 10.0, 20.0) == pytest.approx(96.22, abs=0.01)
+
+
+def test_mi_hand_counted_two_methods():
+    src = """package p;
+class A {
+    int f(int x) {
+        if (x > 0) {
+            return x;
+        }
+        return 0;
+    }
+    void g() { }
+}
+"""
+    v = by_id(compute_all_metrics(_model(("p/A.java", src)))["p/A.java"])
+    # f: 6 body lines, cyclomatic 2, operators {if, >, return x2} and operands
+    # {x x2, 0 x2}, so V = 8*log2(5). g: 1 body line, cyclomatic 1, V = 0.
+    assert (v[5], v[26], v[15]) == (3.5, 3.0, 2.0)
+    expected = 171 - 5.2 * math.log(8 * math.log2(5) / 2) - 0.23 * 1.5 - 16.2 * math.log(3.5)
+    assert v[25] == pytest.approx(expected, abs=1e-12)
+    assert v[25] == pytest.approx(138.77, abs=0.01)
 
 
 def test_mi_zero_method_file():
