@@ -1,7 +1,7 @@
 """Structural parser for a Java subset.
 
-Captures packages, imports, class/interface declarations (including nested
-ones), fields, constructors and methods. Each method body is walked once at
+Captures packages, imports, class/interface/enum declarations (including
+nested ones), fields, constructors and methods. Each method body is walked once at
 token level: brace tracking gives block depths, a fixed keyword/symbol table
 gives decision points and operator/operand tallies, and bare or `this.`
 identifiers give the candidate field accesses. A parsed unit keeps counts and
@@ -46,7 +46,7 @@ class MethodDecl:
 @dataclass
 class TypeDecl:
     name: str
-    kind: str  # class | interface
+    kind: str  # class | interface | enum
     is_abstract: bool = False
     extends_names: list[str] = field(default_factory=list)
     field_names: list[str] = field(default_factory=list)
@@ -161,9 +161,7 @@ class _Parser:
                 self.skip_annotation()
             else:
                 mods = self.modifiers()
-                if self.at("enum"):
-                    self.skim_enum()
-                elif self.at("class") or self.at("interface"):
+                if self.at("class") or self.at("interface") or self.at("enum"):
                     self.parse_type(mods)
                 elif self.peek() is not None:
                     # Recovery: skip one token of what we don't model, with
@@ -182,15 +180,8 @@ class _Parser:
             else:
                 return mods
 
-    def skim_enum(self):
-        self.expect("enum")
-        while self.peek() is not None and not self.at("{"):
-            self.take()
-        if self.at("{"):
-            self.skim_balanced("{", "}")
-
     def parse_type(self, mods: set[str]):
-        kind = self.take().text  # class | interface
+        kind = self.take().text  # class | interface | enum
         name = self.take().text
         decl = TypeDecl(
             name=name,
@@ -203,11 +194,24 @@ class _Parser:
         implemented = self._type_list() if self.at("implements") else []
         decl.referenced_type_names.update(decl.extends_names, implemented)
         self.expect("{")
+        if kind == "enum":
+            self.skip_enum_constants()
         self.parse_type_body(decl)
         field_names = set(decl.field_names)
         for method in decl.constructors + decl.methods:
             method.accessed_field_names &= field_names
         self.unit.types.append(decl)
+
+    def skip_enum_constants(self):
+        """Skip an enum's constants, with their arguments and bodies, through
+        the first top-level ';' or up to the enum's closing '}'."""
+        while (t := self.peek()) is not None and t.text != "}":
+            if t.text == "(":
+                self.skim_balanced("(", ")")
+            elif t.text == "{":
+                self.skim_balanced("{", "}")
+            elif self.take().text == ";":
+                return
 
     def _type_list(self) -> list[str]:
         """The comma-separated names after 'extends', 'implements' or 'throws'."""
@@ -229,10 +233,8 @@ class _Parser:
             mods = self.modifiers()
             if self.at("{"):  # instance/static initializer block
                 self.skim_balanced("{", "}")
-            elif self.at("class") or self.at("interface"):
+            elif self.at("class") or self.at("interface") or self.at("enum"):
                 self.parse_type(mods)
-            elif self.at("enum"):
-                self.skim_enum()
             else:  # a bare ';' is an empty member
                 self.parse_member(decl)
 

@@ -162,7 +162,18 @@ def test_grammar_fixture_parameter_annotations_add_no_type_names(path, names):
 def test_enum_skimmed_without_failure():
     src = "enum Color { RED, GREEN } class A { void m() { } }"
     unit = parse_source(src, "A.java")
-    assert [t.name for t in unit.types] == ["A"]
+    assert [t.name for t in unit.types] == ["Color", "A"]
+
+
+def test_enum_members_after_constants():
+    src = ("enum E implements I { A(1), B { void x() { } }; private int v; "
+           "E(int v) { this.v = v; } int get() { return v; } }")
+    (decl,) = parse_source(src, "E.java").types
+    assert decl.kind == "enum" and not decl.is_abstract
+    assert decl.field_names == ["v"]
+    assert len(decl.constructors) == 1
+    assert [m.name for m in decl.methods] == ["get"]
+    assert decl.referenced_type_names == {"I"}
 
 
 def test_unbalanced_braces_error():
