@@ -558,6 +558,8 @@ def test_freq_malformed_report_is_one_line_data_error(tmp_path, capsys, row):
         pytest.param("dataset {dir_manifests} {metrics} --strategy avg --out {tmp}/o", 1, id="dataset-manifest-dir"),
         pytest.param("freq {missing} --threshold 1", 1, id="freq-missing"),
         pytest.param("freq {dir} --threshold 1", 1, id="freq-dir"),
+        pytest.param("extract {file} --out {tmp}/o", 1, id="extract-source-not-dir"),
+        pytest.param("dataset {file} {metrics} --strategy avg --out {tmp}/o", 1, id="dataset-manifests-not-dir"),
         pytest.param("extract {corpus} --out {file}", 1, id="extract-out-file"),
         pytest.param("dataset {manifests} {metrics} --strategy avg --out {file}", 1, id="dataset-out-file"),
         pytest.param("select {csv} --out {file}", 1, id="select-out-file"),

@@ -310,6 +310,12 @@ def test_csv_header_validation():
         assert footer in str(exc.value)
 
 
+def test_csv_row_width_validation():
+    for row in ("b1,success", "b1,success,1,2"):
+        with pytest.raises(DataError, match=r"^row 2: expected 3 cells, got (2|4)$"):
+            read_csv(f"build_id,label,m9\n{row}\n")
+
+
 def test_csv_rejects_warning_label():
     with pytest.raises(DataError):
         read_csv("build_id,label,m9\nb1,warning,1\n")

@@ -310,6 +310,11 @@ def test_su_three_of_four_agreement():
     assert expected == pytest.approx(0.343711, abs=1e-6)
 
 
+def test_su_length_mismatch():
+    with pytest.raises(SelectionError, match="sequences differ in length"):
+        symmetric_uncertainty([0, 1, 0], [0, 1])
+
+
 @given(
     st.lists(
         st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=16

@@ -176,6 +176,12 @@ def test_enum_members_after_constants():
     assert decl.referenced_type_names == {"I"}
 
 
+def test_stray_parenthesis_in_type_body_skimmed():
+    (decl,) = parse_source("class A { (x) int y; }", "A.java").types
+    assert decl.field_names == ["y"]
+    assert decl.methods == [] and decl.constructors == []
+
+
 def test_unbalanced_braces_error():
     # The body walk looks one or two tokens ahead; at the end of the file it
     # must report the body's opening brace, not index past the last token.
