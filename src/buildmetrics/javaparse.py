@@ -1,12 +1,12 @@
 """Structural parser for a Java subset.
 
 Captures packages, imports, class/interface/enum declarations (including
-nested ones), fields, constructors and methods. Each method body is walked once at
-token level: brace tracking gives block depths, a fixed keyword/symbol table
-gives decision points and operator/operand tallies, and bare or `this.`
-identifiers give the candidate field accesses. A parsed unit keeps counts and
-names, not tokens. Generics, annotations and lambdas are tolerated token-wise
-but not modeled structurally.
+nested ones), fields, constructors and methods. Each method body is walked
+once at token level: brace tracking gives block depths, a fixed
+keyword/symbol table gives decision points and operator/operand tallies, and
+bare or `this.` identifiers give the candidate field accesses. A parsed unit
+keeps counts and names, not tokens. Generics, annotations and lambdas are
+tolerated token-wise but not modeled structurally.
 """
 
 from collections import Counter
