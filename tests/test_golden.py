@@ -4,10 +4,10 @@ The test builds small seeded inputs in a temporary directory -- the fixture
 corpus, the hand-written grammar tree (annotations, enums, initializers,
 `throws` lists, deep generics, recovery inputs and one file that fails to
 parse), a planted-rule corpus and a coupled cross-package corpus from
-`tests/synth.py`, and two noisy 150-row datasets -- and runs all five
-subcommands on them through `main()`. `tests/data/golden.json` holds, for each
-artifact, the SHA-256 of its bytes and a short digest of every line; the
-line digests name the first differing line when a hash fails.
+`tests/synth.py`, two noisy 150-row datasets and one of 600 rows -- and runs
+all five subcommands on them through `main()`. `tests/data/golden.json`
+holds, for each artifact, the SHA-256 of its bytes and a short digest of
+every line; the line digests name the first differing line when a hash fails.
 
 A change that alters artifact bytes on purpose regenerates the file with
 
@@ -42,12 +42,12 @@ def _run(*argv) -> str:
     return buf.getvalue()
 
 
-def _noisy_dataset(path: Path, strategy: str, seed: int) -> Path:
-    """150 rows; metric 9 > 50 decides the label before 20% of labels flip."""
+def _noisy_dataset(path: Path, strategy: str, seed: int, n: int = 150) -> Path:
+    """n rows; metric 9 > 50 decides the label before 20% of labels flip."""
     rng = random.Random(seed)
-    flipped = set(rng.sample(range(150), 30))
+    flipped = set(rng.sample(range(n), n // 5))
     rows = []
-    for r in range(150):
+    for r in range(n):
         values = [
             round(rng.uniform(0.0, 100.0), 3) if mid == 9 or mid % 3 == 0
             else float(rng.randrange(12 + mid))
@@ -58,6 +58,11 @@ def _noisy_dataset(path: Path, strategy: str, seed: int) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(ds.write_csv(ds.Dataset(list(METRIC_IDS), rows, strategy)))
     return path
+
+
+def noisy_600(root: Path) -> Path:
+    """The 600-row noisy dataset that the gate evaluates for deep trees."""
+    return _noisy_dataset(root / "noisy-600" / "average.csv", "average", 41, n=600)
 
 
 def _pipeline(name: str, src: Path, manifests: Path, out: Path, datasets):
@@ -92,6 +97,8 @@ def build_artifacts(root: Path) -> dict[str, bytes]:
     for path in noisy:
         for seed in ("0", "3"):
             _run("evaluate", path, "--seed", seed, "--out", out / "noisy" / f"evaluate-{seed}")
+    # Deep trees: each fold grows about 140 nodes, where 150 rows grow about 40.
+    _run("evaluate", noisy_600(root), "--seed", "0", "--out", out / "noisy" / "evaluate-600")
     return {
         p.relative_to(out).as_posix(): p.read_bytes()
         for p in sorted(out.rglob("*")) if p.is_file()
