@@ -4,8 +4,9 @@ selection-frequency thresholds.
 Numeric features are discretized once per dataset with Fayyad-Irani MDL
 partitioning (`discretize`); IG ranking and CFS both score that one table of
 bins. MDL and tree induction share one cut search, `best_cut`: a single sweep
-over rows in value order with running class counts. MDL sorts each feature
-once and recurses on index ranges, handing each side's class counts down.
+over rows in value order with running class counts that screens each cut in
+O(1). MDL sorts each feature once and splits index ranges popped from a
+stack, handing each side's class counts down.
 The CFS search is best-first forward search with a patience of 5
 non-improving expansions; merit ties break toward the smaller,
 lexicographically earlier subset so results are deterministic.
@@ -52,36 +53,62 @@ def entropy(labels) -> float:
     return _entropy(Counter(labels).values(), len(labels))
 
 
+_CLOG = [0.0]  # _CLOG[c] = c * log2(c), grown on demand
+_DCLOG = []  # _DCLOG[c] = _CLOG[c + 1] - _CLOG[c]
+
+
+def _cut(pos, left, n, counts, h_total):
+    """best_cut's result for the cut that puts class counts `left` before pos."""
+    h_left = _entropy(left, pos)
+    h_right = _entropy([c - c_left for c, c_left in zip(counts, left)], n - pos)
+    return h_total - (pos / n) * h_left - ((n - pos) / n) * h_right, pos, h_left, h_right, list(left)
+
+
 def best_cut(order, values, ys, counts, min_size=1, eps=_GAIN_EPS):
     """Best binary cut of the rows in `order` by information gain, or None.
 
     order lists rows sorted by value, ys holds each row's class index and
-    counts the class counts over order. One sweep keeps running left/right
+    counts the class counts over order. One sweep keeps running left
     counts; cuts fall only between distinct values, leave at least min_size
     rows per side and gain more than _GAIN_EPS. A later cut wins only by more
     than eps. Returns (gain, pos, h_left, h_right, left_counts): rows
     order[:pos] go left.
+
+    Each cut is screened in O(1): with s the running sum of c*log2(c) over
+    both sides' counts, s - pos*log2(pos) - (n-pos)*log2(n-pos) is
+    n * (gain - H). Only cuts within rounding distance of the bar to beat,
+    and the winner, get exact entropies, so the result is exact.
     """
     n = len(order)
+    clog, dclog = _CLOG, _DCLOG
+    for c in range(len(clog), n + 1):
+        clog.append(c * math.log2(c))
+        dclog.append(clog[c] - clog[c - 1])
     h_total = _entropy(counts, n)
+    # Each row adds a few roundings of about eps_mach * clog[n] to s; the
+    # band holds them and the exact gains' own, with a margin of two.
+    band = 1e-14 * (n + len(counts)) * clog[n]
+    lo = n * (_GAIN_EPS - h_total) - band  # the bar in units of s, less the band
     left = [0] * len(counts)
-    right = list(counts)
-    best = None
-    v_next = values[order[0]]
-    for pos in range(1, n):
-        y = ys[order[pos - 1]]
-        left[y] += 1
-        right[y] -= 1
-        v_prev = v_next
-        v_next = values[order[pos]]
+    s = sum([clog[c] for c in counts])
+    best = None  # (pos, left counts)
+    vs = [values[i] for i in order]
+    for pos, y, v_prev, v_next in zip(range(1, n), [ys[i] for i in order], vs, vs[1:]):
+        c_left = left[y]
+        s += dclog[c_left] - dclog[counts[y] - c_left - 1]
+        left[y] = c_left + 1
         if v_prev == v_next or pos < min_size or n - pos < min_size:
             continue
-        h_left = _entropy(left, pos)
-        h_right = _entropy(right, n - pos)
-        gain = h_total - (pos / n) * h_left - ((n - pos) / n) * h_right
-        if gain > _GAIN_EPS and (best is None or gain > best[0] + eps):
-            best = (gain, pos, h_left, h_right, list(left))
-    return best
+        score = s - clog[pos] - clog[n - pos]
+        if score < lo:
+            continue
+        if score <= lo + 2 * band:  # a near-tie: the exact gains decide
+            gain = _cut(pos, left, n, counts, h_total)[0]
+            if not (gain > _GAIN_EPS and (best is None or gain > _cut(*best, n, counts, h_total)[0] + eps)):
+                continue
+        best = (pos, list(left))
+        lo = score + n * eps - band
+    return best and _cut(*best, n, counts, h_total)
 
 
 def cut_point(a: float, b: float) -> float:
@@ -101,35 +128,33 @@ def discretize_mdl(values: list[float], labels: list) -> list[float]:
     if len(values) != len(labels):
         raise SelectionError("values and labels differ in length")
     order = sorted(range(len(values)), key=values.__getitem__)
+    values = [values[i] for i in order]
     class_index: dict = {}
     ys = [class_index.setdefault(labels[i], len(class_index)) for i in order]
-    counts = [ys.count(y) for y in range(len(class_index))]
     cuts: list[float] = []
-    _mdl_split([values[i] for i in order], ys, 0, len(ys), counts, cuts)
+    # Frames (lo, hi, counts) wait on a stack, not in recursion: any depth.
+    stack = [(0, len(ys), [ys.count(y) for y in range(len(class_index))])]
+    while stack:
+        lo, hi, counts = stack.pop()
+        k = sum(1 for c in counts if c)
+        if k < 2:
+            continue
+        best = best_cut(range(lo, hi), values, ys, counts, eps=1e-15)
+        if best is None:
+            continue
+        gain, pos, h_left, h_right, left = best
+        right = [c - c_left for c, c_left in zip(counts, left)]
+        k1 = sum(1 for c in left if c)
+        k2 = sum(1 for c in right if c)
+        n = hi - lo
+        delta = math.log2(3**k - 2) - (k * _entropy(counts, n) - k1 * h_left - k2 * h_right)
+        threshold = (math.log2(n - 1) + delta) / n
+        if gain <= threshold:
+            continue
+        mid = lo + pos
+        cuts.append(cut_point(values[mid - 1], values[mid]))
+        stack += [(lo, mid, left), (mid, hi, right)]
     return sorted(cuts)
-
-
-def _mdl_split(values: list[float], ys: list[int], lo: int, hi: int, counts: list[int], cuts: list[float]):
-    # values[lo:hi] is sorted and counts holds the class counts of ys[lo:hi].
-    k = sum(1 for c in counts if c)
-    if k < 2:
-        return
-    best = best_cut(range(lo, hi), values, ys, counts, eps=1e-15)
-    if best is None:
-        return
-    gain, pos, h_left, h_right, left = best
-    right = [c - c_left for c, c_left in zip(counts, left)]
-    k1 = sum(1 for c in left if c)
-    k2 = sum(1 for c in right if c)
-    n = hi - lo
-    delta = math.log2(3**k - 2) - (k * _entropy(counts, n) - k1 * h_left - k2 * h_right)
-    threshold = (math.log2(n - 1) + delta) / n
-    if gain <= threshold:
-        return
-    mid = lo + pos
-    cuts.append(cut_point(values[mid - 1], values[mid]))
-    _mdl_split(values, ys, lo, mid, left, cuts)
-    _mdl_split(values, ys, mid, hi, right, cuts)
 
 
 def _mdl_bins(values: list[float], labels: list) -> list[int]:

@@ -1,15 +1,18 @@
 import math
 import random
+import sys
 from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from buildmetrics import featsel
 from buildmetrics.dataset import Dataset
 from buildmetrics.errors import SelectionError
 from buildmetrics.featsel import (
     SelectionRun,
+    best_cut,
     cfs_merit,
     cfs_select,
     discretize,
@@ -182,6 +185,116 @@ def test_mdl_matches_oracle_randomized():
 def test_mdl_length_mismatch():
     with pytest.raises(SelectionError):
         discretize_mdl([1.0], ["a", "b"])
+
+
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_mdl_cut_depth_does_not_grow_the_stack(monkeypatch):
+    # Labels change every 20 rows: each accepted cut peels one block off an
+    # end, so the 99 cuts nest 99 deep. A recursive split would call
+    # best_cut from about 99 different stack depths.
+    depths = []
+
+    def recording_best_cut(*args, **kwargs):
+        depths.append(_frame_depth())
+        return best_cut(*args, **kwargs)
+
+    monkeypatch.setattr(featsel, "best_cut", recording_best_cut)
+    n = 2000
+    cuts = discretize_mdl([float(i) for i in range(n)], ["fs"[i // 20 % 2] for i in range(n)])
+    assert cuts == [i - 0.5 for i in range(20, n, 20)]
+    assert max(depths) - min(depths) <= 2
+
+
+# -- the screened cut sweep --------------------------------------------------------
+
+
+def reference_best_cut(order, values, ys, counts, min_size=1, eps=1e-12):
+    """The cut sweep before screening, verbatim: two entropies per cut."""
+    n = len(order)
+    h_total = featsel._entropy(counts, n)
+    left = [0] * len(counts)
+    right = list(counts)
+    best = None
+    v_next = values[order[0]]
+    for pos in range(1, n):
+        y = ys[order[pos - 1]]
+        left[y] += 1
+        right[y] -= 1
+        v_prev = v_next
+        v_next = values[order[pos]]
+        if v_prev == v_next or pos < min_size or n - pos < min_size:
+            continue
+        h_left = featsel._entropy(left, pos)
+        h_right = featsel._entropy(right, n - pos)
+        gain = h_total - (pos / n) * h_left - ((n - pos) / n) * h_right
+        if gain > 1e-12 and (best is None or gain > best[0] + eps):
+            best = (gain, pos, h_left, h_right, list(left))
+    return best
+
+
+@st.composite
+def _sweep_inputs(draw):
+    """Rows with class indices and values, and a subset of them to sweep:
+    coarse value grids give many ties; a mirrored label sequence over
+    distinct values gives cuts whose gains tie in real arithmetic."""
+    k = draw(st.integers(2, 4))
+    ys = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        ys = ys + ys[::-1]
+        values = [float(i) for i in range(len(ys))]
+    else:
+        grid = draw(st.sampled_from([2, 5, 20, 1000]))
+        values = draw(st.lists(st.integers(0, grid), min_size=len(ys), max_size=len(ys)))
+        values = [v / 7 for v in values]
+    rows = draw(st.sets(st.integers(0, len(ys) - 1), min_size=1)) if draw(st.booleans()) else range(len(ys))
+    order = sorted(rows, key=values.__getitem__)
+    counts = [sum(1 for i in order if ys[i] == y) for y in range(k)]
+    return order, values, ys, counts
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_sweep_inputs(), st.sampled_from([1, 2]), st.sampled_from([1e-12, 1e-15]))
+def test_best_cut_equals_the_unscreened_sweep(inputs, min_size, eps):
+    order, values, ys, counts = inputs
+    assert best_cut(order, values, ys, counts, min_size, eps) == reference_best_cut(
+        order, values, ys, counts, min_size, eps)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_best_cut_breaks_long_mirror_ties_as_the_unscreened_sweep(seed):
+    # Mirrored labels over distinct values: the cuts at pos and n - pos tie
+    # in real arithmetic, while the running sum's rounding grows with n.
+    rng = random.Random(seed)
+    half = [rng.randrange(2 + seed % 2) for _ in range(1500)]
+    ys = half + half[::-1]
+    values = [float(i) for i in range(len(ys))]
+    counts = [ys.count(y) for y in range(2 + seed % 2)]
+    for min_size, eps in ((1, 1e-15), (2, 1e-12)):
+        assert best_cut(range(len(ys)), values, ys, counts, min_size, eps) == reference_best_cut(
+            range(len(ys)), values, ys, counts, min_size, eps)
+
+
+@pytest.mark.parametrize("classes, grid", [(2, None), (3, None), (4, 50), (2, 400)])
+def test_best_cut_computes_a_bounded_number_of_entropies(monkeypatch, classes, grid):
+    # The unscreened sweep computes two entropies per cut, about 4000 here.
+    calls = []
+    entropy_of = featsel._entropy
+    monkeypatch.setattr(featsel, "_entropy", lambda counts, n: calls.append(n) or entropy_of(counts, n))
+    rng = random.Random(classes * 1000 + (grid or 0))
+    n = 2000
+    ys = [rng.randrange(classes) for _ in range(n)]
+    values = [float(rng.randrange(grid)) if grid else rng.random() for _ in range(n)]
+    order = sorted(range(n), key=values.__getitem__)
+    counts = [ys.count(y) for y in range(classes)]
+    got = best_cut(order, values, ys, counts, 2)
+    assert len(calls) <= 10
+    assert got == reference_best_cut(order, values, ys, counts, 2)
 
 
 # -- information gain -----------------------------------------------------------
