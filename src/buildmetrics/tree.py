@@ -8,13 +8,15 @@ Pruning is one bottom-up pass of subtree replacement using the binomial
 upper confidence bound on the leaf error rate; the bound is computed in log
 space, so it stays finite at any node size. The settings are C4.5's
 defaults: at least 2 instances per leaf and a confidence factor of 0.25.
-Trees are grown and walked with explicit stacks, so any depth works. All
-randomness flows through the caller-supplied seed.
+Trees are grown and walked with explicit stacks, so any depth works. With a
+second CPU, a forked child runs the odd cross-validation folds and returns
+only their outcomes. All randomness flows through the caller-supplied seed.
 """
 
 import functools
 import json
 import math
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -156,8 +158,8 @@ def _binomial_upper_bound(errors: int, n: int, cf: float) -> float:
 
     The CDF is summed in log space, each term scaled by the largest, so the
     bound stays finite at any n. The bound depends on its arguments alone, so
-    one memo serves every prune call: all cross-validation folds and the
-    final tree. Its keys are bounded by the training set sizes seen.
+    one memo per process serves every prune call there: the folds it runs and
+    the final tree. Its keys are bounded by the training set sizes seen.
     """
     if errors >= n:  # also the empty node, n == 0
         return 1.0
@@ -235,6 +237,46 @@ def stratified_folds(labels: list[str], k: int, seed: int) -> list[int]:
     return assignment
 
 
+def _fold(dataset: Dataset, assignment: list[int], fold: int) -> list[tuple[str, str, bool]]:
+    """(build_id, label, hit) for each test row of one fold, in row order,
+    from a tree grown and pruned on the other folds' rows."""
+    model = prune(train(replace(dataset, rows=[
+        row for i, row in enumerate(dataset.rows) if assignment[i] != fold])))
+    return [
+        (bid, label, predict(model, dict(zip(dataset.feature_ids, values))) == label)
+        for i, (bid, label, values) in enumerate(dataset.rows) if assignment[i] == fold
+    ]
+
+
+def _fork(work):
+    """With os.fork and a second CPU, start work() in a child and return join(),
+    which reaps it and gives work()'s result, or None if the child failed."""
+    if not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2:
+        return None
+    import pickle
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(work(), pipe)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+
+    def join():
+        with open(read_fd, "rb") as pipe:
+            data = pipe.read()
+        try:
+            return pickle.loads(data) if os.waitpid(pid, 0)[1] == 0 else None
+        except Exception:  # what the child sent does not unpickle
+            return None
+
+    return join
+
+
 def cross_validate(dataset: Dataset, k: int = 10, seed: int = 0) -> EvaluationReport:
     """Stratified k-fold cross-validation with summed confusion counts.
 
@@ -251,24 +293,17 @@ def cross_validate(dataset: Dataset, k: int = 10, seed: int = 0) -> EvaluationRe
         raise EvaluationError("minority class too small for cross-validation")
     assignment = stratified_folds(labels, k, seed)
 
-    correct: Counter = Counter()
-    incorrect: Counter = Counter()
-    folds: list[list[str]] = [[] for _ in range(k)]
-    for fold in range(k):
-        train_rows = [row for i, row in enumerate(dataset.rows) if assignment[i] != fold]
-        test_rows = [row for i, row in enumerate(dataset.rows) if assignment[i] == fold]
-        model = prune(train(replace(dataset, rows=train_rows)))
-        for bid, label, values in test_rows:
-            folds[fold].append(bid)
-            features = dict(zip(dataset.feature_ids, values))
-            if predict(model, features) == label:
-                correct[label] += 1
-            else:
-                incorrect[label] += 1
-
-    total = sum(correct.values()) + sum(incorrect.values())
-    acc = accuracy_percent(sum(correct.values()), total)
+    # A forked child, if any, runs the odd folds; this process the rest.
+    odd = range(1, k, 2)
+    join = _fork(lambda: [_fold(dataset, assignment, fold) for fold in odd])
+    results = {fold: _fold(dataset, assignment, fold) for fold in range(0, k, 2 if join else 1)}
     full_tree = prune(train(dataset))
+    if join:
+        results.update(zip(odd, join() or [_fold(dataset, assignment, fold) for fold in odd]))
+    correct = Counter(label for outcomes in results.values() for _, label, hit in outcomes if hit)
+    incorrect = Counter(label for outcomes in results.values() for _, label, hit in outcomes if not hit)
+    folds = [[bid for bid, _, _ in results[fold]] for fold in range(k)]
+    acc = accuracy_percent(sum(correct.values()), len(dataset.rows))
     per_class = {
         label: (correct.get(label, 0), incorrect.get(label, 0))
         for label in sorted(class_counts)

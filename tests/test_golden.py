@@ -19,7 +19,10 @@ and says in CHANGES.md which artifacts changed and why.
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -128,6 +131,25 @@ def test_artifacts_match_golden(tmp_path):
         if hashlib.sha256(data).hexdigest() != golden["sha256"][name]
     ]
     assert not failures, "\n".join(failures)
+
+
+def test_evaluate_process_matches_the_serial_run(tmp_path, monkeypatch):
+    # The benchmark runs each stage as `python -m buildmetrics.cli`, where
+    # folds split over two CPUs when the host has them; its bytes must not
+    # depend on that split or on the hash seed.
+    dataset = noisy_600(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        _run("evaluate", dataset, "--seed", "0", "--out", tmp_path / "serial")
+    expected = {p.name: p.read_bytes() for p in (tmp_path / "serial").iterdir()}
+    src = Path(__file__).parent.parent / "src"
+    for hash_seed in ("0", "4242"):
+        out = tmp_path / f"process-{hash_seed}"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        subprocess.run([sys.executable, "-m", "buildmetrics.cli", "evaluate", str(dataset),
+                        "--seed", "0", "--out", str(out)], env=env, check=True,
+                       capture_output=True)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
 
 
 if __name__ == "__main__":

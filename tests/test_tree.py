@@ -1,6 +1,9 @@
 import json
 import math
+import os
+import pickle
 import random
+import signal
 import sys
 from collections import Counter
 
@@ -8,6 +11,7 @@ import pytest
 
 from buildmetrics.dataset import Dataset
 from buildmetrics.errors import EvaluationError
+from buildmetrics import tree as tree_module
 from buildmetrics.featsel import discretize, info_gain_rank
 from buildmetrics.tree import (
     EvaluationReport,
@@ -600,6 +604,103 @@ def test_cross_validate_deterministic():
     assert c.folds != a.folds
     # Different seeds vary fold assignment only; the full-data tree is seedless.
     assert render_tree(c.tree) == render_tree(a.tree)
+
+
+# -- folds split over two processes -------------------------------------------------
+
+
+def _noisy_cv_dataset(n=240, seed=4):
+    """Two informative features under 20% label noise: deep fold trees."""
+    rng = random.Random(seed)
+    columns = {mid: [rng.uniform(0, 100) for _ in range(n)] for mid in (3, 9, 12)}
+    labels = [
+        ("failed" if columns[9][i] + columns[3][i] / 4 > 60 else "success")
+        if rng.random() > 0.2 else rng.choice(["failed", "success"])
+        for i in range(n)
+    ]
+    return make_dataset(columns, labels)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count os.fork calls; with two CPUs visible, so the fork path runs
+    whatever CPUs the host has."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return calls
+
+
+def _serial_report(monkeypatch, data, k, seed):
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return report_json(cross_validate(data, k=k, seed=seed))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("k, seed", [(10, 0), (3, 7), (2, 1)])
+def test_forked_folds_match_the_serial_report(monkeypatch, forks, k, seed):
+    data = _noisy_cv_dataset()
+    forked = report_json(cross_validate(data, k=k, seed=seed))
+    assert forks == [os.getpid()]
+    _assert_no_child_left()
+    assert forked == _serial_report(monkeypatch, data, k, seed)
+    assert len(forks) == 1
+
+
+def test_cross_validate_forks_on_a_chain_too_deep_to_pickle(forks):
+    # A tree of this chain is about 1100 levels deep; pickling it raises
+    # RecursionError, so only the folds' outcomes may cross the pipe.
+    n = 2200
+    labels = [("failed", "success")[i // 2 % 2] for i in range(n)]
+    data = make_dataset({1: [float(i) for i in range(n)]}, labels)
+    report = cross_validate(data, k=2, seed=0)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    assert {label: c + i for label, (c, i) in report.per_class.items()} == Counter(labels)
+    assert [len(fold) for fold in report.folds] == [n // 2, n // 2]
+    assert report.tree.node_count() == n - 1
+
+
+def _in_child(parent, action):
+    """Wrap tree._fold so that the forked child does `action` instead."""
+    fold = tree_module._fold
+
+    def wrapped(*args):
+        if os.getpid() != parent:
+            action()
+        return fold(*args)
+
+    return wrapped
+
+
+def _raise():
+    raise RuntimeError("child failed")
+
+
+@pytest.mark.parametrize("failure", ["raises", "killed", "garbage"])
+def test_a_failed_child_leaves_the_serial_report(monkeypatch, forks, failure):
+    data = _noisy_cv_dataset()
+    expected = _serial_report(monkeypatch, data, 10, 3)
+    parent = os.getpid()
+    if failure == "garbage":
+        monkeypatch.setattr(pickle, "dump", lambda obj, f: f.write(b"\x80\x05not a pickle"))
+    else:
+        action = _raise if failure == "raises" else lambda: os.kill(os.getpid(), signal.SIGKILL)
+        monkeypatch.setattr(tree_module, "_fold", _in_child(parent, action))
+    assert report_json(cross_validate(data, k=10, seed=3)) == expected
+    assert forks == [parent]
+    _assert_no_child_left()
 
 
 def test_accuracy_format():
