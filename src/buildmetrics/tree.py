@@ -18,6 +18,7 @@ import json
 import math
 import os
 import random
+import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -238,20 +239,18 @@ def stratified_folds(labels: list[str], k: int, seed: int) -> list[int]:
 
 
 def _fold(dataset: Dataset, assignment: list[int], fold: int) -> list[tuple[str, str, bool]]:
-    """(build_id, label, hit) for each test row of one fold, in row order,
-    from a tree grown and pruned on the other folds' rows."""
+    """(build_id, label, hit) per test row of a fold, by a tree pruned on the rest."""
     model = prune(train(replace(dataset, rows=[
         row for i, row in enumerate(dataset.rows) if assignment[i] != fold])))
-    return [
-        (bid, label, predict(model, dict(zip(dataset.feature_ids, values))) == label)
-        for i, (bid, label, values) in enumerate(dataset.rows) if assignment[i] == fold
-    ]
+    return [(bid, label, predict(model, dict(zip(dataset.feature_ids, values))) == label)
+            for i, (bid, label, values) in enumerate(dataset.rows) if assignment[i] == fold]
 
 
 def _fork(work):
-    """With os.fork and a second CPU, start work() in a child and return join(),
-    which reaps it and gives work()'s result, or None if the child failed."""
-    if not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2:
+    """Start work() in a forked child if there are two CPUs and no thread to
+    lose in the fork; join() reaps it and gives the result, None on failure."""
+    cpus = getattr(os, "sched_getaffinity", lambda _: ())(0)
+    if not hasattr(os, "fork") or len(cpus) < 2 or threading.active_count() > 1:
         return None
     import pickle
     read_fd, write_fd = os.pipe()

@@ -134,13 +134,12 @@ def test_artifacts_match_golden(tmp_path):
 
 
 def test_evaluate_process_matches_the_serial_run(tmp_path, monkeypatch):
-    # The benchmark runs each stage as `python -m buildmetrics.cli`, where
-    # folds split over two CPUs when the host has them; its bytes must not
-    # depend on that split or on the hash seed.
+    # perfbench runs each stage as `python -m buildmetrics.cli`, where folds
+    # split over two CPUs when the host has them; the bytes must not depend
+    # on that split or on the hash seed.
     dataset = noisy_600(tmp_path)
-    with monkeypatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        _run("evaluate", dataset, "--seed", "0", "--out", tmp_path / "serial")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    _run("evaluate", dataset, "--seed", "0", "--out", tmp_path / "serial")
     expected = {p.name: p.read_bytes() for p in (tmp_path / "serial").iterdir()}
     src = Path(__file__).parent.parent / "src"
     for hash_seed in ("0", "4242"):

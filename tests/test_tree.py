@@ -5,6 +5,7 @@ import pickle
 import random
 import signal
 import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -610,7 +611,8 @@ def test_cross_validate_deterministic():
 
 
 def _noisy_cv_dataset(n=240, seed=4):
-    """Two informative features under 20% label noise: deep fold trees."""
+    """Two informative features and one of noise, under 20% label noise:
+    deep fold trees."""
     rng = random.Random(seed)
     columns = {mid: [rng.uniform(0, 100) for _ in range(n)] for mid in (3, 9, 12)}
     labels = [
@@ -670,6 +672,24 @@ def test_cross_validate_forks_on_a_chain_too_deep_to_pickle(forks):
     assert {label: c + i for label, (c, i) in report.per_class.items()} == Counter(labels)
     assert [len(fold) for fold in report.folds] == [n // 2, n // 2]
     assert report.tree.node_count() == n - 1
+
+
+def test_cross_validate_does_not_fork_beside_another_thread(forks):
+    # A forked child would hold only the calling thread, and any lock that
+    # another thread held stays locked there; so folds run in one process.
+    data = _noisy_cv_dataset()
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        beside_thread = report_json(cross_validate(data, k=10, seed=2))
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert forks == []
+    assert report_json(cross_validate(data, k=10, seed=2)) == beside_thread
+    assert len(forks) == 1
 
 
 def _in_child(parent, action):
