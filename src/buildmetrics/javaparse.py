@@ -4,16 +4,20 @@ Captures packages, imports, class/interface/enum declarations (including
 nested ones), fields, constructors and methods. Each method body is walked
 once at token level: brace tracking gives block depths, a fixed
 keyword/symbol table gives decision points and operator/operand tallies, and
-bare or `this.` identifiers give the candidate field accesses. A parsed unit
-keeps counts and names, not tokens. Generics, annotations and lambdas are
-tolerated token-wise but not modeled structurally.
+bare or `this.` identifiers give the candidate field accesses. The parser
+indexes the lexer's parallel lists with the comments dropped, and a position
+is an index into them. A parsed unit keeps counts and names, nothing of the
+token stream. Generics, annotations and lambdas are tolerated token-wise but
+not modeled structurally.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import ne
 
 from .errors import ParseError
-from .lexer import Token, tokenize
+from .lexer import Tokens, tokenize
 
 MODIFIERS = frozenset(
     "public private protected static final abstract synchronized native "
@@ -67,44 +71,53 @@ class CompilationUnit:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file_path: str):
-        self.toks = [t for t in tokens if t.kind != "comment"]
-        self.unit = CompilationUnit(file_path=file_path)
-        self.unit.comment_count = len(tokens) - len(self.toks)
-        self.unit.code_lines = len({t.line for t in self.toks})
+    def __init__(self, tokens: Tokens, file_path: str):
+        code = list(map(ne, tokens.kinds, repeat("comment")))
+        self.kinds, self.texts, self.lines, self.offsets = (
+            list(compress(column, code)) for column in (tokens.kinds, tokens.texts, tokens.lines, tokens.offsets))
+        self.source = tokens.source
+        self.unit = CompilationUnit(file_path=file_path, comment_count=len(tokens) - len(self.texts),
+                                    code_lines=len(set(self.lines)))
         self.i = 0
 
     # -- token helpers -------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token | None:
+    def peek(self, offset: int = 0) -> str | None:
         j = self.i + offset
-        return self.toks[j] if j < len(self.toks) else None
+        return self.texts[j] if j < len(self.texts) else None
 
     def at(self, text: str) -> bool:
-        t = self.peek()
-        return t is not None and t.text == text
+        return self.peek() == text
 
-    def take(self) -> Token:
-        if self.i >= len(self.toks):
+    def take(self) -> str:
+        if self.i >= len(self.texts):
             raise ParseError("unexpected end of file")
-        t = self.toks[self.i]
         self.i += 1
-        return t
+        return self.texts[self.i - 1]
 
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t is None or t.text != text:
-            got = t.text if t else "end of file"
-            line = t.line if t else 0
-            col = t.column if t else 0
-            raise ParseError(f"expected {text!r}, found {got!r}", line, col)
-        return self.take()
+    def error(self, message: str, j: int) -> ParseError:
+        """A ParseError at the line and column of token j."""
+        offset = self.offsets[j]
+        return ParseError(message, self.lines[j], offset - self.source.rfind("\n", 0, offset))
+
+    def expect(self, text: str) -> int:
+        """Consume text and return its position."""
+        if (got := self.peek()) != text:
+            if got is None:
+                raise ParseError(f"expected {text!r}, found 'end of file'")
+            raise self.error(f"expected {text!r}, found {got!r}", self.i)
+        self.i += 1
+        return self.i - 1
+
+    def identifiers(self, positions) -> list[str]:
+        return [self.texts[j] for j in positions if self.kinds[j] == "identifier"]
 
     def dotted_name(self) -> str:
-        parts = [self.take().text]
-        while self.at(".") and (nxt := self.peek(1)) is not None and (nxt.kind == "identifier" or nxt.text == "*"):
+        parts = [self.take()]
+        while self.at(".") and self.peek(1) is not None and (
+                self.kinds[self.i + 1] == "identifier" or self.peek(1) == "*"):
             self.take()
-            parts.append(self.take().text)
+            parts.append(self.take())
         return ".".join(parts)
 
     def skip_generics(self):
@@ -114,7 +127,7 @@ class _Parser:
             return
         depth = 0
         while self.peek() is not None:
-            text = self.take().text
+            text = self.take()
             depth += 1 if text == "<" else -_CLOSERS.get(text, 0)
             if depth <= 0:
                 return
@@ -131,33 +144,32 @@ class _Parser:
         opener = self.expect(open_text)
         depth = 1
         while self.peek() is not None:
-            t = self.take()
-            if t.text == open_text:
+            text = self.take()
+            if text == open_text:
                 depth += 1
-            elif t.text == close_text:
+            elif text == close_text:
                 depth -= 1
                 if depth == 0:
                     return
-        raise ParseError(f"unbalanced {open_text!r}", opener.line, opener.column)
+        raise self.error(f"unbalanced {open_text!r}", opener)
 
     # -- grammar -------------------------------------------------------
 
     def parse(self) -> CompilationUnit:
-        while self.peek() is not None:
-            t = self.peek()
-            if t.text == "package":
+        while (t := self.peek()) is not None:
+            if t == "package":
                 self.take()
                 self.unit.package_name = self.dotted_name()
                 if self.at(";"):
                     self.take()
-            elif t.text == "import":
+            elif t == "import":
                 self.take()
                 if self.at("static"):
                     self.take()
                 self.unit.imports.append(self.dotted_name())
                 if self.at(";"):
                     self.take()
-            elif t.text == "@":  # alone, so that an annotated package declaration is read
+            elif t == "@":  # alone, so that an annotated package declaration is read
                 self.skip_annotation()
             else:
                 mods = self.modifiers()
@@ -175,19 +187,15 @@ class _Parser:
         while True:
             if self.at("@"):
                 self.skip_annotation()
-            elif self.peek() is not None and self.peek().text in MODIFIERS:
-                mods.add(self.take().text)
+            elif self.peek() in MODIFIERS:
+                mods.add(self.take())
             else:
                 return mods
 
     def parse_type(self, mods: set[str]):
-        kind = self.take().text  # class | interface | enum
-        name = self.take().text
-        decl = TypeDecl(
-            name=name,
-            kind=kind,
-            is_abstract=(kind == "interface" or "abstract" in mods),
-        )
+        kind = self.take()  # class | interface | enum
+        name = self.take()
+        decl = TypeDecl(name=name, kind=kind, is_abstract=kind == "interface" or "abstract" in mods)
         self.skip_generics()
         if self.at("extends"):  # interfaces may extend several
             decl.extends_names = self._type_list()
@@ -205,12 +213,12 @@ class _Parser:
     def skip_enum_constants(self):
         """Skip an enum's constants, with their arguments and bodies, through
         the first top-level ';' or up to the enum's closing '}'."""
-        while (t := self.peek()) is not None and t.text != "}":
-            if t.text == "(":
+        while (t := self.peek()) is not None and t != "}":
+            if t == "(":
                 self.skim_balanced("(", ")")
-            elif t.text == "{":
+            elif t == "{":
                 self.skim_balanced("{", "}")
-            elif self.take().text == ";":
+            elif self.take() == ";":
                 return
 
     def _type_list(self) -> list[str]:
@@ -227,7 +235,7 @@ class _Parser:
             t = self.peek()
             if t is None:
                 raise ParseError(f"unbalanced braces in type {decl.name}")
-            if t.text == "}":
+            if t == "}":
                 self.take()
                 return
             mods = self.modifiers()
@@ -241,37 +249,30 @@ class _Parser:
     def parse_member(self, decl: TypeDecl):
         """Parse one field or method/constructor declaration."""
         self.skip_generics()  # generic method type parameters
-        head: list[Token] = []
+        start = self.i
         angle = 0
         while True:
             t = self.peek()
-            if t is None or t.text == "}":
+            if t is None or t == "}":
                 return  # recovery: truncated member
-            if t.text == "<":
+            if t == "<":
                 angle += 1
-            elif t.text in _CLOSERS and angle > 0:
-                angle -= _CLOSERS[t.text]
-            elif angle == 0 and t.text in ("(", "=", ",", ";"):
+            elif t in _CLOSERS and angle > 0:
+                angle -= _CLOSERS[t]
+            elif angle == 0 and t in ("(", "=", ",", ";"):
                 break
-            head.append(self.take())
-        sep = self.peek().text
-        if sep == "(":
-            self.parse_callable(decl, head)
-        else:
-            self.parse_field_decl(decl, head)
+            self.i += 1
+        (self.parse_callable if t == "(" else self.parse_field_decl)(decl, range(start, self.i))
 
-    def parse_callable(self, decl: TypeDecl, head: list[Token]):
+    def parse_callable(self, decl: TypeDecl, head: range):
         if not head:
             # Recovery: stray parenthesis, skim it.
             self.skim_balanced("(", ")")
             return
-        name = head[-1].text
-        type_tokens = head[:-1]
-        is_ctor = not type_tokens and name == decl.name
+        name = self.texts[head[-1]]
+        is_ctor = len(head) == 1 and name == decl.name
         method = MethodDecl(name=name)
-        decl.referenced_type_names.update(
-            t.text for t in type_tokens if t.kind == "identifier"
-        )
+        decl.referenced_type_names.update(self.identifiers(head[:-1]))
         self.parse_parameters(decl, method)
         if self.at("throws"):
             decl.referenced_type_names.update(self._type_list())
@@ -289,37 +290,36 @@ class _Parser:
         annotation, with its arguments, adds no type name."""
         opener = self.expect("(")
         depth, angle = 1, 0
-        segment: list[Token] = []
-        segments: list[list[Token]] = []
+        segment: list[int] = []
+        segments: list[list[int]] = []
         while self.peek() is not None:
             if self.at("@"):
                 self.skip_annotation()
                 continue
             t = self.take()
-            if t.text in ("(", "["):
+            if t in ("(", "["):
                 depth += 1
-            elif t.text in (")", "]"):
+            elif t in (")", "]"):
                 depth -= 1
-                if depth == 0 and t.text == ")":
+                if depth == 0 and t == ")":
                     break
-            elif t.text == "<":
+            elif t == "<":
                 angle += 1
-            elif t.text in _CLOSERS and angle > 0:
-                angle -= _CLOSERS[t.text]
-            elif t.text == "," and depth == 1 and angle == 0:
+            elif t in _CLOSERS and angle > 0:
+                angle -= _CLOSERS[t]
+            elif t == "," and depth == 1 and angle == 0:
                 segments.append(segment)
                 segment = []
                 continue
-            segment.append(t)
+            segment.append(self.i - 1)
         else:
-            raise ParseError("unbalanced parameter list", opener.line, opener.column)
+            raise self.error("unbalanced parameter list", opener)
         if segment:
             segments.append(segment)
         method.parameter_count = len(segments)
         for seg in segments:
-            idents = [t for t in seg if t.kind == "identifier"]
             # Last identifier is the parameter name; the rest are type names.
-            decl.referenced_type_names.update(t.text for t in idents[:-1])
+            decl.referenced_type_names.update(self.identifiers(seg)[:-1])
 
     def parse_body(self, decl: TypeDecl, method: MethodDecl):
         """Walk the body once, from its '{' to the matching '}'.
@@ -330,14 +330,13 @@ class _Parser:
         'this .', is a candidate field access; parse_type keeps those that name
         a field of the type."""
         opener = self.expect("{")
-        toks, end = self.toks, len(self.toks)
+        texts, kinds, end = self.texts, self.kinds, len(self.texts)
         operators, operands = method.operator_tokens, method.operand_tokens
         fields = method.accessed_field_names
         depth, depths, decisions = 1, [1], 0
         i = self.i
         while i < end:
-            t = toks[i]
-            kind, text = t.kind, t.text
+            kind, text = kinds[i], texts[i]
             if text == "{":
                 depth += 1
                 depths.append(depth)
@@ -346,11 +345,11 @@ class _Parser:
                 if depth == 0:
                     break
             elif kind == "identifier":
-                if i + 1 < end and toks[i + 1].text == "(":
+                if i + 1 < end and texts[i + 1] == "(":
                     operators[text] += 1
                 else:
                     operands[text] += 1
-                if toks[i - 1].text != "." or toks[i - 2].text == "this":
+                if texts[i - 1] != "." or texts[i - 2] == "this":
                     fields.add(text)
             elif kind == "operator-symbol":
                 operators["?:" if text == "?" else text] += 1
@@ -361,31 +360,31 @@ class _Parser:
                     operators[text] += 1
                 if text in DECISION_KEYWORDS:
                     decisions += 1
-                elif text == "new" and i + 1 < end and toks[i + 1].kind == "identifier":
+                elif text == "new" and i + 1 < end and kinds[i + 1] == "identifier":
                     j = i + 1
-                    parts = [toks[j].text]
-                    while j + 2 < end and toks[j + 1].text == "." and toks[j + 2].kind == "identifier":
-                        parts.append(toks[j + 2].text)
+                    parts = [texts[j]]
+                    while j + 2 < end and texts[j + 1] == "." and kinds[j + 2] == "identifier":
+                        parts.append(texts[j + 2])
                         j += 2
                     decl.referenced_type_names.add(".".join(parts))
             elif kind == "literal":
                 operands[text] += 1
             i += 1
         else:
-            raise ParseError("unbalanced method body", opener.line, opener.column)
+            raise self.error("unbalanced method body", opener)
         self.i = i + 1
         method.block_depths = depths
         method.decision_points = decisions
-        method.body_lines = toks[i].line - opener.line + 1
+        method.body_lines = self.lines[i] - self.lines[opener] + 1
 
-    def parse_field_decl(self, decl: TypeDecl, head: list[Token]):
+    def parse_field_decl(self, decl: TypeDecl, head: range):
         """head holds the type part plus the first declarator name."""
         if not head:
             if self.peek() is not None:
                 self.take()
             return
-        decl.field_names.append(head[-1].text)
-        decl.referenced_type_names.update(t.text for t in head[:-1] if t.kind == "identifier")
+        decl.field_names.append(self.texts[head[-1]])
+        decl.referenced_type_names.update(self.identifiers(head[:-1]))
         # Consume initializers and further declarators up to ';'. An initializer's
         # generics may hold a comma, so the identifier after a comma names a
         # declarator only when '=', ',', ';' or '[' follows it.
@@ -393,20 +392,19 @@ class _Parser:
         after_comma = False
         while self.peek() is not None:
             t = self.take()
-            if t.text in ("(", "[", "{"):
+            if t in ("(", "[", "{"):
                 depth += 1
-            elif t.text in (")", "]", "}"):
+            elif t in (")", "]", "}"):
                 depth -= 1
-            elif depth == 0 and t.text == ";":
+            elif depth == 0 and t == ";":
                 break
-            elif after_comma and t.kind == "identifier":
-                nxt = self.peek()
-                if nxt is not None and nxt.text in ("=", ",", ";", "["):
-                    decl.field_names.append(t.text)
-            after_comma = depth == 0 and t.text == ","
+            elif after_comma and self.kinds[self.i - 1] == "identifier":
+                if self.peek() in ("=", ",", ";", "["):
+                    decl.field_names.append(t)
+            after_comma = depth == 0 and t == ","
 
 
-def parse_unit(tokens: list[Token], file_path: str, physical_lines: int) -> CompilationUnit:
+def parse_unit(tokens: Tokens, file_path: str, physical_lines: int) -> CompilationUnit:
     """Parse a token stream into a CompilationUnit."""
     unit = _Parser(tokens, file_path).parse()
     unit.physical_lines = physical_lines

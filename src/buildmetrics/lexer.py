@@ -1,82 +1,81 @@
 """Tokenizer for the Java subset handled by the toolkit.
 
-Token kinds follow a fixed classification: identifier, keyword,
-operator-symbol, literal, comment, punctuation. Comments are kept as single
-tokens (delimiters included) so downstream comment counts see one token per
-comment regardless of span.
-
-The whole lexical grammar is one compiled alternation, tried in order at each
-offset. A word starts with a character that `\\w` matches but `\\d` does not,
-or `$`, and continues with `[\\w$]`. So Unicode numerics that are neither
-letters nor decimal digits (categories No and Nl, such as `²`, `½`, `Ⅻ`) are
-identifier characters, while a number starts with a decimal digit.
+Kinds: identifier, keyword, operator-symbol, literal, comment (one token,
+delimiters included) and punctuation. The grammar is one alternation, tried in
+order at each offset by one C-level `findall` per file. A word starts with a
+`\\w` character that is not a decimal digit (`\\d`), or `$`, so Unicode numerics
+such as `²`, `½` and `Ⅻ` are identifier characters.
 """
 
 import re
-from typing import NamedTuple
+from dataclasses import dataclass
+from itertools import accumulate, compress, repeat
 
 from .errors import LexicalError
 
-KEYWORDS = frozenset(
-    """abstract assert boolean break byte case catch char class const continue
-    default do double else enum extends final finally float for goto if
-    implements import instanceof int interface long native new package private
-    protected public return short static strictfp super switch synchronized
-    this throw throws transient try void volatile while""".split()
-)
+KEYWORDS = frozenset("""abstract assert boolean break byte case catch char class const continue default
+    do double else enum extends final finally float for goto if implements import instanceof int interface
+    long native new package private protected public return short static strictfp super switch synchronized
+    this throw throws transient try void volatile while""".split())
+WORD_LITERALS = frozenset({"true", "false", "null"})  # they lex as literals, not keywords
 
-# true/false/null lex as literals, not keywords.
-WORD_LITERALS = frozenset({"true", "false", "null"})
-
-_WORD_KINDS = dict.fromkeys(KEYWORDS, "keyword") | dict.fromkeys(WORD_LITERALS, "literal")
-
+# Longest first. `::` never forms: `:` is punctuation.
+_OPERATORS = (">>>= >>> >>= >> <<= << -> == != <= >= += -= *= /= %= &= |= ^= && || ++ --"
+              " + - * / % = < > ! & | ^ ~ ? .").split()
+_PUNCTUATION = ";,{}()[]:@"
 _UNTERMINATED = {"/*": "block comment", '"': "string literal", "'": "character literal"}
+_SPACE = " \t\r\n"
+_RUN = r"(?:[\d_]|[eE][\d+-])*"  # digits, underscores and exponent pairs such as `e5` or `E-`
 
-# Digits, underscores and exponent pairs such as `e5` or `E-`.
-_RUN = r"(?:[\d_]|[eE][\d+-])*"
-
-_TOKEN = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in [
-    ("space", r"[ \t\r\n]+"),
-    ("comment", r"//[^\n]*|/\*.*?\*/"),
-    ("literal", r'"(?:\\.|[^"\\\n])*"|' r"'(?:\\.|[^'\\\n])*'|"
-                r"0[xX][\da-fA-F_]*[lLfFdD]?|"
-                rf"(?:\.\d|\d{_RUN}\.(?=\d)|\d){_RUN}[lLfFdD]?"),
-    ("word", r"(?:[^\W\d]|\$)[\w$]*"),
-    # Reached only by a `/*` or quote that the groups above cannot close.
-    ("unterminated", r"/\*|[\"']"),
-    ("punctuation", r"[;,{}()\[\]:@]"),
-    # Longest first. `::` never forms: `:` is punctuation.
-    ("operator", r">>>?=?|<<=?|[-+*/%=<>!&|^]=|&&|\|\||\+\+|--|->|[-+*/%=<>!&|^~?.]"),
-    ("illegal", r"."),
+_TOKEN = re.compile("|".join([
+    f"[{_SPACE}]+", r"//[^\n]*|/\*.*?\*/",
+    r'"(?:\\.|[^"\\\n])*"|' r"'(?:\\.|[^'\\\n])*'|" r"0[xX][\da-fA-F_]*[lLfFdD]?",
+    rf"(?:\.\d|\d{_RUN}\.(?=\d)|\d){_RUN}[lLfFdD]?", r"(?:[^\W\d]|\$)[\w$]*",
+    r"/\*|[\"']",  # a `/*` or quote that the alternatives above cannot close
+    f"[{re.escape(_PUNCTUATION)}]", *map(re.escape, _OPERATORS), ".",  # any other character is illegal
 ]), re.DOTALL)
+_FIRST = re.compile(r"(?P<comment>//|/\*.)|(?P<literal>[\"'].|\.?\d)|(?P<identifier>[^\W\d]|\$)", re.DOTALL)
 
 
-class Token(NamedTuple):
-    kind: str  # identifier | keyword | operator-symbol | literal | comment | punctuation
-    text: str
-    line: int
-    column: int
+class _Kinds(dict):
+    """Kind by token text. Keywords and symbols are given, an identifier is kept once seen, and
+    a comment or literal is told by its first characters and never kept: the memo holds a vocabulary."""
+
+    def __missing__(self, text: str) -> str:
+        if (m := _FIRST.match(text)) is None:
+            raise KeyError(text)
+        if m.lastgroup == "identifier":
+            self[text] = "identifier"
+        return m.lastgroup
 
 
-def tokenize(source_text: str) -> list[Token]:
-    """Split source text into tokens; raises LexicalError on unterminated
-    block comments or string/char literals, and on illegal characters."""
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(source_text):
-        kind, text, start = m.lastgroup, m.group(), m.start()
-        if kind != "space":
-            column = start - line_start + 1
-            if kind == "word":
-                kind = _WORD_KINDS.get(text, "identifier")
-            elif kind == "operator":
-                kind = "operator-symbol"
-            elif kind == "unterminated":
-                raise LexicalError(f"unterminated {_UNTERMINATED[text]}", line, column)
-            elif kind == "illegal":
-                raise LexicalError(f"illegal character {text!r}", line, column)
-            tokens.append(Token(kind, text, line, column))
-        if "\n" in text:
-            line += text.count("\n")
-            line_start = start + text.rindex("\n") + 1
-    return tokens
+_KINDS = _Kinds(dict.fromkeys(KEYWORDS, "keyword") | dict.fromkeys(WORD_LITERALS, "literal")
+                | dict.fromkeys(_OPERATORS, "operator-symbol") | dict.fromkeys(_PUNCTUATION, "punctuation"))
+
+
+@dataclass(frozen=True, slots=True)
+class Tokens:
+    source: str  # the text that offsets index
+    kinds: list[str]  # identifier | keyword | operator-symbol | literal | comment | punctuation
+    texts: list[str]
+    lines: list[int]
+    offsets: list[int]
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+
+def tokenize(source_text: str) -> Tokens:
+    """One file's tokens as parallel lists in source order; raises LexicalError on
+    unterminated block comments or string/char literals, and on illegal characters."""
+    found = _TOKEN.findall(source_text)
+    keep = list(map(str.strip, found, repeat(_SPACE)))  # empty for white space
+    texts = list(compress(found, keep))
+    lines = list(compress(accumulate(map(str.count, found, repeat("\n")), initial=1), keep))
+    offsets = list(compress(accumulate(map(len, found), initial=0), keep))
+    try:
+        return Tokens(source_text, list(map(_KINDS.__getitem__, texts)), texts, lines, offsets)
+    except KeyError as exc:  # an unterminated or illegal token; a kind depends on the text alone,
+        i = texts.index(bad := exc.args[0])  # so its first occurrence is the first error
+        what = f"unterminated {_UNTERMINATED[bad]}" if bad in _UNTERMINATED else f"illegal character {bad!r}"
+        raise LexicalError(what, lines[i], offsets[i] - source_text.rfind("\n", 0, offsets[i])) from None

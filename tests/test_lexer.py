@@ -3,17 +3,23 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_lexer
 from buildmetrics.errors import LexicalError
-from buildmetrics.lexer import Token, tokenize
+from buildmetrics.lexer import tokenize
 from conftest import CORPUS
 from synth import coupled_corpus, generate_corpus
 
 
 def kinds(tokens):
-    return [(t.kind, t.text) for t in tokens]
+    return list(zip(tokens.kinds, tokens.texts))
+
+
+def rows(tokens):
+    """(kind, text, line, column) per token; the column comes from the offset."""
+    return [(kind, text, line, offset - tokens.source.rfind("\n", 0, offset))
+            for kind, text, line, offset in zip(tokens.kinds, tokens.texts, tokens.lines, tokens.offsets)]
 
 
 def test_empty_input():
-    assert tokenize("") == []
+    assert len(tokenize("")) == 0 and rows(tokenize("")) == []
 
 
 def test_declaration_with_line_comment():
@@ -41,27 +47,24 @@ def test_unterminated_string():
 
 def test_block_comment_is_single_token():
     toks = tokenize("/* one\n two\n three */ int x;")
-    assert toks[0].kind == "comment"
-    assert toks[0].text.startswith("/*") and toks[0].text.endswith("*/")
-    assert sum(1 for t in toks if t.kind == "comment") == 1
+    assert toks.kinds[0] == "comment"
+    assert toks.texts[0].startswith("/*") and toks.texts[0].endswith("*/")
+    assert toks.kinds.count("comment") == 1
 
 
 def test_positions_non_decreasing():
     src = "class A {\n  int x = 10;\n  // c\n}\n"
-    toks = tokenize(src)
-    positions = [(t.line, t.column) for t in toks]
+    positions = [(line, column) for _, _, line, column in rows(tokenize(src))]
     assert positions == sorted(positions)
 
 
 def test_multichar_operators():
-    toks = tokenize("a >= b && c != d")
-    ops = [t.text for t in toks if t.kind == "operator-symbol"]
+    ops = [text for kind, text in kinds(tokenize("a >= b && c != d")) if kind == "operator-symbol"]
     assert ops == [">=", "&&", "!="]
 
 
 def test_word_literals_and_numbers():
-    toks = tokenize("x = true; y = 3.5e2; z = 0x1F;")
-    lits = [t.text for t in toks if t.kind == "literal"]
+    lits = [text for kind, text in kinds(tokenize("x = true; y = 3.5e2; z = 0x1F;")) if kind == "literal"]
     assert lits == ["true", "3.5e2", "0x1F"]
 
 
@@ -77,29 +80,28 @@ def test_space_joined_round_trip(parts):
     # Re-lexing the space-joined token texts reproduces the same stream.
     src = " ".join(parts)
     toks = tokenize(src)
-    again = tokenize(" ".join(t.text for t in toks))
-    assert [(t.kind, t.text) for t in again] == [(t.kind, t.text) for t in toks]
+    again = tokenize(" ".join(toks.texts))
+    assert kinds(again) == kinds(toks)
 
 
 def test_reprint_is_lexically_equivalent():
     src = 'class A { int x = 1; /* c */ String s = "a b"; }'
-    toks = [t for t in tokenize(src) if t.kind != "comment"]
-    reprinted = " ".join(t.text for t in toks)
-    assert [t.text for t in tokenize(reprinted)] == [t.text for t in toks]
+    code = [text for kind, text in kinds(tokenize(src)) if kind != "comment"]
+    assert tokenize(" ".join(code)).texts == code
 
 
-def _stream(lex, error, text):
+def _stream(lex, rows, error, text):
     """(kind, text, line, column) per token, or the error's message and position."""
     try:
-        return [(t.kind, t.text, t.line, t.column) for t in lex(text)]
+        return rows(lex(text))
     except error as exc:
         return (str(exc), exc.line, exc.column)
 
 
 def assert_matches_oracle(text):
-    assert _stream(tokenize, LexicalError, text) == _stream(
-        oracle_lexer.tokenize, oracle_lexer.LexicalError, text
-    )
+    assert _stream(tokenize, rows, LexicalError, text) == _stream(
+        oracle_lexer.tokenize, lambda toks: [(t.kind, t.text, t.line, t.column) for t in toks],
+        oracle_lexer.LexicalError, text)
 
 
 # Java-like fragments that meet at the boundaries the scanners decide on.

@@ -1,15 +1,16 @@
 import dataclasses
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from buildmetrics.errors import LexicalError, ParseError
-from buildmetrics.javaparse import parse_source
-from buildmetrics.lexer import KEYWORDS, WORD_LITERALS, Token, tokenize
+from buildmetrics.javaparse import parse_source, parse_unit
+from buildmetrics.lexer import KEYWORDS, WORD_LITERALS, Tokens, tokenize
 
-from conftest import load_corpus_units
+from conftest import CORPUS, load_corpus_units
 
 
 def test_simple_class_with_if():
@@ -200,7 +201,7 @@ def test_identifier_multiset_preserved():
     """
     tokens = tokenize(src)
     unit = parse_source(src, "A.java")
-    before = Counter(t.text for t in tokens if t.kind == "identifier")
+    before = Counter(text for kind, text in zip(tokens.kinds, tokens.texts) if kind == "identifier")
     decl = unit.types[0]
     after = Counter()
     after[unit.package_name] += 1
@@ -253,21 +254,28 @@ def test_halstead_calls_and_ternary():
     assert operands == Counter({"x": 1, "a": 1, "b": 1, "c": 1})
 
 
-def _tokens_reachable(value) -> bool:
-    if isinstance(value, Token):
-        return True
-    if dataclasses.is_dataclass(value):
-        return any(_tokens_reachable(getattr(value, f.name)) for f in dataclasses.fields(value))
-    if isinstance(value, dict):
-        return any(_tokens_reachable(k) or _tokens_reachable(v) for k, v in value.items())
-    if isinstance(value, (list, set, tuple)):
-        return any(_tokens_reachable(item) for item in value)
-    return False
+def _held(value) -> list:
+    """value and everything reachable from it through dataclass fields and containers."""
+    held, stack = [], [value]
+    while stack:
+        held.append(v := stack.pop())
+        if dataclasses.is_dataclass(v):
+            stack.extend(getattr(v, f.name) for f in dataclasses.fields(v))
+        elif isinstance(v, dict):
+            stack.extend(chain.from_iterable(v.items()))
+        elif isinstance(v, (list, set, tuple)):
+            stack.extend(v)
+    return held
 
 
 def test_parsed_units_hold_no_tokens():
-    units = load_corpus_units()
-    assert units and not any(_tokens_reachable(unit) for unit in units)
+    paths = sorted(CORPUS.rglob("*.java"))
+    assert paths
+    for path in paths:
+        tokens = tokenize(path.read_text())
+        stream = {id(tokens), id(tokens.kinds), id(tokens.texts), id(tokens.lines), id(tokens.offsets)}
+        held = _held(parse_unit(tokens, path.name, 0))
+        assert not any(isinstance(v, Tokens) or id(v) in stream for v in held), path
 
 
 @pytest.mark.parametrize("src", [
