@@ -414,4 +414,5 @@ def parse_unit(tokens: Tokens, file_path: str, physical_lines: int) -> Compilati
 def parse_source(source_text: str, file_path: str) -> CompilationUnit:
     """Tokenize and parse a source file's text."""
     tokens = tokenize(source_text)
-    return parse_unit(tokens, file_path, physical_lines=len(source_text.splitlines()))
+    text = tokens.source  # every line end is LF, by the lexer's rule; the last line may have none
+    return parse_unit(tokens, file_path, physical_lines=text.count("\n") + (text != "" and text[-1] != "\n"))

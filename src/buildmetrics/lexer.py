@@ -24,7 +24,7 @@ _OPERATORS = (">>>= >>> >>= >> <<= << -> == != <= >= += -= *= /= %= &= |= ^= && 
               " + - * / % = < > ! & | ^ ~ ? .").split()
 _PUNCTUATION = ";,{}()[]:@"
 _UNTERMINATED = {"/*": "block comment", '"': "string literal", "'": "character literal"}
-_SPACE = " \t\r\n"
+_SPACE = " \t\f\r\n"  # JLS 3.6 white space
 _RUN = r"(?:[\d_]|[eE][\d+-])*"  # digits, underscores and exponent pairs such as `e5` or `E-`
 
 _TOKEN = re.compile("|".join([
@@ -55,7 +55,7 @@ _KINDS = _Kinds(dict.fromkeys(KEYWORDS, "keyword") | dict.fromkeys(WORD_LITERALS
 
 @dataclass(frozen=True, slots=True)
 class Tokens:
-    source: str  # the text that offsets index
+    source: str  # the text that offsets index, every line end made LF
     kinds: list[str]  # identifier | keyword | operator-symbol | literal | comment | punctuation
     texts: list[str]
     lines: list[int]
@@ -68,6 +68,7 @@ class Tokens:
 def tokenize(source_text: str) -> Tokens:
     """One file's tokens as parallel lists in source order; raises LexicalError on
     unterminated block comments or string/char literals, and on illegal characters."""
+    source_text = source_text.replace("\r\n", "\n").replace("\r", "\n")  # CR LF, CR, LF (JLS 3.4)
     found = _TOKEN.findall(source_text)
     keep = list(map(str.strip, found, repeat(_SPACE)))  # empty for white space
     texts = list(compress(found, keep))

@@ -33,23 +33,20 @@ def resolve_name(model: CodeModel, unit: CompilationUnit, name: str) -> str | No
     """Resolve a type name within the corpus. A simple name is looked up through
     the unit's imports, its package and the default package. A dotted name is
     itself when indexed; otherwise its qualifier is resolved by the same rule
-    and the last part is looked up in that type's package (as for Outer.Inner)."""
-    if "." in name:
-        if name in model.type_index:
-            return name
-        qualifier, simple = name.rsplit(".", 1)
-        owner = resolve_name(model, unit, qualifier)
-        if owner is None:
-            return None
-        candidate = qualify(model.unit_of_type[owner].package_name, simple)
-        return candidate if candidate in model.type_index else None
-    for imp in unit.imports:
-        if imp.endswith("." + name) and imp in model.type_index:
-            return imp
-    candidate = qualify(unit.package_name, name)
-    if candidate in model.type_index:
-        return candidate
-    return name if name in model.type_index else None  # default package
+    and the last part is looked up in that type's package (as for Outer.Inner).
+    So the qualifiers resolve from the first part on, one part at a time."""
+    head, *rest = name.split(".")
+    owner = next((imp for imp in unit.imports if imp.endswith("." + head) and imp in model.type_index), None)
+    if owner is None:  # the unit's package, then the default package
+        owner = next((q for q in (qualify(unit.package_name, head), head) if q in model.type_index), None)
+    for part in rest:
+        head = f"{head}.{part}"
+        if head in model.type_index:
+            owner = head
+        elif owner is not None:
+            candidate = qualify(model.unit_of_type[owner].package_name, part)
+            owner = candidate if candidate in model.type_index else None
+    return owner
 
 
 def build_code_model(units: list[CompilationUnit]) -> CodeModel:

@@ -1,11 +1,15 @@
 """Reference lexer: the hand-written character scanner that
 `buildmetrics.lexer` replaced with one compiled pattern.
 
-Kept unchanged so the differential test in test_lexer.py can compare the two
-token streams and error positions. It must never import from the production
-package, so it carries its own copy of LexicalError.
+Kept so the differential test in test_lexer.py can compare the two token
+streams and error positions. It follows the same Java rules: white space is
+SP, HT, FF and line ends (JLS 3.6), and CR LF, a lone CR and LF each end a
+line (JLS 3.4), so it scans the text with every line end made LF. It must
+never import from the production package, so it carries its own copy of
+LexicalError.
 """
 
+import re
 from dataclasses import dataclass
 
 
@@ -57,6 +61,7 @@ def _is_ident_part(ch: str) -> bool:
 def tokenize(source_text: str) -> list[Token]:
     """Split source text into tokens; raises LexicalError on unterminated
     block comments or string/char literals."""
+    source_text = re.sub(r"\r\n?", "\n", source_text)
     tokens: list[Token] = []
     i = 0
     line = 1
@@ -74,7 +79,7 @@ def tokenize(source_text: str) -> list[Token]:
 
     while i < n:
         ch = source_text[i]
-        if ch in " \t\r\n":
+        if ch in " \t\f\n":
             advance(ch)
             i += 1
             continue

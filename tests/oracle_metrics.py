@@ -96,7 +96,9 @@ def classify(body):
 class OracleUnit:
     def __init__(self, path, text):
         self.path = path
-        self.physical_lines = len(text.splitlines())
+        # A line ends at CR LF, CR or LF (JLS 3.4); the last line may have no end.
+        lines = re.split(r"\r\n|\r|\n", text)
+        self.physical_lines = len(lines) - (lines[-1] == "")
         toks = lex(text)
         self.comment_count = sum(1 for k, _, _ in toks if k == "comment")
         code = [t for t in toks if t[0] != "comment"]

@@ -176,6 +176,41 @@ def test_extract_long_extends_chain(tmp_path, capsys):
     assert by_id(lookup["p/C1099.java"])[42] == 1099.0
 
 
+def _extract_one(tmp_path, capsys, name, text):
+    """Run extract on a tree holding one file; return the exit code, stderr,
+    metrics by path and the exclusion log."""
+    (tmp_path / "src" / name).parent.mkdir(parents=True)
+    (tmp_path / "src" / name).write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, "extract", str(tmp_path / "src"), "--out", str(tmp_path / "out"))
+    if code != 0:
+        return code, err, {}, ""
+    lookup = metrics.parse_metrics_csv((tmp_path / "out" / "metrics.csv").read_text())
+    return code, err, lookup, (tmp_path / "out" / "extract_exclusions.log").read_text()
+
+
+def test_extract_reads_a_form_feed_as_white_space(tmp_path, capsys):
+    code, err, lookup, log = _extract_one(tmp_path, capsys, "p/B.java", "package p;\fclass B { }")
+    assert (code, err, list(lookup), log) == (0, "", ["p/B.java"], "")
+
+
+def test_extract_counts_lines_at_jls_line_ends_only(tmp_path, capsys):
+    # U+2028 is no Java line end, though str.splitlines splits at it.
+    text = "package p;\n// a\u2028b\x0bc\x1cd\x85e\nclass A { }\n"
+    code, err, lookup, log = _extract_one(tmp_path, capsys, "p/A.java", text)
+    assert (code, err, log) == (0, "", "")
+    assert by_id(lookup["p/A.java"])[17] == 3.0
+
+
+@pytest.mark.parametrize("template", [
+    "package p; class A extends {} {{ }}",
+    "package p; class A {{ void m() {{ new {}(); }} }}",
+])
+def test_extract_long_dotted_names_end_cleanly(tmp_path, capsys, template):
+    code, err, lookup, _ = _extract_one(tmp_path, capsys, "p/A.java", template.format(".".join(["a"] * 5000)))
+    assert code in (0, 2) and len(err.splitlines()) <= 1 and "Traceback" not in err
+    assert code == 2 or list(lookup) == ["p/A.java"]
+
+
 def test_extract_empty_tree_usage_error(tmp_path, capsys):
     src = tmp_path / "empty"
     src.mkdir()

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_lexer
 from buildmetrics.errors import LexicalError
+from buildmetrics import lexer
 from buildmetrics.lexer import tokenize
 from conftest import CORPUS
 from synth import coupled_corpus, generate_corpus
@@ -129,6 +130,7 @@ def test_matches_oracle_on_fragments(parts):
     "1e+e+5.5e-5 1e 1E-- 1_000L 3.5f 2.d 1e5.3",
     "/* a */ b */ /*/ x */ /**/",
     "// c\r\n x //",
+    "// c\r x /* \r\n\r */ y\r\r'\r'",
     "a::b -> c ? d : e $x _y a$1",
     ">>>= >>= >>> >> <<= << >>>> ||| &&& ++- --> !==",
     '"a\\"b" \'\\\'\' "a\\\nb" \'\\\\\'',
@@ -165,10 +167,49 @@ def test_no_nl_numerics_are_word_characters(src, expected):
     ('x = "ab\ncd";', "unterminated string literal", 1, 5),
     ("c = '\\';", "unterminated character literal", 1, 5),
     ("a\r\n\tb # c", "illegal character '#'", 2, 4),
-    ("a\x0cb", "illegal character '\\x0c'", 1, 2),
+    ("a\x0bb", "illegal character '\\x0b'", 1, 2),
 ])
 def test_error_message_and_position(src, message, line, column):
     with pytest.raises(LexicalError) as exc:
         tokenize(src)
     assert (str(exc.value), exc.value.line, exc.value.column) == (
         f"{message} at line {line}, column {column}", line, column)
+
+
+def test_cr_lf_and_lone_cr_end_lines_and_form_feed_is_space():
+    toks = tokenize("a // b\rc\r\n\x0cd\n")
+    assert rows(toks) == [("identifier", "a", 1, 1), ("comment", "// b", 1, 3),
+                          ("identifier", "c", 2, 1), ("identifier", "d", 3, 2)]
+
+
+def _tokenize_counting_classifications(monkeypatch, sources):
+    """Tokenize every source; return the kinds that the memo had to classify."""
+    classified = []
+    classify = lexer._Kinds.__missing__
+
+    def counting(memo, text):
+        classified.append(kind := classify(memo, text))
+        return kind
+
+    monkeypatch.setattr(lexer._Kinds, "__missing__", counting)
+    for source in sources:
+        tokenize(source)
+    return classified
+
+
+def test_second_pass_classifies_nothing_new(monkeypatch, tmp_path):
+    coupled_corpus(tmp_path, n_packages=14, seed=3)
+    sources = [p.read_text() for p in sorted(CORPUS.rglob("*.java")) + sorted(tmp_path.rglob("*.java"))]
+    _tokenize_counting_classifications(monkeypatch, sources)
+    size = len(lexer._KINDS)
+    again = _tokenize_counting_classifications(monkeypatch, sources)
+    # Only comments and literals, which the memo never keeps, reach the classifier again.
+    assert len(lexer._KINDS) == size and set(again) == {"comment", "literal"}
+
+
+def test_comments_and_literals_add_no_memo_entries():
+    source = "".join(f'"s{i}" {i}L \'{chr(0x4e00 + i)}\' /* c{i} */ // d{i}\n' for i in range(10_000))
+    size = len(lexer._KINDS)
+    toks = tokenize(source)
+    assert toks.kinds.count("literal") == 30_000 and toks.kinds.count("comment") == 20_000
+    assert len(lexer._KINDS) == size

@@ -229,6 +229,16 @@ def test_block_depth_invariant_over_corpus():
                 assert method.decision_points >= 0
 
 
+@pytest.mark.parametrize("src", [
+    "// header\rpackage p;\rclass A {}",
+    "// header\r\npackage p;\r\nclass A {}\r\n",
+])
+def test_cr_and_cr_lf_end_a_line_comment_and_a_line(src):
+    unit = parse_source(src, "A.java")
+    assert (unit.package_name, [t.name for t in unit.types]) == ("p", ["A"])
+    assert (unit.comment_count, unit.code_lines, unit.physical_lines) == (1, 2, 3)
+
+
 def test_code_lines_at_most_physical_lines():
     for unit in load_corpus_units():
         assert unit.code_lines <= unit.physical_lines
