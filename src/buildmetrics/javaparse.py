@@ -74,7 +74,7 @@ class _Parser:
     def __init__(self, tokens: Tokens, file_path: str):
         code = list(map(ne, tokens.kinds, repeat("comment")))
         self.kinds, self.texts, self.lines, self.offsets = (
-            list(compress(column, code)) for column in (tokens.kinds, tokens.texts, tokens.lines, tokens.offsets))
+            list(compress(values, code)) for values in (tokens.kinds, tokens.texts, tokens.lines, tokens.offsets))
         self.source = tokens.source
         self.unit = CompilationUnit(file_path=file_path, comment_count=len(tokens) - len(self.texts),
                                     code_lines=len(set(self.lines)))
@@ -109,7 +109,7 @@ class _Parser:
         self.i += 1
         return self.i - 1
 
-    def identifiers(self, positions) -> list[str]:
+    def identifiers(self, positions: range | list[int]) -> list[str]:
         return [self.texts[j] for j in positions if self.kinds[j] == "identifier"]
 
     def dotted_name(self) -> str:

@@ -91,10 +91,10 @@ def test_reprint_is_lexically_equivalent():
     assert tokenize(" ".join(code)).texts == code
 
 
-def _stream(lex, rows, error, text):
+def _stream(lex, to_rows, error, text):
     """(kind, text, line, column) per token, or the error's message and position."""
     try:
-        return rows(lex(text))
+        return to_rows(lex(text))
     except error as exc:
         return (str(exc), exc.line, exc.column)
 
