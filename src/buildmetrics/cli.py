@@ -6,21 +6,18 @@ nothing to work with), 3 internal invariant violation.
 """
 
 import argparse
-import re
+import functools
 import sys
 from pathlib import Path
 
 from . import dataset as ds
 from . import featsel, metrics, tree
 from .errors import BuildMetricsError, DataError, EvaluationError, SelectionError
-from .javaparse import parse_source
+from .javaparse import CompilationUnit, parse_source
 from .model import build_code_model
+from .parallel import split_map
 
 STRATEGY_FLAGS = {"avg": "average", "max": "maximum", "sum": "sum"}
-
-# metrics.csv holds each path as one unquoted UTF-8 cell. A surrogate is what
-# a file name's undecodable byte becomes, and UTF-8 cannot encode it.
-_UNSTORABLE_PATH = re.compile("[,\r\n\ud800-\udfff]")
 
 
 class UsageError(Exception):
@@ -57,6 +54,24 @@ def _write(out: Path, files: dict[str, str], force: bool):
         raise UsageError(f"cannot write to {out}: {exc.strerror or exc}")
 
 
+def _parse_file(root: Path, path: Path) -> CompilationUnit | str:
+    """The file's parsed unit, or the line that logs why it is left out."""
+    rel = path.relative_to(root).as_posix()
+    if metrics.UNSTORABLE.search(rel):
+        # The log names an undecodable byte by its escape, so it stays UTF-8.
+        shown = rel.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+        return (f"{shown}: path holds a comma, a line break or a byte that is not "
+                "UTF-8, which metrics.csv cannot store")
+    try:
+        return parse_source(path.read_text(encoding="utf-8"), rel)
+    except UnicodeDecodeError as exc:
+        return f"{rel}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+    except OSError as exc:
+        return f"{rel}: cannot read: {exc.strerror or exc}"
+    except BuildMetricsError as exc:
+        return f"{rel}: {exc}"
+
+
 def cmd_extract(args) -> int:
     root = Path(args.source)
     if not root.is_dir():
@@ -64,24 +79,10 @@ def cmd_extract(args) -> int:
     paths = sorted(p for p in root.rglob("*.java") if p.is_file())
     if not paths:
         raise UsageError(f"no .java files under {root}")
-    units = []
-    exclusions = []
-    for path in paths:
-        rel = path.relative_to(root).as_posix()
-        if _UNSTORABLE_PATH.search(rel):
-            # The log names an undecodable byte by its escape, so it stays UTF-8.
-            shown = rel.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
-            exclusions.append(f"{shown}: path holds a comma, a line break or a byte that is not "
-                              "UTF-8, which metrics.csv cannot store")
-            continue
-        try:
-            units.append(parse_source(path.read_text(encoding="utf-8"), rel))
-        except UnicodeDecodeError as exc:
-            exclusions.append(f"{rel}: not valid UTF-8 ({exc.reason} at byte {exc.start})")
-        except OSError as exc:
-            exclusions.append(f"{rel}: cannot read: {exc.strerror or exc}")
-        except BuildMetricsError as exc:
-            exclusions.append(f"{rel}: {exc}")
+    # A forked child, if any, parses the odd-indexed files; results come back in path order.
+    parsed = split_map(functools.partial(_parse_file, root), paths)
+    units = [item for item in parsed if not isinstance(item, str)]
+    exclusions = [item for item in parsed if isinstance(item, str)]
     model = build_code_model(units)
     exclusions.extend(f"{path}: {reason}" for path, reason in model.excluded)
     vectors = metrics.compute_all_metrics(model)
@@ -198,7 +199,7 @@ def cmd_freq(args) -> int:
         raise UsageError("--threshold must be at least 1")
     runs = []
     text = _read(args.selection)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = metrics.csv_lines(text)
     if not lines or not lines[0].startswith("dataset_id,algorithm"):
         raise DataError("malformed selection report")
     by_run: dict[tuple[str, str], list[int]] = {}

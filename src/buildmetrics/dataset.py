@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import DataError
-from .metrics import AVERAGE_IDS, HALSTEAD_IDS, METRIC_IDS, OBJECT_ORIENTED_IDS, TRADITIONAL_IDS
+from .metrics import (AVERAGE_IDS, HALSTEAD_IDS, METRIC_IDS, OBJECT_ORIENTED_IDS, TRADITIONAL_IDS,
+                      UNSTORABLE, csv_lines)
 
 # Each strategy folds one metric's per-file values, in manifest file order.
 AGGREGATE = {"average": lambda column: sum(column) / len(column), "maximum": max, "sum": sum}
@@ -86,10 +87,12 @@ def parse_manifest(text: str) -> BuildManifest:
     for key in ("build_id", "kind", "result", "files"):
         if key not in doc:
             raise DataError(f"manifest missing field {key!r}")
-    # write_csv does not quote, so IDs and paths may not hold a comma.
+    # write_csv does not quote, so an ID may not hold a comma or a line break,
+    # and a path no comma.
     build_id = doc["build_id"]
-    if not isinstance(build_id, str) or not build_id or "," in build_id:
-        raise DataError(f"build_id must be a non-empty string without a comma, got {build_id!r}")
+    if not isinstance(build_id, str) or not build_id or UNSTORABLE.search(build_id):
+        raise DataError("build_id must be a non-empty string without a comma, a line break or "
+                        f"a lone surrogate, got {build_id!r}")
     if doc["kind"] not in BUILD_KINDS:
         raise DataError(f"unknown build kind {doc['kind']!r}")
     if doc["result"] not in LABELS + ("warning",):
@@ -171,7 +174,7 @@ def write_csv(dataset: Dataset) -> str:
 
 
 def read_csv(text: str) -> Dataset:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = csv_lines(text)
     strategy, filter_tag = "average", "full"
     if lines and lines[-1].startswith("#"):
         footer = lines.pop()

@@ -193,6 +193,33 @@ class _Parser:
                 return mods
 
     def parse_type(self, mods: set[str]):
+        """Parse a type declaration and the types nested in it, from a stack
+        of open types, not by recursion, so any depth is read. A nested type
+        is appended to unit.types before the type that declares it."""
+        stack = [self.type_head(mods)]
+        while stack:
+            decl = stack[-1]
+            t = self.peek()
+            if t is None:
+                raise ParseError(f"unbalanced braces in type {decl.name}")
+            if t == "}":
+                self.take()
+                stack.pop()
+                field_names = set(decl.field_names)
+                for method in decl.constructors + decl.methods:
+                    method.accessed_field_names &= field_names
+                self.unit.types.append(decl)
+                continue
+            mods = self.modifiers()
+            if self.at("{"):  # instance/static initializer block
+                self.skim_balanced("{", "}")
+            elif self.at("class") or self.at("interface") or self.at("enum"):
+                stack.append(self.type_head(mods))
+            else:  # a bare ';' is an empty member
+                self.parse_member(decl)
+
+    def type_head(self, mods: set[str]) -> TypeDecl:
+        """Read a type's header through its '{' and, for an enum, its constants."""
         kind = self.take()  # class | interface | enum
         name = self.take()
         decl = TypeDecl(name=name, kind=kind, is_abstract=kind == "interface" or "abstract" in mods)
@@ -204,11 +231,7 @@ class _Parser:
         self.expect("{")
         if kind == "enum":
             self.skip_enum_constants()
-        self.parse_type_body(decl)
-        field_names = set(decl.field_names)
-        for method in decl.constructors + decl.methods:
-            method.accessed_field_names &= field_names
-        self.unit.types.append(decl)
+        return decl
 
     def skip_enum_constants(self):
         """Skip an enum's constants, with their arguments and bodies, through
@@ -229,22 +252,6 @@ class _Parser:
             names.append(self.dotted_name())
             self.skip_generics()
         return names
-
-    def parse_type_body(self, decl: TypeDecl):
-        while True:
-            t = self.peek()
-            if t is None:
-                raise ParseError(f"unbalanced braces in type {decl.name}")
-            if t == "}":
-                self.take()
-                return
-            mods = self.modifiers()
-            if self.at("{"):  # instance/static initializer block
-                self.skim_balanced("{", "}")
-            elif self.at("class") or self.at("interface") or self.at("enum"):
-                self.parse_type(mods)
-            else:  # a bare ';' is an empty member
-                self.parse_member(decl)
 
     def parse_member(self, decl: TypeDecl):
         """Parse one field or method/constructor declaration."""

@@ -15,6 +15,7 @@ cohesion (27-29) but are excluded from the method-count family
 """
 
 import math
+import re
 from collections import Counter
 
 from .errors import DataError, ModelError
@@ -243,6 +244,17 @@ def format_value(v: float) -> str:
 
 _HEADER = "file_path," + ",".join(f"m{i}" for i in METRIC_IDS)
 
+# The CSV artifacts hold each path or build ID as one unquoted UTF-8 cell. A
+# surrogate is what a file name's undecodable byte becomes, and UTF-8 cannot
+# encode it.
+UNSTORABLE = re.compile("[,\r\n\ud800-\udfff]")
+
+
+def csv_lines(text: str) -> list[str]:
+    """The non-blank lines of a CSV artifact. Rows end at LF alone, so a cell
+    may hold U+2028 or another character that str.splitlines breaks at."""
+    return [ln for ln in text.split("\n") if ln.strip()]
+
 
 def metrics_csv(vectors: dict[str, list[float]]) -> str:
     """Per-file metric dump: file_path,m1,...,m42 in ID order."""
@@ -254,7 +266,7 @@ def metrics_csv(vectors: dict[str, list[float]]) -> str:
 
 def parse_metrics_csv(text: str) -> dict[str, list[float]]:
     """Inverse of metrics_csv; returns a file_path -> vector lookup."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = csv_lines(text)
     if not lines or lines[0] != _HEADER:
         raise DataError("malformed metrics CSV header")
     out: dict[str, list[float]] = {}

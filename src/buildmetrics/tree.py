@@ -10,15 +10,14 @@ space, so it stays finite at any node size. The settings are C4.5's
 defaults: at least 2 instances per leaf and a confidence factor of 0.25.
 Trees are grown and walked with explicit stacks, so any depth works. With a
 second CPU, a forked child runs the odd cross-validation folds and returns
-only their outcomes. All randomness flows through the caller-supplied seed.
+only their outcomes (parallel.split_map). All randomness flows through the
+caller-supplied seed.
 """
 
 import functools
 import json
 import math
-import os
 import random
-import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -26,6 +25,7 @@ from .dataset import Dataset
 from .errors import EvaluationError
 from .featsel import _GAIN_EPS, _entropy, best_cut, cut_point
 from .metrics import METRIC_NAMES, format_value
+from .parallel import split_map
 
 _MIN_LEAF = 2  # C4.5's default minimum of instances per leaf
 
@@ -246,36 +246,6 @@ def _fold(dataset: Dataset, assignment: list[int], fold: int) -> list[tuple[str,
             for i, (bid, label, values) in enumerate(dataset.rows) if assignment[i] == fold]
 
 
-def _fork(work):
-    """Start work() in a forked child if there are two CPUs and no thread to
-    lose in the fork; join() reaps it and gives the result, None on failure."""
-    cpus = getattr(os, "sched_getaffinity", lambda _: ())(0)
-    if not hasattr(os, "fork") or len(cpus) < 2 or threading.active_count() > 1:
-        return None
-    import pickle
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(work(), pipe)
-            os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(write_fd)
-
-    def join():
-        with open(read_fd, "rb") as pipe:
-            data = pipe.read()
-        try:
-            return pickle.loads(data) if os.waitpid(pid, 0)[1] == 0 else None
-        except Exception:  # what the child sent does not unpickle
-            return None
-
-    return join
-
-
 def cross_validate(dataset: Dataset, k: int = 10, seed: int = 0) -> EvaluationReport:
     """Stratified k-fold cross-validation with summed confusion counts.
 
@@ -292,16 +262,17 @@ def cross_validate(dataset: Dataset, k: int = 10, seed: int = 0) -> EvaluationRe
         raise EvaluationError("minority class too small for cross-validation")
     assignment = stratified_folds(labels, k, seed)
 
-    # A forked child, if any, runs the odd folds; this process the rest.
-    odd = range(1, k, 2)
-    join = _fork(lambda: [_fold(dataset, assignment, fold) for fold in odd])
-    results = {fold: _fold(dataset, assignment, fold) for fold in range(0, k, 2 if join else 1)}
-    full_tree = prune(train(dataset))
-    if join:
-        results.update(zip(odd, join() or [_fold(dataset, assignment, fold) for fold in odd]))
-    correct = Counter(label for outcomes in results.values() for _, label, hit in outcomes if hit)
-    incorrect = Counter(label for outcomes in results.values() for _, label, hit in outcomes if not hit)
-    folds = [[bid for bid, _, _ in results[fold]] for fold in range(k)]
+    # A forked child, if any, runs the odd folds. Fold 0 always runs here, so
+    # the final tree is trained here once, beside it, and never crosses a pipe.
+    def work(fold):
+        return _fold(dataset, assignment, fold), prune(train(dataset)) if fold == 0 else None
+
+    results = split_map(work, list(range(k)))
+    full_tree = results[0][1]
+    rows = [row for outcomes, _ in results for row in outcomes]
+    correct = Counter(label for _, label, hit in rows if hit)
+    incorrect = Counter(label for _, label, hit in rows if not hit)
+    folds = [[bid for bid, _, _ in outcomes] for outcomes, _ in results]
     acc = accuracy_percent(sum(correct.values()), len(dataset.rows))
     per_class = {
         label: (correct.get(label, 0), incorrect.get(label, 0))

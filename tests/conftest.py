@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -32,3 +33,24 @@ def corpus_model():
 @pytest.fixture(scope="session")
 def corpus_vectors(corpus_model):
     return {path: by_id(values) for path, values in compute_all_metrics(corpus_model).items()}
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Count os.fork calls; with two CPUs visible, so the fork path runs
+    whatever CPUs the host has."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return calls
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

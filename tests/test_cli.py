@@ -1,5 +1,9 @@
+import errno
 import io
 import json
+import os
+import pickle
+import signal
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -8,10 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from buildmetrics import dataset as ds
-from buildmetrics import featsel, metrics, tree
+from buildmetrics import cli, featsel, metrics, tree
 from buildmetrics.cli import main
 
-from conftest import CORPUS, by_id
+from conftest import CORPUS, assert_no_child_left, by_id
 from synth import generate_corpus
 
 
@@ -226,6 +230,196 @@ def test_extract_refuses_overwrite(tmp_path, capsys):
     assert run(capsys, "extract", str(CORPUS), "--out", str(tmp_path), "--force")[0] == 0
 
 
+def test_extract_deeply_nested_types_end_cleanly(tmp_path, capsys):
+    depth = 2000
+    text = "package p; " + "".join(f"class A{i} {{ " for i in range(depth)) + "}" * depth
+    code, err, lookup, log = _extract_one(tmp_path, capsys, "p/A0.java", text)
+    assert code in (0, 2) and len(err.splitlines()) <= 1 and "Traceback" not in err
+    assert code == 2 or (list(lookup), log) == (["p/A0.java"], "")
+
+
+def test_a_path_holding_u2028_runs_through_every_stage(tmp_path, capsys):
+    # str.splitlines breaks at U+2028; the artifacts' rows end at LF alone.
+    odd = "p/A\u2028x.java"
+    src = tmp_path / "src"
+    (src / "p").mkdir(parents=True)
+    (src / odd).write_text("package p; class A { int a; void m() { if (a > 0) a--; } }")
+    (src / "p/B.java").write_text("package p; class B { int b; }")
+    assert run(capsys, "extract", str(src), "--out", str(tmp_path / "x"))[0] == 0
+    mdir = tmp_path / "manifests"
+    mdir.mkdir()
+    for i in range(8):
+        files = [odd, "p/B.java"] if i % 2 else ["p/B.java"]
+        (mdir / f"b{i}.json").write_text(json.dumps(
+            {"build_id": f"b{i}", "kind": "nightly", "result": ("success", "failed")[i % 2], "files": files}))
+    code, _, err = run(capsys, "dataset", str(mdir), str(tmp_path / "x" / "metrics.csv"),
+                       "--strategy", "sum", "--out", str(tmp_path / "d"))
+    assert code == 0, err
+    assert run(capsys, "select", str(tmp_path / "d" / "3.csv"), "--out", str(tmp_path / "s"))[0] == 0
+    code, _, err = run(capsys, "evaluate", str(tmp_path / "d" / "3.csv"), "--folds", "2",
+                       "--out", str(tmp_path / "e"))
+    assert code == 0, err
+    assert metrics.parse_metrics_csv((tmp_path / "x" / "metrics.csv").read_text()).keys() == {odd, "p/B.java"}
+
+
+# -- extract's files split over two processes ---------------------------------------
+
+
+def _split_corpus(root):
+    """Files whose exclusions fall at both even and odd positions in path
+    order; returns the names the exclusion log should give, in its order."""
+    files = {
+        "a/A.java": "package a; class A { }",
+        "a/Bad.java": "package a; class Bad extends",  # 1: does not parse
+        "a/Dup1.java": "package a; class D { int x; }",  # 2 and 3: a duplicate type
+        "a/Dup2.java": "package a; class D { }",
+        "a/Empty.java": "package a;",  # 4: no type
+        "a/I,J.java": "package a; class IJ { }",  # 5: a comma in the name
+        "a/Z.java": "package a; class Z {",  # 6: does not parse
+        **{f"b/C{i}.java": f"package b; class C{i} extends C{i - 1} {{ int f; void m() {{ f = {i}; }} }}"
+           for i in range(1, 9)},
+        "b/C0.java": "package b; class C0 { }",
+    }
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    parsed_out = ["a/Bad.java", "a/I,J.java", "a/Z.java"]
+    try:
+        (root / "b" / "\udcff.java").write_bytes(b"class U { }")  # 16: a name that is not UTF-8
+        parsed_out.append("b/\\xff.java")
+    except (OSError, UnicodeEncodeError):
+        pass
+    return parsed_out + ["a/Dup1.java", "a/Dup2.java", "a/Empty.java"]
+
+
+def _extract_artifacts(capsys, src, out):
+    """extract's stdout, metrics.csv and exclusion log."""
+    code, stdout, err = run(capsys, "extract", str(src), "--out", str(out))
+    assert code == 0, err
+    return stdout.replace(str(out), "OUT"), (out / "metrics.csv").read_bytes(), \
+        (out / "extract_exclusions.log").read_bytes()
+
+
+def _serial_artifacts(monkeypatch, capsys, src, out):
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        return _extract_artifacts(capsys, src, out)
+
+
+def test_split_extract_merges_in_path_order(monkeypatch, capsys, tmp_path, forks):
+    logged = _split_corpus(tmp_path / "src")
+    forked = _extract_artifacts(capsys, tmp_path / "src", tmp_path / "forked")
+    assert forks == [os.getpid()]
+    assert_no_child_left()
+    assert [line.split(": ")[0] for line in forked[2].decode().splitlines()] == logged
+    assert forked == _serial_artifacts(monkeypatch, capsys, tmp_path / "src", tmp_path / "serial")
+    assert len(forks) == 1
+
+
+def test_split_extract_parses_half_the_files_here(monkeypatch, capsys, tmp_path, forks):
+    # Counted, not timed: the child's calls stay in the child.
+    parsed_here = []
+    parse = cli.parse_source
+
+    def counting_parse(text, path):
+        parsed_here.append(path)
+        return parse(text, path)
+
+    monkeypatch.setattr(cli, "parse_source", counting_parse)
+    paths = sorted(p.relative_to(CORPUS).as_posix() for p in CORPUS.rglob("*.java"))
+    _extract_artifacts(capsys, CORPUS, tmp_path / "out")
+    assert len(forks) == 1
+    assert parsed_here == paths[::2] and len(parsed_here) == (len(paths) + 1) // 2
+
+
+def _raise():
+    raise RuntimeError("child failed")
+
+
+@pytest.mark.parametrize("failure", ["raises", "killed", "garbage"])
+def test_split_extract_survives_a_failed_child(monkeypatch, capsys, tmp_path, forks, failure):
+    _split_corpus(tmp_path / "src")
+    expected = _serial_artifacts(monkeypatch, capsys, tmp_path / "src", tmp_path / "serial")
+    parent = os.getpid()
+    if failure == "garbage":
+        monkeypatch.setattr(pickle, "dump", lambda obj, f: f.write(b"\x80\x05not a pickle"))
+    else:
+        action = _raise if failure == "raises" else lambda: os.kill(os.getpid(), signal.SIGKILL)
+        parse = cli.parse_source
+
+        def failing_in_child(text, path):
+            if os.getpid() != parent:
+                action()
+            return parse(text, path)
+
+        monkeypatch.setattr(cli, "parse_source", failing_in_child)
+    assert _extract_artifacts(capsys, tmp_path / "src", tmp_path / "forked") == expected
+    assert forks == [parent]
+    assert_no_child_left()
+
+
+def test_extract_of_one_file_does_not_fork(capsys, tmp_path, forks):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "A.java").write_text("class A { }")
+    _extract_artifacts(capsys, tmp_path / "src", tmp_path / "out")
+    assert forks == []
+
+
+def _recorded_pipes(monkeypatch):
+    """The file descriptors of every os.pipe made from now on."""
+    pipes = []
+    real_pipe = os.pipe
+
+    def recording_pipe():
+        pipes.extend(real_pipe())
+        return pipes[-2:]
+
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    return pipes
+
+
+def _assert_closed(fds):
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def test_split_extract_runs_here_when_fork_fails(monkeypatch, capsys, tmp_path):
+    _split_corpus(tmp_path / "src")
+    expected = _serial_artifacts(monkeypatch, capsys, tmp_path / "src", tmp_path / "serial")
+    pipes = _recorded_pipes(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", lambda: _raise_os_error())
+    assert _extract_artifacts(capsys, tmp_path / "src", tmp_path / "forked") == expected
+    assert len(pipes) == 2
+    _assert_closed(pipes)
+
+
+def _raise_os_error():
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+def test_no_child_outlives_a_failure_here(monkeypatch, capsys, tmp_path, forks):
+    # The child's result is larger than a pipe's buffer, so it blocks writing
+    # until the pipe is read or it is killed.
+    _split_corpus(tmp_path / "src")
+    parent = os.getpid()
+    pipes = _recorded_pipes(monkeypatch)
+
+    def parse_file(root, path):
+        if os.getpid() == parent:
+            raise RuntimeError("failed here")
+        return "x" * 1_000_000
+
+    monkeypatch.setattr(cli, "_parse_file", parse_file)
+    with pytest.raises(RuntimeError, match="failed here"):
+        main(["extract", str(tmp_path / "src"), "--out", str(tmp_path / "out")])
+    assert forks == [parent]
+    assert_no_child_left()
+    assert len(pipes) == 2
+    _assert_closed(pipes)
+
+
 # -- dataset ------------------------------------------------------------------
 
 
@@ -333,6 +527,9 @@ _METRICS_HEADER = "file_path," + ",".join(f"m{i}" for i in metrics.METRIC_IDS)
             _METRICS_HEADER + "\nA.java" + ",1" * 42 + "\n",
             id="manifest-repeated-file",
         ),
+        *(pytest.param(_MANIFEST.replace('"b1"', json.dumps(bid)), _METRICS_HEADER + "\nA.java" + ",1" * 42 + "\n",
+                       id=f"build-id-{name}")
+          for name, bid in [("lf", "b\n1"), ("cr", "b\r1"), ("surrogate", "b\ud8001")]),
     ],
 )
 def test_dataset_parse_failure_is_one_line_data_error(tmp_path, capsys, manifest, metrics_text):

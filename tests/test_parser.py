@@ -104,6 +104,29 @@ def test_nested_type_captured():
     assert sorted(t.name for t in unit.types) == ["Inner", "Outer"]
 
 
+def test_nested_types_close_inner_first_with_their_own_members():
+    src = ("class A { int a; void f() { a++; b++; } "
+           "class B { int b; interface C { void g(); } B() { b = 1; } } "
+           "enum D { X, Y; int d; } void h() { } }")
+    unit = parse_source(src, "A.java")
+    assert [t.name for t in unit.types] == ["C", "B", "D", "A"]
+    c, b, d, a = unit.types
+    assert (a.field_names, [m.name for m in a.methods]) == (["a"], ["f", "h"])
+    assert a.methods[0].accessed_field_names == {"a"}
+    assert (b.field_names, len(b.constructors), b.constructors[0].accessed_field_names) == (["b"], 1, {"b"})
+    assert ([m.name for m in c.methods], c.is_abstract, d.field_names) == (["g"], True, ["d"])
+
+
+def test_deeply_nested_types_parse_without_recursion():
+    depth = 3000
+    src = "package p; " + "".join(f"class A{i} {{ int f{i}; " for i in range(depth)) + "}" * depth
+    unit = parse_source(src, "A0.java")
+    assert [t.name for t in unit.types] == [f"A{i}" for i in reversed(range(depth))]
+    assert all(t.field_names == [f"f{i}"] for i, t in zip(reversed(range(depth)), unit.types))
+    with pytest.raises(ParseError, match=r"^unbalanced braces in type A0$"):
+        parse_source(src[:-1], "A0.java")
+
+
 def test_extends_and_implements():
     src = "class A extends B implements C, D { }"
     decl = parse_source(src, "A.java").types[0]

@@ -29,6 +29,8 @@ from buildmetrics.tree import (
     train,
 )
 
+from conftest import assert_no_child_left
+
 
 def make_dataset(columns, labels, did="1"):
     ids = sorted(columns)
@@ -623,31 +625,10 @@ def _noisy_cv_dataset(n=240, seed=4):
     return make_dataset(columns, labels)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Count os.fork calls; with two CPUs visible, so the fork path runs
-    whatever CPUs the host has."""
-    calls = []
-    real_fork = os.fork
-
-    def counting_fork():
-        calls.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    return calls
-
-
 def _serial_report(monkeypatch, data, k, seed):
     with monkeypatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: {0})
         return report_json(cross_validate(data, k=k, seed=seed))
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("k, seed", [(10, 0), (3, 7), (2, 1)])
@@ -655,7 +636,7 @@ def test_forked_folds_match_the_serial_report(monkeypatch, forks, k, seed):
     data = _noisy_cv_dataset()
     forked = report_json(cross_validate(data, k=k, seed=seed))
     assert forks == [os.getpid()]
-    _assert_no_child_left()
+    assert_no_child_left()
     assert forked == _serial_report(monkeypatch, data, k, seed)
     assert len(forks) == 1
 
@@ -668,7 +649,7 @@ def test_cross_validate_forks_on_a_chain_too_deep_to_pickle(forks):
     data = make_dataset({1: [float(i) for i in range(n)]}, labels)
     report = cross_validate(data, k=2, seed=0)
     assert len(forks) == 1
-    _assert_no_child_left()
+    assert_no_child_left()
     assert {label: c + i for label, (c, i) in report.per_class.items()} == Counter(labels)
     assert [len(fold) for fold in report.folds] == [n // 2, n // 2]
     assert report.tree.node_count() == n - 1
@@ -720,7 +701,7 @@ def test_a_failed_child_leaves_the_serial_report(monkeypatch, forks, failure):
         monkeypatch.setattr(tree_module, "_fold", _in_child(parent, action))
     assert report_json(cross_validate(data, k=10, seed=3)) == expected
     assert forks == [parent]
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_accuracy_format():
