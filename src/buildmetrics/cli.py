@@ -58,8 +58,9 @@ def _parse_file(root: Path, path: Path) -> CompilationUnit | str:
     """The file's parsed unit, or the line that logs why it is left out."""
     rel = path.relative_to(root).as_posix()
     if metrics.UNSTORABLE.search(rel):
-        # The log names an undecodable byte by its escape, so it stays UTF-8.
+        # The log escapes an undecodable byte, CR and LF, so it stays UTF-8 and one line a file.
         shown = rel.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+        shown = shown.replace("\r", "\\r").replace("\n", "\\n")
         return (f"{shown}: path holds a comma, a line break or a byte that is not "
                 "UTF-8, which metrics.csv cannot store")
     try:

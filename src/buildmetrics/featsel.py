@@ -298,8 +298,6 @@ def _run_counts(runs: list[SelectionRun]) -> Counter:
 
 def frequency_select(runs: list[SelectionRun], threshold: int) -> set[int]:
     """Metric IDs selected by at least `threshold` of the given runs."""
-    if not runs:
-        raise SelectionError("no selection runs supplied")
     if threshold < 1:
         raise SelectionError("threshold must be at least 1")
     return {mid for mid, count in _run_counts(runs).items() if count >= threshold}

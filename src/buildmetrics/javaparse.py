@@ -75,8 +75,9 @@ class _Parser:
         code = list(map(ne, tokens.kinds, repeat("comment")))
         self.kinds, self.texts, self.lines, self.offsets = (
             list(compress(values, code)) for values in (tokens.kinds, tokens.texts, tokens.lines, tokens.offsets))
-        self.source = tokens.source
+        self.source = text = tokens.source  # every line end is LF; the last line may have none
         self.unit = CompilationUnit(file_path=file_path, comment_count=len(tokens) - len(self.texts),
+                                    physical_lines=text.count("\n") + (text != "" and text[-1] != "\n"),
                                     code_lines=len(set(self.lines)))
         self.i = 0
 
@@ -411,15 +412,11 @@ class _Parser:
             after_comma = depth == 0 and t == ","
 
 
-def parse_unit(tokens: Tokens, file_path: str, physical_lines: int) -> CompilationUnit:
+def parse_unit(tokens: Tokens, file_path: str) -> CompilationUnit:
     """Parse a token stream into a CompilationUnit."""
-    unit = _Parser(tokens, file_path).parse()
-    unit.physical_lines = physical_lines
-    return unit
+    return _Parser(tokens, file_path).parse()
 
 
 def parse_source(source_text: str, file_path: str) -> CompilationUnit:
     """Tokenize and parse a source file's text."""
-    tokens = tokenize(source_text)
-    text = tokens.source  # every line end is LF, by the lexer's rule; the last line may have none
-    return parse_unit(tokens, file_path, physical_lines=text.count("\n") + (text != "" and text[-1] != "\n"))
+    return parse_unit(tokenize(source_text), file_path)

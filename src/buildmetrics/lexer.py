@@ -68,6 +68,7 @@ class Tokens:
 def tokenize(source_text: str) -> Tokens:
     """One file's tokens as parallel lists in source order; raises LexicalError on
     unterminated block comments or string/char literals, and on illegal characters."""
+    source_text = source_text.removesuffix("\x1a")  # a last SUB (control-Z) is ignored (JLS 3.5)
     source_text = source_text.replace("\r\n", "\n").replace("\r", "\n")  # CR LF, CR, LF (JLS 3.4)
     found = _TOKEN.findall(source_text)
     keep = list(map(str.strip, found, repeat(_SPACE)))  # empty for white space

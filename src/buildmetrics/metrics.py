@@ -208,11 +208,8 @@ def _unit_metrics(model: CodeModel, unit: CompilationUnit) -> list[float]:
     v[23] = _mean(all_depths)
     v[24] = _mean(sum(cyclomatic(m) for m in t.methods) for t in types)
     v[26] = float(sum(cyclomatic(m) for m in methods))
-    if methods:
-        ave_volume = _mean(_halstead(m.operator_tokens, m.operand_tokens)[41] for m in methods)
-        v[25] = maintainability_index(ave_volume, v[26] / v[15], v[5])
-    else:
-        v[25] = 171.0
+    v[25] = maintainability_index(_mean(_halstead(m.operator_tokens, m.operand_tokens)[41] for m in methods),
+                                  _mean(cyclomatic(m) for m in methods), v[5])
 
     lcoms = [lcom_suite(t) for t in types]
     v[27] = _mean(l[0] for l in lcoms)

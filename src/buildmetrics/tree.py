@@ -177,16 +177,15 @@ def _binomial_upper_bound(errors: int, n: int, cf: float) -> float:
         return top + math.log(sum(math.exp(t - top) for t in terms))
 
     lo, hi = errors / n, 1.0
-    for _ in range(100):
+    while True:
         mid = (lo + hi) / 2.0
         if mid == lo or mid == hi:
-            # lo and hi are adjacent floats: no later step moves the result.
+            # lo and hi are adjacent floats, which halving always reaches: no later step moves the result.
             return mid
         if log_cdf(mid) > log_cf:
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2.0
 
 
 def prune(tree: TreeNode, confidence_factor: float = 0.25) -> TreeNode:

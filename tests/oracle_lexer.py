@@ -62,6 +62,8 @@ def tokenize(source_text: str) -> list[Token]:
     """Split source text into tokens; raises LexicalError on unterminated
     block comments or string/char literals."""
     source_text = re.sub(r"\r\n?", "\n", source_text)
+    if source_text.endswith("\x1a"):  # a last SUB is ignored (JLS 3.5)
+        source_text = source_text[:-1]
     tokens: list[Token] = []
     i = 0
     line = 1

@@ -96,6 +96,8 @@ def classify(body):
 class OracleUnit:
     def __init__(self, path, text):
         self.path = path
+        if text.endswith("\x1a"):  # a last SUB is ignored (JLS 3.5)
+            text = text[:-1]
         # A line ends at CR LF, CR or LF (JLS 3.4); the last line may have no end.
         lines = re.split(r"\r\n|\r|\n", text)
         self.physical_lines = len(lines) - (lines[-1] == "")

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pickle
+import random
 import signal
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -203,6 +204,50 @@ def test_extract_counts_lines_at_jls_line_ends_only(tmp_path, capsys):
     code, err, lookup, log = _extract_one(tmp_path, capsys, "p/A.java", text)
     assert (code, err, log) == (0, "", "")
     assert by_id(lookup["p/A.java"])[17] == 3.0
+
+
+def test_extract_ignores_a_last_sub(tmp_path, capsys):
+    # JLS 3.5: a SUB (control-Z) that ends the file is no character of it; m17 leaves its line out.
+    code, err, lookup, log = _extract_one(tmp_path, capsys, "p/A.java", "package p;\nclass A { }\n\x1a")
+    assert (code, err, log) == (0, "", "")
+    assert by_id(lookup["p/A.java"])[17] == 2.0
+
+
+def test_extract_accounts_for_every_file_once(tmp_path, capsys):
+    src = tmp_path / "src"
+    files = {
+        "p/Good.java": "package p; class Good extends Base { }",
+        "p/Base.java": "package p; class Base { int a; }",
+        "p/U\u2028.java": "package p; class U { }",  # storable: rows end at LF alone
+        "p/Broken.java": "package p; class Broken extends",
+        "p/Latin.java": b'package p; class Latin { String s = "caf\xe9"; }',
+        "p/NoType.java": "package p;",
+        "p/A1.java": "package p; class A { }",
+        "p/A2.java": "package p; class A { }",
+        "p/Cycle.java": "package p; class Cycle extends Cycle { }",
+        "p/x,y.java": "package p; class Comma { }",
+        "p/x\ny.java": "package p; class Lf { }",
+        "p/x\ry.java": "package p; class Cr { }",
+        "p/\udcff.java": "package p; class Byte { }",
+    }
+    stored = ["p/Base.java", "p/Good.java", "p/U\u2028.java"]
+    logged = ["p/A1.java", "p/A2.java", "p/Broken.java", "p/Cycle.java", "p/Latin.java",
+              "p/NoType.java", "p/x,y.java", "p/x\\ny.java", "p/x\\ry.java", "p/\\xff.java"]
+    (src / "p").mkdir(parents=True)
+    for name, text in files.items():
+        try:
+            (src / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+        except (OSError, UnicodeEncodeError):  # a file system may refuse a name that is not UTF-8
+            assert name == "p/\udcff.java", name
+            logged.remove("p/\\xff.java")
+    found = [p for p in src.rglob("*.java") if p.is_file()]
+    code, _, err = run(capsys, "extract", str(src), "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    rows = (tmp_path / "out" / "metrics.csv").read_bytes().decode().split("\n")[1:-1]
+    log = (tmp_path / "out" / "extract_exclusions.log").read_bytes().decode().split("\n")[:-1]
+    assert len(rows) + len(log) == len(found) == len(stored) + len(logged)
+    assert sorted(row.split(",")[0] for row in rows) == stored
+    assert sorted(line.split(": ")[0] for line in log) == sorted(logged)
 
 
 @pytest.mark.parametrize("template", [
@@ -760,6 +805,19 @@ def test_freq_command(dataset_csv, tmp_path, capsys):
         cells = ln.split(",")
         by_algo.setdefault(cells[1], set()).add(int(cells[2]))
     assert set(ids) == by_algo["infogain"] & by_algo["cfs"]
+
+
+def test_freq_reads_the_empty_report_select_writes(tmp_path, capsys):
+    # Labels alternate and every feature takes 0, 1 or 2 at random: on 8 rows MDL cuts none.
+    rng = random.Random(0)
+    ids = list(ds.FILTER_IDS["c"])
+    rows = [(f"b{k}", ds.LABELS[k % 2], [float(rng.randrange(3)) for _ in ids]) for k in range(8)]
+    (tmp_path / "3c.csv").write_text(ds.write_csv(ds.Dataset(ids, rows, "sum", "c")))
+    assert run(capsys, "select", str(tmp_path / "3c.csv"), "--out", str(tmp_path / "s"))[0] == 0
+    report = tmp_path / "s" / "selection.csv"
+    assert report.read_text() == "dataset_id,algorithm,metric_id,rank_or_member,score\n"
+    assert (tmp_path / "s" / "thresholds.csv").read_text() == "threshold,selected_metric_ids\n4,\n6,\n8,\n10,\n"
+    assert run(capsys, "freq", str(report), "--threshold", "1") == (0, "\n", "")
 
 
 @pytest.mark.parametrize(

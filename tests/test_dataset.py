@@ -1,12 +1,13 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from buildmetrics.dataset import (
     AGGREGATE,
     FILTER_IDS,
     FILTER_TAGS,
+    LABELS,
     STRATEGIES,
     BuildManifest,
     Dataset,
@@ -291,6 +292,29 @@ def test_csv_round_trip():
     assert again.rows == data.rows
     assert again.strategy == data.strategy
     assert again.filter_tag == data.filter_tag
+
+
+_BUILD_IDS = st.sampled_from(["\u2028", "#1", "# strategy=sum filter=c", " b 1 ", "構築"]) | st.text(
+    st.characters(exclude_characters=",\r\n", exclude_categories=("Cs",)), min_size=1)
+_VALUES = st.sampled_from([-0.0, 5e-324, 1e300, -1e300, 2.0**53 + 2, 3.0**40]) | st.floats(
+    allow_nan=False, allow_infinity=False) | st.integers(2**53, 2**70).map(float)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_csv_round_trip_property(data):
+    feature_ids = data.draw(st.lists(st.sampled_from(METRIC_IDS), min_size=1, max_size=6, unique=True))
+    rows = data.draw(st.lists(st.tuples(_BUILD_IDS, st.sampled_from(LABELS),
+                                        st.lists(_VALUES, min_size=len(feature_ids), max_size=len(feature_ids))),
+                              max_size=5))
+    for bid, label, _ in rows:  # every build ID is one that a manifest may hold
+        parse_manifest(json.dumps({"build_id": bid, "kind": "nightly", "result": label, "files": []}))
+    dataset = Dataset(feature_ids, rows, data.draw(st.sampled_from(STRATEGIES)), data.draw(st.sampled_from(FILTER_TAGS)))
+    text = write_csv(dataset)
+    again = read_csv(text)
+    assert (again.rows, again.feature_ids, again.strategy, again.filter_tag) == (
+        rows, feature_ids, dataset.strategy, dataset.filter_tag)
+    assert write_csv(again) == text
 
 
 def test_csv_header_validation():

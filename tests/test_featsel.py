@@ -548,8 +548,7 @@ def test_frequency_antitone():
 
 
 def test_frequency_validation():
-    with pytest.raises(SelectionError):
-        frequency_select([], 1)
+    assert frequency_select([], 1) == set()
     with pytest.raises(SelectionError):
         frequency_select([SelectionRun("1", "cfs", [1])], 0)
 

@@ -108,7 +108,7 @@ def assert_matches_oracle(text):
 # Java-like fragments that meet at the boundaries the scanners decide on.
 EDGES = ["/*", "*/", "//", '"', "'", "\\", "0x", "0X", "_", "1", "7.", ".5", "e", "E",
          "1e+", "2E-", "L", "f", "ab", "if", "true", "$", " ", "\n", "\r", "\t", "\x0c",
-         "é", "一", "`"]
+         "é", "一", "`", "\x1a"]
 SYMBOLS = oracle_lexer.OPERATORS + sorted(oracle_lexer.PUNCTUATION)
 
 
@@ -168,6 +168,8 @@ def test_no_nl_numerics_are_word_characters(src, expected):
     ("c = '\\';", "unterminated character literal", 1, 5),
     ("a\r\n\tb # c", "illegal character '#'", 2, 4),
     ("a\x0bb", "illegal character '\\x0b'", 1, 2),
+    ("class A { }\x1a\n", "illegal character '\\x1a'", 1, 12),
+    ("a\x1a\x1a", "illegal character '\\x1a'", 1, 2),
 ])
 def test_error_message_and_position(src, message, line, column):
     with pytest.raises(LexicalError) as exc:
@@ -180,6 +182,13 @@ def test_cr_lf_and_lone_cr_end_lines_and_form_feed_is_space():
     toks = tokenize("a // b\rc\r\n\x0cd\n")
     assert rows(toks) == [("identifier", "a", 1, 1), ("comment", "// b", 1, 3),
                           ("identifier", "c", 2, 1), ("identifier", "d", 3, 2)]
+
+
+@pytest.mark.parametrize("src", ["class A { }\n\x1a", "a\r\n\x1a", "a\x1a", "\x1a", "a //\x1a"])
+def test_a_last_sub_is_ignored(src):
+    assert rows(tokenize(src)) == rows(tokenize(src[:-1]))
+    assert tokenize(src).source == tokenize(src[:-1]).source
+    assert_matches_oracle(src)
 
 
 def _tokenize_counting_classifications(monkeypatch, sources):

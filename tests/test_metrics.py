@@ -362,16 +362,31 @@ def test_monotone_under_extra_if():
 # -- oracle comparison (criterion 3 backbone) ------------------------------
 
 
-def test_all_metrics_match_oracle(corpus_vectors):
-    oracle = OracleCorpus(CORPUS).all_metrics()
-    assert set(oracle) == set(corpus_vectors)
+def assert_match_oracle(root, vectors):
+    oracle = OracleCorpus(root).all_metrics()
+    assert set(oracle) == set(vectors)
     for path, expected in oracle.items():
-        actual = corpus_vectors[path]
+        actual = vectors[path]
         for mid in METRIC_IDS:
             if mid in INTEGRAL_IDS:
                 assert actual[mid] == expected[mid], (path, mid)
             else:
                 assert actual[mid] == pytest.approx(expected[mid], abs=1e-9), (path, mid)
+
+
+def test_all_metrics_match_oracle(corpus_vectors):
+    assert_match_oracle(CORPUS, corpus_vectors)
+
+
+def test_metrics_match_oracle_on_files_ending_in_sub(tmp_path):
+    # JLS 3.5: a last SUB (control-Z) is ignored, so m17 counts the lines before it.
+    (tmp_path / "p").mkdir()
+    (tmp_path / "p" / "A.java").write_text("package p;\nclass A { int a; void m() { a = 1; } }\n\x1a")
+    (tmp_path / "p" / "B.java").write_text("package p;\nclass B extends A { }\x1a")
+    vectors = {path: by_id(values) for path, values in
+               compute_all_metrics(build_code_model(load_corpus_units(tmp_path))).items()}
+    assert_match_oracle(tmp_path, vectors)
+    assert (vectors["p/A.java"][17], vectors["p/B.java"][17]) == (2.0, 2.0)
 
 
 # -- CSV ------------------------------------------------------------------

@@ -307,7 +307,7 @@ def test_parsed_units_hold_no_tokens():
     for path in paths:
         tokens = tokenize(path.read_text())
         stream = {id(tokens), id(tokens.kinds), id(tokens.texts), id(tokens.lines), id(tokens.offsets)}
-        held = _held(parse_unit(tokens, path.name, 0))
+        held = _held(parse_unit(tokens, path.name))
         assert not any(isinstance(v, Tokens) or id(v) in stream for v in held), path
 
 
