@@ -7,6 +7,7 @@ nothing to work with), 3 internal invariant violation.
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -43,10 +44,10 @@ def _read(path) -> str:
 
 def _write(out: Path, files: dict[str, str], force: bool):
     """Write every named file under out, after checking that none would be overwritten."""
-    for name in files:
-        if (out / name).exists() and not force:
-            raise UsageError(f"refusing to overwrite {out / name} (use --force)")
     try:
+        for name in files:
+            if (out / name).exists() and not force:
+                raise UsageError(f"refusing to overwrite {out / name} (use --force)")
         out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             (out / name).write_text(text, encoding="utf-8")
@@ -54,14 +55,17 @@ def _write(out: Path, files: dict[str, str], force: bool):
         raise UsageError(f"cannot write to {out}: {exc.strerror or exc}")
 
 
+def _shown(path) -> str:
+    """A path as one line of UTF-8 text: an undecodable byte shows as \\xff, CR and LF as \\r and \\n."""
+    shown = str(path).encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+    return shown.replace("\r", "\\r").replace("\n", "\\n")
+
+
 def _parse_file(root: Path, path: Path) -> CompilationUnit | str:
     """The file's parsed unit, or the line that logs why it is left out."""
     rel = path.relative_to(root).as_posix()
     if metrics.UNSTORABLE.search(rel):
-        # The log escapes an undecodable byte, CR and LF, so it stays UTF-8 and one line a file.
-        shown = rel.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
-        shown = shown.replace("\r", "\\r").replace("\n", "\\n")
-        return (f"{shown}: path holds a comma, a line break or a byte that is not "
+        return (f"{_shown(rel)}: path holds a comma, a line break or a byte that is not "
                 "UTF-8, which metrics.csv cannot store")
     try:
         return parse_source(path.read_text(encoding="utf-8"), rel)
@@ -94,7 +98,7 @@ def cmd_extract(args) -> int:
         "metrics.csv": metrics.metrics_csv(vectors),
         "extract_exclusions.log": "".join(e + "\n" for e in exclusions),
     }, args.force)
-    print(f"wrote {out / 'metrics.csv'} ({len(vectors)} files, {len(exclusions)} excluded)")
+    print(f"wrote {_shown(out / 'metrics.csv')} ({len(vectors)} files, {len(exclusions)} excluded)")
     return 0
 
 
@@ -115,7 +119,7 @@ def cmd_dataset(args) -> int:
         f"{name}.csv": ds.write_csv(data),
         f"{name}_exclusions.log": "".join(f"{bid}: {reason}\n" for bid, reason in exclusions),
     }, args.force)
-    print(f"wrote {out / (name + '.csv')} ({len(data.rows)} builds, {len(exclusions)} excluded)")
+    print(f"wrote {_shown(out / (name + '.csv'))} ({len(data.rows)} builds, {len(exclusions)} excluded)")
     return 0
 
 
@@ -140,18 +144,16 @@ def cmd_select(args) -> int:
     if not runs:
         raise DataError("every selection run failed: " + "; ".join(skipped))
     out = Path(args.out)
-    lines = ["threshold,selected_metric_ids"]
-    for threshold in (4, 6, 8, 10):
-        chosen = sorted(featsel.frequency_select(runs, threshold))
-        lines.append(f"{threshold}," + " ".join(str(m) for m in chosen))
+    thresholds = ([str(threshold), " ".join(map(str, sorted(featsel.frequency_select(runs, threshold))))]
+                  for threshold in (4, 6, 8, 10))
     _write(out, {
         "selection.csv": featsel.selection_report_csv(runs),
         "frequency.csv": featsel.frequency_csv(runs),
-        "thresholds.csv": "\n".join(lines) + "\n",
+        "thresholds.csv": metrics.table_text(["threshold", "selected_metric_ids"], thresholds),
     }, args.force)
     for reason in skipped:
         print(f"skipped {reason}", file=sys.stderr)
-    print(f"wrote selection reports to {out} ({len(runs)} runs)")
+    print(f"wrote selection reports to {_shown(out)} ({len(runs)} runs)")
     return 0
 
 
@@ -198,21 +200,15 @@ def cmd_evaluate(args) -> int:
 def cmd_freq(args) -> int:
     if args.threshold < 1:
         raise UsageError("--threshold must be at least 1")
-    runs = []
-    text = _read(args.selection)
-    lines = metrics.csv_lines(text)
-    if not lines or not lines[0].startswith("dataset_id,algorithm"):
-        raise DataError("malformed selection report")
+    header, rows = metrics.table_rows(_read(args.selection), "selection report")
+    if header != featsel.REPORT_HEADER:
+        raise DataError("malformed selection report header: expected " + ",".join(featsel.REPORT_HEADER))
     by_run: dict[tuple[str, str], list[int]] = {}
-    for rownum, ln in enumerate(lines[1:], start=2):
-        cells = ln.split(",")
-        try:
-            mid = int(cells[2])
-        except (IndexError, ValueError):
-            raise DataError(f"selection report row {rownum}: expected dataset_id,algorithm,metric_id")
-        by_run.setdefault((cells[0], cells[1]), []).append(mid)
-    for (did, algo), selected in sorted(by_run.items()):
-        runs.append(featsel.SelectionRun(did, algo, selected))
+    for rownum, (did, algo, mid, _, _) in rows:
+        if not (mid.isascii() and mid.isdigit()):
+            raise DataError(f"selection report row {rownum}: metric ID {mid!r} is not a number")
+        by_run.setdefault((did, algo), []).append(int(mid))
+    runs = [featsel.SelectionRun(did, algo, selected) for (did, algo), selected in sorted(by_run.items())]
     chosen = sorted(featsel.frequency_select(runs, args.threshold))
     print(" ".join(str(m) for m in chosen))
     return 0
@@ -270,13 +266,21 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         if args.command == "evaluate" and not args.replay and not args.dataset:
             raise UsageError("dataset CSV required unless --replay is given")
-        return args.func(args)
+        code = args.func(args)
+        print(end="", flush=True)  # a closed stdout fails here, not at exit
+        return code
     except UsageError as exc:
         return _report("error", exc, 1)
     except (DataError, SelectionError, EvaluationError) as exc:
         return _report("error", exc, 2)
     except BuildMetricsError as exc:
         return _report("internal error", exc, 3)
+    except OSError as exc:  # a file that cannot be read or written is a UsageError, so this is stdout
+        # The interpreter flushes stdout again at exit; that write now goes nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _report("error", f"cannot write to stdout: {exc.strerror or exc}", 1)
 
 
 def _report(prefix: str, exc: Exception, code: int) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .errors import DataError
 from .metrics import (AVERAGE_IDS, HALSTEAD_IDS, METRIC_IDS, OBJECT_ORIENTED_IDS, TRADITIONAL_IDS,
-                      UNSTORABLE, csv_lines)
+                      UNSTORABLE, finite_floats, format_value, table_rows, table_text)
 
 # Each strategy folds one metric's per-file values, in manifest file order.
 AGGREGATE = {"average": lambda column: sum(column) / len(column), "maximum": max, "sum": sum}
@@ -157,27 +157,18 @@ def assemble(
     return apply_filter(full, filter_tag), exclusions
 
 
-def _cell(v: float) -> str:
-    if v == int(v):
-        return str(int(v))
-    return repr(v)  # shortest round-trippable form
-
-
 def write_csv(dataset: Dataset) -> str:
     """Dataset CSV with a trailing provenance comment; lossless round trip."""
-    header = "build_id,label," + ",".join(f"m{i}" for i in dataset.feature_ids)
-    lines = [header]
-    for bid, label, values in dataset.rows:
-        lines.append(f"{bid},{label}," + ",".join(_cell(v) for v in values))
-    lines.append(f"# strategy={dataset.strategy} filter={dataset.filter_tag}")
-    return "\n".join(lines) + "\n"
+    header = ["build_id", "label"] + [f"m{i}" for i in dataset.feature_ids]
+    rows = ([bid, label] + [format_value(v, None) for v in values] for bid, label, values in dataset.rows)
+    return table_text(header, rows) + f"# strategy={dataset.strategy} filter={dataset.filter_tag}\n"
 
 
 def read_csv(text: str) -> Dataset:
-    lines = csv_lines(text)
     strategy, filter_tag = "average", "full"
-    if lines and lines[-1].startswith("#"):
-        footer = lines.pop()
+    body, _, footer = text.rstrip().rpartition("\n")
+    if footer.startswith("#"):
+        text = body
         for part in footer.lstrip("# ").split():
             if part.startswith("strategy="):
                 strategy = part.split("=", 1)[1]
@@ -185,9 +176,7 @@ def read_csv(text: str) -> Dataset:
                 filter_tag = part.split("=", 1)[1]
         if strategy not in STRATEGIES or filter_tag not in FILTER_TAGS:
             raise DataError(f"unknown provenance in dataset footer: {footer!r}")
-    if not lines:
-        raise DataError("dataset CSV has no header")
-    header = lines[0].split(",")
+    header, raw_rows = table_rows(text, "dataset CSV")
     if header[:2] != ["build_id", "label"]:
         raise DataError("malformed dataset header: expected build_id,label,...")
     feature_ids = []
@@ -201,23 +190,8 @@ def read_csv(text: str) -> Dataset:
             raise DataError(f"repeated metric column {col!r}")
         feature_ids.append(mid)
     rows = []
-    for rownum, ln in enumerate(lines[1:], start=2):
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise DataError(f"row {rownum}: expected {len(header)} cells, got {len(cells)}")
-        bid, label = cells[0], cells[1]
+    for rownum, (bid, label, *cells) in raw_rows:
         if label not in LABELS:
-            raise DataError(f"row {rownum}: unknown label {label!r}")
-        values = []
-        for colnum, cell in enumerate(cells[2:], start=3):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise DataError(f"row {rownum}, column {colnum}: non-numeric cell {cell!r}")
-            # Metric values are finite; NaN would break the sort order that
-            # discretization and tree growth rely on.
-            if not math.isfinite(value):
-                raise DataError(f"row {rownum}, column {colnum}: non-finite cell {cell!r}")
-            values.append(value)
-        rows.append((bid, label, values))
+            raise DataError(f"dataset CSV row {rownum}: unknown label {label!r}")
+        rows.append((bid, label, finite_floats(cells, "dataset CSV", rownum)))
     return Dataset(feature_ids=feature_ids, rows=rows, strategy=strategy, filter_tag=filter_tag)

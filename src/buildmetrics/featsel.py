@@ -21,10 +21,12 @@ from itertools import combinations
 
 from .dataset import Dataset
 from .errors import SelectionError
+from .metrics import table_text
 
 _GAIN_EPS = 1e-12
 _MERIT_EPS = 1e-12
 _PATIENCE = 5
+REPORT_HEADER = ["dataset_id", "algorithm", "metric_id", "rank_or_member", "score"]
 
 
 @dataclass
@@ -166,7 +168,7 @@ def _mdl_bins(values: list[float], labels: list) -> list[int]:
 @dataclass
 class Discretized:
     """A dataset's labels and each feature's MDL bin list, keyed by ascending
-    metric ID: the one input of info_gain_rank, cfs_select and cfs_merit."""
+    metric ID: the one input of info_gain_rank and cfs_select."""
     dataset_id: str
     labels: list[str]
     bins: dict[int, list[int]]
@@ -191,11 +193,6 @@ def _gain(bins: list[int], labels: list) -> float:
     for b, lab in zip(bins, labels):
         groups.setdefault(b, []).append(lab)
     return entropy(labels) - sum((len(g) / n) * entropy(g) for g in groups.values())
-
-
-def info_gain(values: list[float], labels: list) -> float:
-    """H(label) - H(label | MDL-discretized feature)."""
-    return _gain(_mdl_bins(values, labels), labels)
 
 
 def info_gain_rank(table: Discretized) -> SelectionRun:
@@ -252,12 +249,6 @@ def _su_tables(table: Discretized):
     return su_label, su_pair
 
 
-def cfs_merit(table: Discretized, subset) -> float:
-    """Merit of a feature subset; exposed for exhaustive oracle checks."""
-    su_label, su_pair = _su_tables(table)
-    return _merit(su_label, su_pair, tuple(sorted(subset)))
-
-
 def cfs_select(table: Discretized) -> SelectionRun:
     """Correlation-based subset selection via best-first forward search."""
     features = list(table.bins)
@@ -305,17 +296,13 @@ def frequency_select(runs: list[SelectionRun], threshold: int) -> set[int]:
 
 def selection_report_csv(runs: list[SelectionRun]) -> str:
     """dataset_id,algorithm,metric_id,rank_or_member,score rows."""
-    lines = ["dataset_id,algorithm,metric_id,rank_or_member,score"]
-    for run in runs:
-        for rank, mid in enumerate(run.selected, start=1):
-            score = run.scores.get(mid, "")
-            score_cell = f"{score:.6f}" if score != "" else ""
-            lines.append(f"{run.dataset_id},{run.algorithm},{mid},{rank},{score_cell}")
-    return "\n".join(lines) + "\n"
+    rows = ([run.dataset_id, run.algorithm, str(mid), str(rank),
+             f"{run.scores[mid]:.6f}" if mid in run.scores else ""]
+            for run in runs for rank, mid in enumerate(run.selected, start=1))
+    return table_text(REPORT_HEADER, rows)
 
 
 def frequency_csv(runs: list[SelectionRun]) -> str:
     """metric_id,count tally across runs (histogram analogue)."""
     counts = _run_counts(runs)
-    lines = ["metric_id,count"] + [f"{mid},{counts[mid]}" for mid in sorted(counts)]
-    return "\n".join(lines) + "\n"
+    return table_text(["metric_id", "count"], ([str(mid), str(counts[mid])] for mid in sorted(counts)))

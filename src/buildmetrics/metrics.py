@@ -17,6 +17,7 @@ cohesion (27-29) but are excluded from the method-count family
 import math
 import re
 from collections import Counter
+from itertools import chain
 
 from .errors import DataError, ModelError
 from .javaparse import CompilationUnit, MethodDecl, TypeDecl
@@ -232,14 +233,15 @@ def compute_all_metrics(model: CodeModel) -> dict[str, list[float]]:
     return {unit.file_path: _unit_metrics(model, unit) for unit in model.units if unit.types}
 
 
-def format_value(v: float) -> str:
-    """Up to 6 decimal places; integral values print without a decimal point."""
+def format_value(v: float, digits: int | None = 6) -> str:
+    """Up to `digits` decimal places, or with digits=None the shortest form
+    that reads back exactly; integral values print without a decimal point."""
     if v == int(v):
         return str(int(v))
-    return f"{v:.6f}".rstrip("0").rstrip(".")
+    return repr(v) if digits is None else ("%.*f" % (digits, v)).rstrip("0").rstrip(".")
 
 
-_HEADER = "file_path," + ",".join(f"m{i}" for i in METRIC_IDS)
+_HEADER = ["file_path"] + [f"m{i}" for i in METRIC_IDS]
 
 # The CSV artifacts hold each path or build ID as one unquoted UTF-8 cell. A
 # surrogate is what a file name's undecodable byte becomes, and UTF-8 cannot
@@ -247,38 +249,56 @@ _HEADER = "file_path," + ",".join(f"m{i}" for i in METRIC_IDS)
 UNSTORABLE = re.compile("[,\r\n\ud800-\udfff]")
 
 
-def csv_lines(text: str) -> list[str]:
-    """The non-blank lines of a CSV artifact. Rows end at LF alone, so a cell
-    may hold U+2028 or another character that str.splitlines breaks at."""
-    return [ln for ln in text.split("\n") if ln.strip()]
+def table_text(header: list[str], rows) -> str:
+    """The text of a CSV artifact: the header and each row of cells, one line
+    each. No cell is quoted, so none may hold a comma or a line break."""
+    return "\n".join(map(",".join, chain([header], rows))) + "\n"
+
+
+def table_rows(text: str, what: str):
+    """The header cells of a CSV artifact, and an iterator over its rows as
+    (row number, cells) that checks each row is as wide as the header. Blank
+    lines are skipped. Rows end at LF alone, so a cell may hold U+2028 or
+    another character that str.splitlines breaks at."""
+    lines = [ln for ln in text.split("\n") if ln.strip()]
+    if not lines:
+        raise DataError(f"{what} has no header")
+    header = lines[0].split(",")
+
+    def rows():
+        for rownum, ln in enumerate(lines[1:], start=2):
+            cells = ln.split(",")
+            if len(cells) != len(header):
+                raise DataError(f"{what} row {rownum}: expected {len(header)} cells, got {len(cells)}")
+            yield rownum, cells
+    return header, rows()
+
+
+def finite_floats(cells: list[str], what: str, rownum: int) -> list[float]:
+    """A row's cells as floats; NaN would break the sort order that
+    discretization and tree growth rely on, and no metric is infinite."""
+    try:
+        values = list(map(float, cells))
+    except ValueError as exc:
+        raise DataError(f"{what} row {rownum}: {exc}")
+    if not all(map(math.isfinite, values)):
+        raise DataError(f"{what} row {rownum}: non-finite value")
+    return values
 
 
 def metrics_csv(vectors: dict[str, list[float]]) -> str:
     """Per-file metric dump: file_path,m1,...,m42 in ID order."""
-    lines = [_HEADER]
-    for path, values in vectors.items():
-        lines.append(path + "," + ",".join(map(format_value, values)))
-    return "\n".join(lines) + "\n"
+    return table_text(_HEADER, ([path, *map(format_value, values)] for path, values in vectors.items()))
 
 
 def parse_metrics_csv(text: str) -> dict[str, list[float]]:
     """Inverse of metrics_csv; returns a file_path -> vector lookup."""
-    lines = csv_lines(text)
-    if not lines or lines[0] != _HEADER:
+    header, rows = table_rows(text, "metrics CSV")
+    if header != _HEADER:
         raise DataError("malformed metrics CSV header")
     out: dict[str, list[float]] = {}
-    for rownum, ln in enumerate(lines[1:], start=2):
-        cells = ln.split(",")
-        if len(cells) != 1 + len(METRIC_IDS):
-            raise DataError(f"malformed metrics CSV row {rownum}: {ln!r}")
-        path = cells[0]
+    for rownum, (path, *cells) in rows:
         if path in out:
             raise DataError(f"metrics CSV row {rownum}: repeated file path {path!r}")
-        try:
-            values = [float(cell) for cell in cells[1:]]
-        except ValueError as exc:
-            raise DataError(f"metrics CSV row {rownum}: {exc}")
-        if not all(map(math.isfinite, values)):
-            raise DataError(f"metrics CSV row {rownum}: non-finite value")
-        out[path] = values
+        out[path] = finite_floats(cells, "metrics CSV", rownum)
     return out

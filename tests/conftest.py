@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from buildmetrics import featsel
 from buildmetrics.javaparse import parse_source
 from buildmetrics.metrics import METRIC_IDS, compute_all_metrics
 from buildmetrics.model import build_code_model
@@ -16,6 +17,17 @@ CORPUS = Path(__file__).parent / "fixtures" / "corpus"
 def by_id(values: list[float]) -> dict[int, float]:
     """A metric vector keyed by metric ID; it must hold one value per ID."""
     return dict(zip(METRIC_IDS, values, strict=True))
+
+
+def info_gain(values: list[float], labels: list) -> float:
+    """H(label) - H(label | MDL-discretized feature), through the gain that info_gain_rank uses."""
+    return featsel._gain(featsel._mdl_bins(values, labels), labels)
+
+
+def cfs_merit(table: featsel.Discretized, subset) -> float:
+    """CFS merit of a feature subset, through the tables that cfs_select searches."""
+    su_label, su_pair = featsel._su_tables(table)
+    return featsel._merit(su_label, su_pair, tuple(sorted(subset)))
 
 
 def load_corpus_units(root: Path = CORPUS):

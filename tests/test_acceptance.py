@@ -18,19 +18,17 @@ from buildmetrics.cli import main
 from buildmetrics.dataset import Dataset
 from buildmetrics.featsel import (
     SelectionRun,
-    cfs_merit,
     cfs_select,
     discretize,
     entropy,
     frequency_select,
-    info_gain,
     info_gain_rank,
     symmetric_uncertainty,
 )
 from buildmetrics.metrics import METRIC_IDS
 from buildmetrics.tree import cross_validate, predict, prune, train
 
-from conftest import CORPUS
+from conftest import CORPUS, cfs_merit, info_gain
 from oracle_metrics import OracleCorpus
 from synth import GAP_HIGH, GAP_LOW, generate_corpus
 from data.reported_results import (

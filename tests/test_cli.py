@@ -5,6 +5,8 @@ import os
 import pickle
 import random
 import signal
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -820,16 +822,64 @@ def test_freq_reads_the_empty_report_select_writes(tmp_path, capsys):
     assert run(capsys, "freq", str(report), "--threshold", "1") == (0, "\n", "")
 
 
-@pytest.mark.parametrize(
-    "row", ["1,cfs,abc", "1", "1,cfs", "1,infogain,"], ids=["non-integer", "one-cell", "two-cells", "empty-id"]
-)
-def test_freq_malformed_report_is_one_line_data_error(tmp_path, capsys, row):
-    report = tmp_path / "selection.csv"
-    report.write_text("dataset_id,algorithm,metric_id,rank_or_member,score\n1,cfs,9,1,\n" + row + "\n")
-    code, _, err = run(capsys, "freq", str(report), "--threshold", "1")
+_REPORT_HEADER = "dataset_id,algorithm,metric_id,rank_or_member,score\n"
+
+
+@pytest.mark.parametrize("report", [
+    pytest.param(_REPORT_HEADER + "1,cfs,9,1,\n" + row + "\n", id=name) for name, row in [
+        ("non-integer", "1,cfs,abc,1,"), ("superscript-two", "1,cfs,\u00b2,1,"), ("negative", "1,cfs,-1,1,"),
+        ("leading-space", "1,cfs, 9,1,"), ("empty-id", "1,infogain,,1,"), ("one-cell", "1"),
+        ("two-cells", "1,cfs"), ("three-cells", "1,cfs,9"), ("six-cells", "1,cfs,9,1,,")]
+] + [
+    pytest.param("dataset_id,algorithm,metric_id\n1,cfs,9\n", id="three-column-header"),
+    pytest.param("dataset_id,algorithm,metric_id,rank,score\n1,cfs,9,1,\n", id="renamed-column"),
+    pytest.param("\n \n", id="no-header"),
+])
+def test_freq_malformed_report_is_one_line_data_error(tmp_path, capsys, report):
+    (tmp_path / "selection.csv").write_text(report)
+    code, _, err = run(capsys, "freq", str(tmp_path / "selection.csv"), "--threshold", "1")
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_freq_names_a_metric_id_that_is_not_a_number(tmp_path, capsys):
+    (tmp_path / "selection.csv").write_text(_REPORT_HEADER + "1,cfs,9,1,\n1,infogain,\u00b2,1,0.5\n")
+    assert run(capsys, "freq", str(tmp_path / "selection.csv"), "--threshold", "1") == (
+        2, "", "error: selection report row 3: metric ID '\u00b2' is not a number\n")
+
+
+# -- real processes: a closed and a strict stdout ------------------------------------
+
+
+def _cli_process(*argv, env=(), **kwargs) -> subprocess.CompletedProcess:
+    """One `python -m buildmetrics.cli` process, run to its end, with stdout buffered unless env says otherwise."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | dict(env)
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    return subprocess.run([sys.executable, "-m", "buildmetrics.cli", *argv], env=env, stderr=subprocess.PIPE,
+                          timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("env", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_is_one_line_usage_error(tmp_path, env):
+    # Buffered, the write fails at main's flush; unbuffered, at the print itself.
+    (tmp_path / "selection.csv").write_text(_REPORT_HEADER + "1,cfs,9,1,\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_process("freq", str(tmp_path / "selection.csv"), "--threshold", "1", env=env, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == "error: cannot write to stdout: Broken pipe\n"
+
+
+def test_a_strict_stdout_prints_an_undecodable_out_path(tmp_path):
+    out = os.fsencode(tmp_path) + b"/out\xff"
+    proc = _cli_process("extract", CORPUS, "--out", out, env={"PYTHONIOENCODING": "utf-8"}, stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b"wrote " + os.fsencode(tmp_path) + b"/out\\xff/metrics.csv (11 files, 0 excluded)\n"
+    assert (Path(os.fsdecode(out)) / "metrics.csv").is_file()
 
 
 # -- one-line errors for paths, --folds and --replay ------------------------------

@@ -303,7 +303,7 @@ _VALUES = st.sampled_from([-0.0, 5e-324, 1e300, -1e300, 2.0**53 + 2, 3.0**40]) |
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(data=st.data())
 def test_csv_round_trip_property(data):
-    feature_ids = data.draw(st.lists(st.sampled_from(METRIC_IDS), min_size=1, max_size=6, unique=True))
+    feature_ids = data.draw(st.lists(st.sampled_from(METRIC_IDS), max_size=6, unique=True))
     rows = data.draw(st.lists(st.tuples(_BUILD_IDS, st.sampled_from(LABELS),
                                         st.lists(_VALUES, min_size=len(feature_ids), max_size=len(feature_ids))),
                               max_size=5))
@@ -315,6 +315,13 @@ def test_csv_round_trip_property(data):
     assert (again.rows, again.feature_ids, again.strategy, again.filter_tag) == (
         rows, feature_ids, dataset.strategy, dataset.filter_tag)
     assert write_csv(again) == text
+
+
+def test_csv_round_trip_without_feature_columns():
+    text = write_csv(Dataset([], [("b1", "failed", [])], "sum"))
+    assert text == "build_id,label\nb1,failed\n# strategy=sum filter=full\n"
+    again = read_csv(text)
+    assert (again.feature_ids, again.rows, again.strategy) == ([], [("b1", "failed", [])], "sum")
 
 
 def test_csv_header_validation():
@@ -336,7 +343,7 @@ def test_csv_header_validation():
 
 def test_csv_row_width_validation():
     for row in ("b1,success", "b1,success,1,2"):
-        with pytest.raises(DataError, match=r"^row 2: expected 3 cells, got (2|4)$"):
+        with pytest.raises(DataError, match=r"^dataset CSV row 2: expected 3 cells, got (2|4)$"):
             read_csv(f"build_id,label,m9\n{row}\n")
 
 

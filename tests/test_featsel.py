@@ -13,18 +13,18 @@ from buildmetrics.errors import SelectionError
 from buildmetrics.featsel import (
     SelectionRun,
     best_cut,
-    cfs_merit,
     cfs_select,
     discretize,
     discretize_mdl,
     entropy,
     frequency_csv,
     frequency_select,
-    info_gain,
     info_gain_rank,
     selection_report_csv,
     symmetric_uncertainty,
 )
+
+from conftest import cfs_merit, info_gain
 
 
 def make_dataset(columns: dict[int, list[float]], labels: list[str], did="1") -> Dataset:
