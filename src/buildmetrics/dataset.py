@@ -167,7 +167,7 @@ def write_csv(dataset: Dataset) -> str:
 def read_csv(text: str) -> Dataset:
     strategy, filter_tag = "average", "full"
     body, _, footer = text.rstrip().rpartition("\n")
-    if footer.startswith("#"):
+    if footer.startswith("#") and "," not in footer:  # a row holds a comma, the footer none
         text = body
         for part in footer.lstrip("# ").split():
             if part.startswith("strategy="):

@@ -9,7 +9,10 @@ O(1). MDL sorts each feature once and splits index ranges popped from a
 stack, handing each side's class counts down.
 The CFS search is best-first forward search with a patience of 5
 non-improving expansions; merit ties break toward the smaller,
-lexicographically earlier subset so results are deterministic.
+lexicographically earlier subset so results are deterministic. Symmetric
+uncertainty is computed only for features MDL cut, and a pair's SU when the
+search first reads it. A feature without a cut scores exactly 0.0 under IG
+and CFS alike.
 """
 
 import heapq
@@ -239,14 +242,28 @@ def _better(merit_a: float, subset_a, merit_b: float, subset_b) -> bool:
     return subset_a < subset_b
 
 
+class _PairSU(dict):
+    """SU of feature pairs (a, b), a < b, computed on first read; 0.0 when
+    either feature is not in `cut`, the bin lists of the features MDL cut."""
+
+    def __init__(self, cut: dict[int, list[int]]):
+        super().__init__()
+        self.cut = cut
+
+    def __missing__(self, pair):
+        a, b = pair
+        cut = self.cut
+        su = self[pair] = symmetric_uncertainty(cut[a], cut[b]) if a in cut and b in cut else 0.0
+        return su
+
+
 def _su_tables(table: Discretized):
-    """SU of each binned feature with the label, and of each feature pair."""
-    bins = table.bins
-    su_label = {mid: symmetric_uncertainty(b, table.labels) for mid, b in bins.items()}
-    su_pair = {
-        (a, b): symmetric_uncertainty(bins[a], bins[b]) for a, b in combinations(bins, 2)
-    }
-    return su_label, su_pair
+    """SU of each binned feature with the label, and of each feature pair,
+    filled on first read. A feature MDL did not cut has one bin: its SU is
+    exactly 0.0 (H(x) = 0, H(x, y) = H(y)) and takes no Counter pass."""
+    cut = {mid: b for mid, b in table.bins.items() if any(b)}
+    su_label = {mid: symmetric_uncertainty(cut[mid], table.labels) if mid in cut else 0.0 for mid in table.bins}
+    return su_label, _PairSU(cut)
 
 
 def cfs_select(table: Discretized) -> SelectionRun:

@@ -311,10 +311,13 @@ def test_csv_round_trip_property(data):
         parse_manifest(json.dumps({"build_id": bid, "kind": "nightly", "result": label, "files": []}))
     dataset = Dataset(feature_ids, rows, data.draw(st.sampled_from(STRATEGIES)), data.draw(st.sampled_from(FILTER_TAGS)))
     text = write_csv(dataset)
+    if data.draw(st.booleans()):  # without its footer, a CSV reads as average, full
+        text = text[:text.rindex("# strategy=")]
+        dataset = Dataset(feature_ids, rows)
     again = read_csv(text)
     assert (again.rows, again.feature_ids, again.strategy, again.filter_tag) == (
         rows, feature_ids, dataset.strategy, dataset.filter_tag)
-    assert write_csv(again) == text
+    assert write_csv(again) == write_csv(dataset)
 
 
 def test_csv_round_trip_without_feature_columns():
@@ -322,6 +325,12 @@ def test_csv_round_trip_without_feature_columns():
     assert text == "build_id,label\nb1,failed\n# strategy=sum filter=full\n"
     again = read_csv(text)
     assert (again.feature_ids, again.rows, again.strategy) == ([], [("b1", "failed", [])], "sum")
+
+
+def test_csv_without_footer_keeps_a_last_row_whose_build_id_starts_with_hash():
+    data = read_csv("build_id,label,m9\nb1,success,1\nb2,failed,3\n#1,failed,2\n")
+    assert [bid for bid, _, _ in data.rows] == ["b1", "b2", "#1"]
+    assert (data.strategy, data.filter_tag) == ("average", "full")
 
 
 def test_csv_header_validation():

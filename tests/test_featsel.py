@@ -516,6 +516,70 @@ def test_cfs_constant_label():
         cfs_select(discretize(make_dataset({1: [0.0, 1.0]}, ["f", "f"])))
 
 
+def _random_table(rng, n_features, n_rows, classes):
+    """A Discretized table of uncut columns (every row in bin 0) and cut ones
+    (up to four bins, some copying the label), at least one of each."""
+    names = ["f", "s", "w"][:classes]
+    labels = [rng.choice(names) for _ in range(n_rows)]
+    labels[:classes] = names
+    bins = {}
+    for k, mid in enumerate(sorted(rng.sample(range(1, 43), n_features))):
+        mode = k if k < 2 else rng.randrange(3)
+        if mode == 0:
+            column = [0] * n_rows
+        elif mode == 1:
+            column = [names.index(lab) if rng.random() < 0.8 else rng.randrange(classes) for lab in labels]
+        else:
+            column = [rng.randrange(4) for _ in labels]
+        if mode and not any(column):
+            column[0] = 1
+        bins[mid] = column
+    return featsel.Discretized("1", labels, bins)
+
+
+def _eager_su_tables(table):
+    """Every feature's SU with the label and every pair's, computed up front."""
+    bins = table.bins
+    su_label = {mid: symmetric_uncertainty(b, table.labels) for mid, b in bins.items()}
+    su_pair = {(a, b): symmetric_uncertainty(bins[a], bins[b]) for a, b in combinations(bins, 2)}
+    return su_label, su_pair
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+def test_cfs_tables_are_exact_and_search_as_the_eager_tables(monkeypatch, classes):
+    rng = random.Random(classes)
+    su_tables = featsel._su_tables
+    for trial in range(30):
+        table = _random_table(rng, rng.randrange(2, 16), rng.randrange(6, 60), classes)
+        tables = []
+        monkeypatch.setattr(featsel, "_su_tables", lambda t: tables.append(su_tables(t)) or tables[-1])
+        run = cfs_select(table)
+        su_label, su_pair = tables[0]
+        eager_label, eager_pair = _eager_su_tables(table)
+        assert su_label == eager_label, trial
+        assert su_pair and all(su == eager_pair[pair] for pair, su in su_pair.items()), trial
+        monkeypatch.setattr(featsel, "_su_tables", _eager_su_tables)
+        assert cfs_select(table) == run, trial
+
+
+@pytest.mark.parametrize("classes, n_features", [(2, 8), (3, 8), (2, 42), (3, 42)])
+def test_cfs_computes_su_only_for_cut_features(monkeypatch, classes, n_features):
+    # Computing every SU would take F + F*(F-1)/2 calls: 36 or 903 here.
+    calls = []
+    su = featsel.symmetric_uncertainty
+    monkeypatch.setattr(featsel, "symmetric_uncertainty", lambda x, y: calls.append((x, y)) or su(x, y))
+    rng = random.Random(classes * 100 + n_features)
+    for _ in range(5):
+        table = _random_table(rng, n_features, 150, classes)
+        cut = [b for b in table.bins.values() if any(b)]
+        calls.clear()
+        cfs_select(table)
+        c = len(cut)
+        assert len(calls) <= c + c * (c - 1) // 2
+        assert all(any(x is b for b in cut) and (y is table.labels or any(y is b for b in cut))
+                   for x, y in calls)
+
+
 # -- frequency thresholds ------------------------------------------------------------
 
 
