@@ -165,7 +165,7 @@ def _parse_feature_list(text: str) -> list[int]:
 
 
 def cmd_evaluate(args) -> int:
-    if args.replay:
+    if args.replay is not None:
         parts = _parse_feature_list(args.replay)
         if len(parts) != 4:
             raise UsageError("--replay expects failed_correct,failed_incorrect,success_correct,success_incorrect")
@@ -180,7 +180,7 @@ def cmd_evaluate(args) -> int:
     if args.folds < 2:
         raise UsageError("--folds must be at least 2")
     data = ds.read_csv(_read(args.dataset))
-    if args.features:
+    if args.features is not None:
         data = data.project(_parse_feature_list(args.features))
         if not data.feature_ids:
             raise UsageError("feature set shares no columns with the dataset")
@@ -264,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "evaluate" and not args.replay and not args.dataset:
-            raise UsageError("dataset CSV required unless --replay is given")
+        if args.command == "evaluate" and (args.replay is None) == (not args.dataset):
+            raise UsageError("evaluate takes exactly one of a dataset CSV and --replay")
         code = args.func(args)
         print(end="", flush=True)  # a closed stdout fails here, not at exit
         return code

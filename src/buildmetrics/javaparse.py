@@ -161,15 +161,11 @@ class _Parser:
             if t == "package":
                 self.take()
                 self.unit.package_name = self.dotted_name()
-                if self.at(";"):
-                    self.take()
             elif t == "import":
                 self.take()
                 if self.at("static"):
                     self.take()
                 self.unit.imports.append(self.dotted_name())
-                if self.at(";"):
-                    self.take()
             elif t == "@":  # alone, so that an annotated package declaration is read
                 self.skip_annotation()
             else:

@@ -2,8 +2,9 @@
 and stratified k-fold cross-validation with confusion accounting.
 
 All features are numeric; every split is binary on a midpoint threshold
-(left branch takes values <= threshold). Each feature column is sorted once
-at the root and split into ordered halves at every node (as in SLIQ).
+(left branch takes values <= threshold). Each column is sorted once at the
+root; the winning cut hands each child its sorted rows and class counts, as
+MDL's frames get theirs, and places its threshold once (as in SLIQ).
 Pruning is one bottom-up pass of subtree replacement using the binomial
 upper confidence bound on the leaf error rate; the bound is computed in log
 space, so it stays finite at any node size. The settings are C4.5's
@@ -109,46 +110,44 @@ def train(dataset: Dataset) -> TreeNode:
         raise EvaluationError("cannot train on an empty dataset")
     global_counts = Counter(labels)
     classes = list(global_counts)
-    class_index = {label: k for k, label in enumerate(classes)}
-    ys = [class_index[label] for label in labels]
-    columns = {mid: dataset.column(mid) for mid in dataset.feature_ids}
+    ys = [classes.index(label) for label in labels]
+    columns = [dataset.column(mid) for mid in dataset.feature_ids]
     goes_left = [False] * len(labels)
-    rows = range(len(labels))
     root = TreeNode()
-    # lists[0] holds a node's rows in index order and lists[1 + k] the same
-    # rows sorted by feature k; each column is sorted once, here, and splits
-    # keep every list in order. A split drops its node's lists, so the lists
-    # alive at once hold disjoint rows.
-    stack = [(root, [list(rows)] + [sorted(rows, key=columns[mid].__getitem__)
-                                     for mid in dataset.feature_ids])]
+    # A frame holds a node, its class counts by class index and its rows
+    # sorted by each feature (each column is sorted once, here). The winning
+    # cut hands each child its rows and counts, as in discretize_mdl; a split
+    # drops its node's lists, so the lists alive at once hold disjoint rows.
+    stack = [(root, list(global_counts.values()),
+              [sorted(range(len(labels)), key=column.__getitem__) for column in columns])]
     while stack:
-        node, lists = stack.pop()
-        node.training_counts = counts = Counter(labels[i] for i in lists[0])
-        candidates = []  # (metric ID, gain, threshold, split info)
-        if len(counts) > 1 and len(lists[0]) >= 2 * _MIN_LEAF:
-            class_counts = [counts[label] for label in classes]
-            n = len(lists[0])
-            for k, mid in enumerate(dataset.feature_ids):
-                order, values = lists[1 + k], columns[mid]
-                best = best_cut(order, values, ys, class_counts, min_size=_MIN_LEAF)
+        node, counts, lists = stack.pop()
+        node.training_counts = Counter({classes[k]: c for k, c in enumerate(counts) if c})
+        n = sum(counts)
+        candidates = []  # (feature index, best_cut result, gain ratio)
+        if len(node.training_counts) > 1 and n >= 2 * _MIN_LEAF:
+            for k, (order, column) in enumerate(zip(lists, columns)):
+                best = best_cut(order, column, ys, counts, min_size=_MIN_LEAF)
                 if best is not None:
-                    gain, pos = best[:2]
-                    threshold = cut_point(values[order[pos - 1]], values[order[pos]])
-                    candidates.append((mid, gain, threshold, _entropy((pos, n - pos), n)))
+                    candidates.append((k, best, best[0] / _entropy((best[1], n - best[1]), n)))
         if not candidates:
-            node.label = _majority(counts, global_counts)
+            node.label = _majority(node.training_counts, global_counts)
             continue
-        mean_gain = sum(c[1] for c in candidates) / len(candidates)
-        eligible = [c for c in candidates if c[1] >= mean_gain - _GAIN_EPS]
-        eligible.sort(key=lambda c: (-(c[1] / c[3]), c[0]))
-        node.metric_id, _, node.threshold, _ = eligible[0]
-        column = columns[node.metric_id]
-        for i in lists[0]:
-            goes_left[i] = column[i] <= node.threshold
+        mean_gain = sum(best[0] for _, best, _ in candidates) / len(candidates)
+        eligible = [c for c in candidates if c[1][0] >= mean_gain - _GAIN_EPS]
+        k, (_, pos, _, _, left), _ = min(eligible, key=lambda c: (-c[2], dataset.feature_ids[c[0]]))
+        order, column = lists[k], columns[k]
+        node.metric_id = dataset.feature_ids[k]
+        node.threshold = cut_point(column[order[pos - 1]], column[order[pos]])
+        # The sweep cuts only between distinct values: order[:pos] holds
+        # exactly the rows with value <= threshold.
+        for j, i in enumerate(order):
+            goes_left[i] = j < pos
+        right = [c - c_left for c, c_left in zip(counts, left)]
         node.left, node.right = TreeNode(), TreeNode()
         # Both halves are taken before either child reuses goes_left.
-        stack.append((node.right, [[i for i in lst if not goes_left[i]] for lst in lists]))
-        stack.append((node.left, [[i for i in lst if goes_left[i]] for lst in lists]))
+        stack.append((node.right, right, [[i for i in lst if not goes_left[i]] for lst in lists]))
+        stack.append((node.left, left, [[i for i in lst if goes_left[i]] for lst in lists]))
     return root
 
 

@@ -745,6 +745,12 @@ def test_evaluate_requires_dataset_or_replay(capsys):
     assert code == 1
 
 
+def test_empty_replay_names_the_expected_format(capsys):
+    code, out, err = run(capsys, "evaluate", "--replay=")
+    assert (code, out) == (1, "")
+    assert err == "error: --replay expects failed_correct,failed_incorrect,success_correct,success_incorrect\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -906,6 +912,10 @@ def test_a_strict_stdout_prints_an_undecodable_out_path(tmp_path):
         pytest.param("evaluate {csv} --out {file}", 1, id="evaluate-out-file"),
         pytest.param("evaluate --replay 0,0,0,0", 1, id="replay-all-zero"),
         pytest.param("evaluate --replay=-1,2,3,4", 1, id="replay-negative"),
+        pytest.param("evaluate --replay= --out {tmp}/o", 1, id="replay-empty"),
+        pytest.param("evaluate {csv} --replay= --out {tmp}/o", 1, id="replay-empty-with-dataset"),
+        pytest.param("evaluate {csv} --replay 1,2,3,4 --out {tmp}/o", 1, id="replay-with-dataset"),
+        pytest.param("evaluate {csv} --features= --out {tmp}/o", 1, id="features-empty"),
         pytest.param("evaluate {csv} --folds 0 --out {tmp}/o", 1, id="folds-0"),
         pytest.param("evaluate {csv} --folds=-2 --out {tmp}/o", 1, id="folds-negative"),
         pytest.param("evaluate {csv} --folds 1 --out {tmp}/o", 1, id="folds-1"),

@@ -283,6 +283,31 @@ def test_cut_separates_adjacent_and_huge_values(a, b):
     assert info_gain_rank(discretize(data)).selected == [1]
 
 
+def test_children_hold_the_rows_routed_by_the_threshold_at_float_edges():
+    # Signed zeros compare equal; between the other neighbours the midpoint
+    # rounds up to b, overflows or underflows, so cut_point falls back to a.
+    # Every node's counts must be those of its parent's rows routed by
+    # predict's rule, value <= threshold.
+    top = 1.7976931348623157e308
+    edges = [-0.0, 0.0, 1.0, math.nextafter(1.0, 2.0), top, -top, math.nextafter(top, 0.0), 5e-324, -5e-324]
+    rng = random.Random(29)
+    splits = 0
+    for _ in range(300):
+        n = rng.randrange(4, 41)
+        labels = [rng.choice(["failed", "success"]) for _ in range(n)]
+        columns = {mid: [rng.choice(edges) for _ in range(n)] for mid in (1, 2, 3)}
+        stack = [(train(make_dataset(columns, labels)), range(n))]
+        while stack:
+            node, rows = stack.pop()
+            assert node.training_counts == Counter(labels[i] for i in rows)
+            if not node.is_leaf:
+                splits += 1
+                column = columns[node.metric_id]
+                stack.append((node.left, [i for i in rows if column[i] <= node.threshold]))
+                stack.append((node.right, [i for i in rows if not column[i] <= node.threshold]))
+    assert splits > 300
+
+
 def _nodes(tree):
     """(node, depth) pairs, walked without recursion."""
     stack, out = [(tree, 0)], []
