@@ -81,7 +81,8 @@ def cmd_extract(args) -> int:
     root = Path(args.source)
     if not root.is_dir():
         raise UsageError(f"not a directory: {root}")
-    paths = sorted(p for p in root.rglob("*.java") if p.is_file())
+    # A dangling or looping link is kept so that its read fails into the log; a FIFO would block a read.
+    paths = sorted(p for p in root.rglob("*.java") if p.is_file() or (p.is_symlink() and not p.exists()))
     if not paths:
         raise UsageError(f"no .java files under {root}")
     # A forked child, if any, parses the odd-indexed files; results come back in path order.
@@ -181,9 +182,12 @@ def cmd_evaluate(args) -> int:
         raise UsageError("--folds must be at least 2")
     data = ds.read_csv(_read(args.dataset))
     if args.features is not None:
-        data = data.project(_parse_feature_list(args.features))
-        if not data.feature_ids:
-            raise UsageError("feature set shares no columns with the dataset")
+        wanted = _parse_feature_list(args.features)
+        if unknown := sorted(set(wanted) - set(data.feature_ids)):
+            raise UsageError("feature list names metrics the dataset lacks: " + " ".join(map(str, unknown)))
+        if not wanted:
+            raise UsageError("feature list is empty")
+        data = data.project(wanted)
     report = tree.cross_validate(data, k=args.folds, seed=args.seed)
     name = data.dataset_id
     _write(Path(args.out), {

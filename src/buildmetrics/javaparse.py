@@ -5,10 +5,10 @@ nested ones), fields, constructors and methods. Each method body is walked
 once at token level: brace tracking gives block depths, a fixed
 keyword/symbol table gives decision points and operator/operand tallies, and
 bare or `this.` identifiers give the candidate field accesses. The parser
-indexes the lexer's parallel lists with the comments dropped, and a position
-is an index into them. A parsed unit keeps counts and names, nothing of the
-token stream. Generics, annotations and lambdas are tolerated token-wise but
-not modeled structurally.
+indexes the lexer's parallel lists with the comments dropped, and a position is
+an index into them; an error maps it back through that mask to `lexer.columns`.
+A parsed unit keeps counts and names, nothing of the token stream. Generics,
+annotations and lambdas are tolerated token-wise but not modeled structurally.
 """
 
 from collections import Counter
@@ -17,7 +17,7 @@ from itertools import compress, repeat
 from operator import ne
 
 from .errors import ParseError
-from .lexer import Tokens, tokenize
+from .lexer import Tokens, columns, tokenize
 
 MODIFIERS = frozenset(
     "public private protected static final abstract synchronized native "
@@ -72,9 +72,9 @@ class CompilationUnit:
 
 class _Parser:
     def __init__(self, tokens: Tokens, file_path: str):
-        code = list(map(ne, tokens.kinds, repeat("comment")))
-        self.kinds, self.texts, self.lines, self.offsets = (
-            list(compress(values, code)) for values in (tokens.kinds, tokens.texts, tokens.lines, tokens.offsets))
+        self.code = code = list(map(ne, tokens.kinds, repeat("comment")))
+        self.kinds, self.texts, self.lines = (
+            list(compress(values, code)) for values in (tokens.kinds, tokens.texts, tokens.lines))
         self.source = text = tokens.source  # every line end is LF; the last line may have none
         self.unit = CompilationUnit(file_path=file_path, comment_count=len(tokens) - len(self.texts),
                                     physical_lines=text.count("\n") + (text != "" and text[-1] != "\n"),
@@ -97,9 +97,8 @@ class _Parser:
         return self.texts[self.i - 1]
 
     def error(self, message: str, j: int) -> ParseError:
-        """A ParseError at the line and column of token j."""
-        offset = self.offsets[j]
-        return ParseError(message, self.lines[j], offset - self.source.rfind("\n", 0, offset))
+        """A ParseError at the line and column of token j, a position with the comments dropped."""
+        return ParseError(message, self.lines[j], list(compress(columns(self.source), self.code))[j])
 
     def expect(self, text: str) -> int:
         """Consume text and return its position."""

@@ -1,10 +1,10 @@
 """Tokenizer for the Java subset handled by the toolkit.
 
 Kinds: identifier, keyword, operator-symbol, literal, comment (one token,
-delimiters included) and punctuation. The grammar is one alternation, tried in
-order at each offset by one C-level `findall` per file. A word starts with a
-`\\w` character that is not a decimal digit (`\\d`), or `$`, so Unicode numerics
-such as `²`, `½` and `Ⅻ` are identifier characters.
+delimiters included) and punctuation. One C-level `findall` per file tries one
+alternation in order at each offset, and `columns` lexes again for an error. A
+word starts with a `\\w` character that is not a decimal digit (`\\d`), or `$`,
+so Unicode numerics such as `²`, `½` and `Ⅻ` are identifier characters.
 """
 
 import re
@@ -55,11 +55,10 @@ _KINDS = _Kinds(dict.fromkeys(KEYWORDS, "keyword") | dict.fromkeys(WORD_LITERALS
 
 @dataclass(frozen=True, slots=True)
 class Tokens:
-    source: str  # the text that offsets index, every line end made LF
+    source: str  # the lexed text, every line end made LF; a token has a line but no column
     kinds: list[str]  # identifier | keyword | operator-symbol | literal | comment | punctuation
     texts: list[str]
     lines: list[int]
-    offsets: list[int]
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -74,10 +73,16 @@ def tokenize(source_text: str) -> Tokens:
     keep = list(map(str.strip, found, repeat(_SPACE)))  # empty for white space
     texts = list(compress(found, keep))
     lines = list(compress(accumulate(map(str.count, found, repeat("\n")), initial=1), keep))
-    offsets = list(compress(accumulate(map(len, found), initial=0), keep))
     try:
-        return Tokens(source_text, list(map(_KINDS.__getitem__, texts)), texts, lines, offsets)
+        return Tokens(source_text, list(map(_KINDS.__getitem__, texts)), texts, lines)
     except KeyError as exc:  # an unterminated or illegal token; a kind depends on the text alone,
         i = texts.index(bad := exc.args[0])  # so its first occurrence is the first error
         what = f"unterminated {_UNTERMINATED[bad]}" if bad in _UNTERMINATED else f"illegal character {bad!r}"
-        raise LexicalError(what, lines[i], offsets[i] - source_text.rfind("\n", 0, offsets[i])) from None
+        raise LexicalError(what, lines[i], columns(source_text)[i]) from None
+
+
+def columns(source: str) -> list[int]:
+    """The 1-based column of each token, comments included, of a `Tokens.source` lexed again."""
+    found = _TOKEN.findall(source)
+    return [offset - source.rfind("\n", 0, offset) for offset in compress(
+        accumulate(map(len, found), initial=0), map(str.strip, found, repeat(_SPACE)))]

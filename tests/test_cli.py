@@ -126,6 +126,24 @@ def test_extract_excludes_truncated_file(tmp_path, capsys):
     assert set(lookup) == {"p/A.java"}
 
 
+def test_extract_logs_dangling_and_looping_links(tmp_path, capsys):
+    src = tmp_path / "src"
+    (src / "p" / "D.java").mkdir(parents=True)  # a directory named like a source file is no file
+    (src / "p" / "A.java").write_text("package p; class A { int a; }")
+    try:
+        (src / "p" / "B.java").symlink_to("Gone.java")
+        (src / "p" / "loop.java").symlink_to("loop.java")
+    except OSError:
+        pytest.skip("the file system refuses symbolic links")
+    code, _, err = run(capsys, "extract", str(src), "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    log = (tmp_path / "out" / "extract_exclusions.log").read_text()
+    assert log == (f"p/B.java: cannot read: {os.strerror(errno.ENOENT)}\n"
+                   f"p/loop.java: cannot read: {os.strerror(errno.ELOOP)}\n")
+    lookup = metrics.parse_metrics_csv((tmp_path / "out" / "metrics.csv").read_text())
+    assert set(lookup) == {"p/A.java"}
+
+
 @pytest.mark.parametrize(
     "files, excluded",
     [
@@ -707,6 +725,17 @@ def test_evaluate_disjoint_features(dataset_csv, tmp_path, capsys):
         "--out", str(tmp_path),
     )
     assert code == 1
+    assert err == "error: feature list names metrics the dataset lacks: 999\n"
+
+
+def test_evaluate_names_each_unknown_feature(dataset_csv, tmp_path, capsys):
+    code, _, err = run(
+        capsys, "evaluate", str(dataset_csv), "--features", "1000,9,999",
+        "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert err == "error: feature list names metrics the dataset lacks: 999 1000\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_evaluate_past_float_range_of_exact_bound(tmp_path, capsys):
@@ -916,6 +945,8 @@ def test_a_strict_stdout_prints_an_undecodable_out_path(tmp_path):
         pytest.param("evaluate {csv} --replay= --out {tmp}/o", 1, id="replay-empty-with-dataset"),
         pytest.param("evaluate {csv} --replay 1,2,3,4 --out {tmp}/o", 1, id="replay-with-dataset"),
         pytest.param("evaluate {csv} --features= --out {tmp}/o", 1, id="features-empty"),
+        pytest.param("evaluate {csv} --features=, --out {tmp}/o", 1, id="features-comma"),
+        pytest.param("evaluate {csv} --features 9,999 --out {tmp}/o", 1, id="features-unknown"),
         pytest.param("evaluate {csv} --folds 0 --out {tmp}/o", 1, id="folds-0"),
         pytest.param("evaluate {csv} --folds=-2 --out {tmp}/o", 1, id="folds-negative"),
         pytest.param("evaluate {csv} --folds 1 --out {tmp}/o", 1, id="folds-1"),

@@ -14,9 +14,8 @@ def kinds(tokens):
 
 
 def rows(tokens):
-    """(kind, text, line, column) per token; the column comes from the offset."""
-    return [(kind, text, line, offset - tokens.source.rfind("\n", 0, offset))
-            for kind, text, line, offset in zip(tokens.kinds, tokens.texts, tokens.lines, tokens.offsets)]
+    """(kind, text, line, column) per token; the column comes from `lexer.columns`."""
+    return list(zip(tokens.kinds, tokens.texts, tokens.lines, lexer.columns(tokens.source), strict=True))
 
 
 def test_empty_input():
@@ -170,6 +169,7 @@ def test_no_nl_numerics_are_word_characters(src, expected):
     ("a\x0bb", "illegal character '\\x0b'", 1, 2),
     ("class A { }\x1a\n", "illegal character '\\x1a'", 1, 12),
     ("a\x1a\x1a", "illegal character '\\x1a'", 1, 2),
+    ("/* a\n b */ int x; /* c */ #", "illegal character '#'", 2, 22),
 ])
 def test_error_message_and_position(src, message, line, column):
     with pytest.raises(LexicalError) as exc:

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import re
 from collections import Counter
 from itertools import chain
 from pathlib import Path
@@ -214,6 +216,17 @@ def test_unbalanced_braces_error():
             parse_source("class A { void m() { " + tail, "A.java")
 
 
+@pytest.mark.parametrize("src, message", [
+    ("class A /* c */ x", "expected '{', found 'x' at line 1, column 17"),
+    ("// l\n/* a\n b */ class A { /* c */ void m() { ", "unbalanced method body at line 3, column 34"),
+    ("class A { void m(/* c */ int a  { }", "unbalanced parameter list at line 1, column 17"),
+])
+def test_error_position_counts_the_comments_before_it(src, message):
+    with pytest.raises(ParseError) as exc:
+        parse_source(src, "A.java")
+    assert str(exc.value) == message
+
+
 def test_identifier_multiset_preserved():
     src = """
     package p;
@@ -306,7 +319,7 @@ def test_parsed_units_hold_no_tokens():
     assert paths
     for path in paths:
         tokens = tokenize(path.read_text())
-        stream = {id(tokens), id(tokens.kinds), id(tokens.texts), id(tokens.lines), id(tokens.offsets)}
+        stream = {id(tokens), id(tokens.kinds), id(tokens.texts), id(tokens.lines)}
         held = _held(parse_unit(tokens, path.name))
         assert not any(isinstance(v, Tokens) or id(v) in stream for v in held), path
 
@@ -357,3 +370,33 @@ def test_fragment_sources_parse_or_fail_cleanly(template, fragments):
         for method in decl.constructors + decl.methods:
             assert method.block_depths[:1] in ([], [1])
             assert method.accessed_field_names <= field_names
+
+
+_OPENERS = {"unbalanced parameter list": "(", "unbalanced method body": "{",
+            "unterminated block comment": "/*", "unterminated string literal": '"',
+            "unterminated character literal": "'"}
+
+
+def _named_token(error) -> str:
+    """The token text that a positioned LexicalError or ParseError names or reports the opening of."""
+    message = str(error).rsplit(" at line ", 1)[0]
+    if message in _OPENERS:
+        return _OPENERS[message]
+    quoted = re.fullmatch(r"(?:expected .*, found |unbalanced |illegal character )(.*)", message)[1]
+    return ast.literal_eval(quoted)
+
+
+# Comments move every later token's column; a line end moves its line, and a `#` or lone quote ends the lexing.
+_COMMENTED = _FRAGMENTS + ["/* c */", "// l\n", "/* a\n b */", "\n", "\r\n", "#", "'"]
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.sampled_from(_TEMPLATES), st.lists(st.sampled_from(_COMMENTED), max_size=40))
+def test_error_position_holds_the_named_token(template, fragments):
+    text = "/* x */ " + template.format(" ".join(fragments))
+    try:
+        parse_source(text, "A.java")
+    except (LexicalError, ParseError) as exc:
+        if exc.line:
+            line = text.replace("\r\n", "\n").split("\n")[exc.line - 1]
+            assert line[exc.column - 1:].startswith(_named_token(exc)), exc
