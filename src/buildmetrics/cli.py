@@ -55,6 +55,15 @@ def _write(out: Path, files: dict[str, str], force: bool):
         raise UsageError(f"cannot write to {out}: {exc.strerror or exc}")
 
 
+def _parsed(parse, path):
+    """parse(text of path); a data error in the text is prefixed with the path."""
+    text = _read(path)
+    try:
+        return parse(text)
+    except DataError as exc:
+        raise DataError(f"{_shown(path)}: {exc}") from None
+
+
 def _shown(path) -> str:
     """A path as one line of UTF-8 text: an undecodable byte shows as \\xff, CR and LF as \\r and \\n."""
     shown = str(path).encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
@@ -77,12 +86,31 @@ def _parse_file(root: Path, path: Path) -> CompilationUnit | str:
         return f"{rel}: {exc}"
 
 
+def _java_files(root: Path) -> list[Path]:
+    """Every `*.java` file under root, sorted. Directories are walked from a stack, so any depth is
+    read; a link to a directory is not followed, and one that cannot be listed is skipped."""
+    paths, stack = [], [root]
+    while stack:
+        try:
+            with os.scandir(stack.pop()) as it:
+                entries = list(it)
+        except OSError:
+            continue
+        for entry in entries:
+            p = Path(entry.path)
+            if entry.is_dir(follow_symlinks=False):
+                stack.append(p)
+            # A dangling or looping link is kept, so its failed read is logged; a FIFO would block a read.
+            elif entry.name.endswith(".java") and (p.is_file() or (p.is_symlink() and not p.exists())):
+                paths.append(p)
+    return sorted(paths)
+
+
 def cmd_extract(args) -> int:
     root = Path(args.source)
     if not root.is_dir():
         raise UsageError(f"not a directory: {root}")
-    # A dangling or looping link is kept so that its read fails into the log; a FIFO would block a read.
-    paths = sorted(p for p in root.rglob("*.java") if p.is_file() or (p.is_symlink() and not p.exists()))
+    paths = _java_files(root)
     if not paths:
         raise UsageError(f"no .java files under {root}")
     # A forked child, if any, parses the odd-indexed files; results come back in path order.
@@ -110,7 +138,7 @@ def cmd_dataset(args) -> int:
     manifest_paths = sorted(manifest_dir.glob("*.json"))
     if not manifest_paths:
         raise UsageError(f"no manifest JSON files in {manifest_dir}")
-    manifests = [ds.parse_manifest(_read(p)) for p in manifest_paths]
+    manifests = [_parsed(ds.parse_manifest, p) for p in manifest_paths]
     lookup = metrics.parse_metrics_csv(_read(args.metrics))
     strategy = STRATEGY_FLAGS[args.strategy]
     data, exclusions = ds.assemble(manifests, lookup, strategy, args.filter)
@@ -131,7 +159,7 @@ def cmd_select(args) -> int:
     skipped = []
     seen = set()
     for path in args.datasets:
-        data = ds.read_csv(_read(path))
+        data = _parsed(ds.read_csv, path)
         if data.dataset_id in seen:
             raise DataError(f"{path}: dataset {data.dataset_id} is already an input, "
                             "and selection.csv could not tell their runs apart")

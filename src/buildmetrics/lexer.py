@@ -3,8 +3,10 @@
 Kinds: identifier, keyword, operator-symbol, literal, comment (one token,
 delimiters included) and punctuation. One C-level `findall` per file tries one
 alternation in order at each offset, and `columns` lexes again for an error. A
-word starts with a `\\w` character that is not a decimal digit (`\\d`), or `$`,
-so Unicode numerics such as `²`, `½` and `Ⅻ` are identifier characters.
+`/*` or quote that cannot be closed takes the rest of the text as one kindless
+token, so both scans stay linear in the text's length on any input. A word
+starts with a `\\w` character that is not a decimal digit (`\\d`), or `$`, so
+Unicode numerics such as `²`, `½` and `Ⅻ` are identifier characters.
 """
 
 import re
@@ -23,23 +25,25 @@ WORD_LITERALS = frozenset({"true", "false", "null"})  # they lex as literals, no
 _OPERATORS = (">>>= >>> >>= >> <<= << -> == != <= >= += -= *= /= %= &= |= ^= && || ++ --"
               " + - * / % = < > ! & | ^ ~ ? .").split()
 _PUNCTUATION = ";,{}()[]:@"
-_UNTERMINATED = {"/*": "block comment", '"': "string literal", "'": "character literal"}
+_UNTERMINATED = {"/": "block comment", '"': "string literal", "'": "character literal"}  # by first character
 _SPACE = " \t\f\r\n"  # JLS 3.6 white space
 _RUN = r"(?:[\d_]|[eE][\d+-])*"  # digits, underscores and exponent pairs such as `e5` or `E-`
 
+_COMMENT = r"//[^\n]*|/\*.*?\*/"
+_QUOTED = r'"(?:\\.|[^"\\\n])*"|' r"'(?:\\.|[^'\\\n])*'"
 _TOKEN = re.compile("|".join([
-    f"[{_SPACE}]+", r"//[^\n]*|/\*.*?\*/",
-    r'"(?:\\.|[^"\\\n])*"|' r"'(?:\\.|[^'\\\n])*'|" r"0[xX][\da-fA-F_]*[lLfFdD]?",
+    f"[{_SPACE}]+", _COMMENT, _QUOTED, r"0[xX][\da-fA-F_]*[lLfFdD]?",
     rf"(?:\.\d|\d{_RUN}\.(?=\d)|\d){_RUN}[lLfFdD]?", r"(?:[^\W\d]|\$)[\w$]*",
-    r"/\*|[\"']",  # a `/*` or quote that the alternatives above cannot close
+    r"(?:/\*|[\"']).*",  # an opener the above cannot close is the first error: take the rest
     f"[{re.escape(_PUNCTUATION)}]", *map(re.escape, _OPERATORS), ".",  # any other character is illegal
 ]), re.DOTALL)
-_FIRST = re.compile(r"(?P<comment>//|/\*.)|(?P<literal>[\"'].|\.?\d)|(?P<identifier>[^\W\d]|\$)", re.DOTALL)
+_FIRST = re.compile(rf"(?P<comment>(?:{_COMMENT})\Z)|(?P<literal>(?:{_QUOTED})\Z|\.?\d)"
+                    r"|(?P<identifier>[^\W\d]|\$)", re.DOTALL)
 
 
 class _Kinds(dict):
     """Kind by token text. Keywords and symbols are given, an identifier is kept once seen, and
-    a comment or literal is told by its first characters and never kept: the memo holds a vocabulary."""
+    a comment or literal is told by its form and never kept: the memo holds a vocabulary."""
 
     def __missing__(self, text: str) -> str:
         if (m := _FIRST.match(text)) is None:
@@ -77,7 +81,8 @@ def tokenize(source_text: str) -> Tokens:
         return Tokens(source_text, list(map(_KINDS.__getitem__, texts)), texts, lines)
     except KeyError as exc:  # an unterminated or illegal token; a kind depends on the text alone,
         i = texts.index(bad := exc.args[0])  # so its first occurrence is the first error
-        what = f"unterminated {_UNTERMINATED[bad]}" if bad in _UNTERMINATED else f"illegal character {bad!r}"
+        what = (f"unterminated {_UNTERMINATED[bad[0]]}" if bad[0] in _UNTERMINATED
+                else f"illegal character {bad!r}")
         raise LexicalError(what, lines[i], columns(source_text)[i]) from None
 
 

@@ -10,9 +10,9 @@ upper confidence bound on the leaf error rate; the bound is computed in log
 space, so it stays finite at any node size. The settings are C4.5's
 defaults: at least 2 instances per leaf and a confidence factor of 0.25.
 Trees are grown and walked with explicit stacks, so any depth works. With a
-second CPU, a forked child runs the odd cross-validation folds and returns
-only their outcomes (parallel.split_map). All randomness flows through the
-caller-supplied seed.
+second CPU, a forked child runs folds 0, 2, 4, ... and returns only their
+outcomes; the final tree and folds 1, 3, 5, ... run here (parallel.split_map).
+All randomness flows through the caller-supplied seed.
 """
 
 import functools
@@ -85,16 +85,9 @@ def accuracy_percent(correct: int, total: int) -> float:
 
 def _majority(counts: Counter, global_counts: Counter) -> str:
     """Majority label; ties go to the globally more frequent class, then
-    to 'failed'."""
-    best = max(counts.values())
-    tied = [label for label, c in counts.items() if c == best]
-    if len(tied) == 1:
-        return tied[0]
-    gbest = max(global_counts.get(label, 0) for label in tied)
-    gtied = [label for label in tied if global_counts.get(label, 0) == gbest]
-    if len(gtied) == 1:
-        return gtied[0]
-    return "failed" if "failed" in gtied else sorted(gtied)[0]
+    to 'failed', then to the alphabetically first label."""
+    return min(counts, key=lambda label: (
+        -counts[label], -global_counts.get(label, 0), label != "failed", label))
 
 
 def train(dataset: Dataset) -> TreeNode:
@@ -191,24 +184,23 @@ def prune(tree: TreeNode, confidence_factor: float = 0.25) -> TreeNode:
     """Bottom-up subtree replacement by a majority leaf whenever the leaf's
     pessimistic error estimate does not exceed the subtree's.
 
-    One pass, children before parents: each node's estimate goes to its
-    parent.
+    One pass in reversed pre-order, children before parents: each subtree pushes
+    its (replacement, estimate), and a parent pops its left child's, then its right's.
     """
-    pruned: dict[int, tuple[TreeNode, float]] = {}  # id(node) -> (replacement, estimate)
+    done: list[tuple[TreeNode, float]] = []
     for node, *_ in reversed(list(_preorder(tree))):
         counts = node.training_counts
         n = sum(counts.values())
         estimate = n * _binomial_upper_bound(n - max(counts.values(), default=0), n, confidence_factor)
         replacement = node
         if not node.is_leaf:
-            node.left, left_estimate = pruned.pop(id(node.left))
-            node.right, right_estimate = pruned.pop(id(node.right))
+            (node.left, left_estimate), (node.right, right_estimate) = done.pop(), done.pop()
             if estimate <= left_estimate + right_estimate:
                 replacement = TreeNode(label=_majority(counts, counts), training_counts=Counter(counts))
             else:
                 estimate = left_estimate + right_estimate
-        pruned[id(node)] = replacement, estimate
-    return pruned[id(tree)][0]
+        done.append((replacement, estimate))
+    return done.pop()[0]
 
 
 def predict(tree: TreeNode, features: dict[int, float]) -> str:
@@ -260,17 +252,16 @@ def cross_validate(dataset: Dataset, k: int = 10, seed: int = 0) -> EvaluationRe
         raise EvaluationError("minority class too small for cross-validation")
     assignment = stratified_folds(labels, k, seed)
 
-    # A forked child, if any, runs the odd folds. Fold 0 always runs here, so
-    # the final tree is trained here once, beside it, and never crosses a pipe.
+    # Job None is the final tree. split_map runs index 0 here, so the tree
+    # never crosses a pipe; a forked child, if any, runs folds 0, 2, 4, ...
     def work(fold):
-        return _fold(dataset, assignment, fold), prune(train(dataset)) if fold == 0 else None
+        return prune(train(dataset)) if fold is None else _fold(dataset, assignment, fold)
 
-    results = split_map(work, list(range(k)))
-    full_tree = results[0][1]
-    rows = [row for outcomes, _ in results for row in outcomes]
+    full_tree, *results = split_map(work, [None, *range(k)])
+    rows = [row for outcomes in results for row in outcomes]
     correct = Counter(label for _, label, hit in rows if hit)
     incorrect = Counter(label for _, label, hit in rows if not hit)
-    folds = [[bid for bid, _, _ in outcomes] for outcomes, _ in results]
+    folds = [[bid for bid, _, _ in outcomes] for outcomes in results]
     acc = accuracy_percent(sum(correct.values()), len(dataset.rows))
     per_class = {
         label: (correct.get(label, 0), incorrect.get(label, 0))

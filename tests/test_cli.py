@@ -201,6 +201,27 @@ def test_extract_long_extends_chain(tmp_path, capsys):
     assert by_id(lookup["p/C1099.java"])[42] == 1099.0
 
 
+def test_extract_reads_a_tree_of_any_depth(tmp_path, capsys):
+    # pathlib's rglob, os.makedirs and shutil.rmtree each recurse once per level: at this
+    # depth all three raise RecursionError, so the tree is made and removed level by level.
+    levels = [tmp_path / "src"]
+    for _ in range(1100):
+        levels.append(levels[-1] / "d")
+    try:
+        for level in levels:
+            level.mkdir()
+        (levels[-1] / "A.java").write_text("class A { int a; }")
+        code, _, err = run(capsys, "extract", str(levels[0]), "--out", str(tmp_path / "out"))
+        assert code == 0 and "Traceback" not in err, err
+        lookup = metrics.parse_metrics_csv((tmp_path / "out" / "metrics.csv").read_text())
+        assert list(lookup) == ["d/" * 1100 + "A.java"]
+    finally:
+        (levels[-1] / "A.java").unlink(missing_ok=True)
+        for level in reversed(levels):
+            if level.exists():
+                level.rmdir()
+
+
 def _extract_one(tmp_path, capsys, name, text):
     """Run extract on a tree holding one file; return the exit code, stderr,
     metrics by path and the exclusion log."""
@@ -560,44 +581,52 @@ _METRICS_HEADER = "file_path," + ",".join(f"m{i}" for i in metrics.METRIC_IDS)
 
 
 @pytest.mark.parametrize(
-    "manifest, metrics_text",
+    "manifest, metrics_text, manifest_at_fault",
     [
-        pytest.param("{bad", _METRICS_HEADER + "\n", id="manifest-invalid-json"),
-        pytest.param("null", _METRICS_HEADER + "\n", id="manifest-not-an-object"),
-        pytest.param(_MANIFEST, "file,m1\nx,1\n", id="metrics-bad-header"),
-        pytest.param(_MANIFEST, _METRICS_HEADER + "\nA.java,1,2\n", id="metrics-short-row"),
+        pytest.param("{bad", _METRICS_HEADER + "\n", True, id="manifest-invalid-json"),
+        pytest.param("null", _METRICS_HEADER + "\n", True, id="manifest-not-an-object"),
+        pytest.param(_MANIFEST, "file,m1\nx,1\n", False, id="metrics-bad-header"),
+        pytest.param(_MANIFEST, _METRICS_HEADER + "\nA.java,1,2\n", False, id="metrics-short-row"),
         pytest.param(
             _MANIFEST,
             _METRICS_HEADER + "\nA.java,abc" + ",1" * 41 + "\n",
+            False,
             id="metrics-non-numeric-cell",
         ),
         pytest.param(
             _MANIFEST,
             _METRICS_HEADER + "\nA.java,nan" + ",1" * 41 + "\n",
+            False,
             id="metrics-nan-cell",
         ),
-        pytest.param("[" * 100000, _METRICS_HEADER + "\n", id="manifest-nested-too-deep"),
+        pytest.param("[" * 100000, _METRICS_HEADER + "\n", True, id="manifest-nested-too-deep"),
+        pytest.param(_MANIFEST.replace('"nightly"', '"weekly"'), _METRICS_HEADER + "\n", True,
+                     id="manifest-unknown-kind"),
         pytest.param(
             _MANIFEST,
             _METRICS_HEADER + ("\nA.java" + ",1" * 42) * 2 + "\n",
+            False,
             id="metrics-repeated-path",
         ),
         pytest.param(
             _MANIFEST.replace('"A.java"', '"A.java", "B.java"'),
             _METRICS_HEADER + "\nA.java" + ",1e308" * 42 + "\nB.java" + ",1e308" * 42 + "\n",
+            False,
             id="aggregate-overflows",
         ),
         pytest.param(
             _MANIFEST.replace('"A.java"', '"A.java", "A.java"'),
             _METRICS_HEADER + "\nA.java" + ",1" * 42 + "\n",
+            True,
             id="manifest-repeated-file",
         ),
         *(pytest.param(_MANIFEST.replace('"b1"', json.dumps(bid)), _METRICS_HEADER + "\nA.java" + ",1" * 42 + "\n",
-                       id=f"build-id-{name}")
+                       True, id=f"build-id-{name}")
           for name, bid in [("lf", "b\n1"), ("cr", "b\r1"), ("surrogate", "b\ud8001")]),
     ],
 )
-def test_dataset_parse_failure_is_one_line_data_error(tmp_path, capsys, manifest, metrics_text):
+def test_dataset_parse_failure_is_one_line_data_error(tmp_path, capsys, manifest, metrics_text,
+                                                      manifest_at_fault):
     mdir = tmp_path / "manifests"
     mdir.mkdir()
     (mdir / "b1.json").write_text(manifest)
@@ -609,6 +638,7 @@ def test_dataset_parse_failure_is_one_line_data_error(tmp_path, capsys, manifest
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+    assert err.startswith(f"error: {mdir / 'b1.json'}: ") == manifest_at_fault
 
 
 # -- select ---------------------------------------------------------------------
@@ -672,6 +702,15 @@ def test_select_rejects_two_datasets_with_one_id(dataset_csv, tmp_path, capsys):
     code, _, err = run(capsys, "select", str(dataset_csv), str(copy), "--out", str(tmp_path / "o"))
     assert code == 2 and "dataset 2" in err and len(err.splitlines()) == 1
     assert not (tmp_path / "o").exists()
+
+def test_select_names_the_dataset_that_fails_to_parse(dataset_csv, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("build_id,label,m1\nb1,failed,1\nb2,success,x\n")
+    code, _, err = run(capsys, "select", str(dataset_csv), str(bad), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert err == f"error: {bad}: dataset CSV row 3: could not convert string to float: 'x'\n"
+    assert not (tmp_path / "o").exists()
+
 
 def test_select_discretizes_each_feature_once(dataset_csv, tmp_path, capsys, monkeypatch):
     calls = []

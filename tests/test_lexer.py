@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -161,6 +163,14 @@ def test_no_nl_numerics_are_word_characters(src, expected):
     assert kinds(tokenize(src)) == expected
 
 
+# Every later `/*` or quote is unclosed too, and each once scanned to the end of the text again.
+UNCLOSED_OPENERS = [pytest.param(src, message, 1, 1, id=f"{message}-x10000") for src, message in [
+    ("/*a" * 10_000, "unterminated block comment"),
+    ('"\\' * 10_000, "unterminated string literal"),
+    ("'\\" * 10_000, "unterminated character literal"),
+]]
+
+
 @pytest.mark.parametrize("src, message, line, column", [
     ("int a;\n  /* open", "unterminated block comment", 2, 3),
     ('x = "ab\ncd";', "unterminated string literal", 1, 5),
@@ -170,12 +180,21 @@ def test_no_nl_numerics_are_word_characters(src, expected):
     ("class A { }\x1a\n", "illegal character '\\x1a'", 1, 12),
     ("a\x1a\x1a", "illegal character '\\x1a'", 1, 2),
     ("/* a\n b */ int x; /* c */ #", "illegal character '#'", 2, 22),
+    *UNCLOSED_OPENERS,
 ])
 def test_error_message_and_position(src, message, line, column):
     with pytest.raises(LexicalError) as exc:
         tokenize(src)
     assert (str(exc.value), exc.value.line, exc.value.column) == (
         f"{message} at line {line}, column {column}", line, column)
+
+
+@pytest.mark.parametrize("src, message, line, column", UNCLOSED_OPENERS)
+def test_unclosed_openers_lex_in_linear_time(src, message, line, column):
+    start = time.perf_counter()
+    with pytest.raises(LexicalError, match=message):
+        tokenize(src)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cr_lf_and_lone_cr_end_lines_and_form_feed_is_space():

@@ -18,6 +18,7 @@ from buildmetrics.tree import (
     EvaluationReport,
     TreeNode,
     _binomial_upper_bound,
+    _majority,
     accuracy_percent,
     cross_validate,
     predict,
@@ -266,6 +267,21 @@ def test_constant_features_yield_majority_leaf():
 def test_majority_tie_breaks_to_failed():
     tree = train(make_dataset({1: [5.0, 5.0]}, ["failed", "success"]))
     assert tree.is_leaf and tree.label == "failed"
+
+
+@pytest.mark.parametrize("counts, global_counts, expected", [
+    pytest.param({"failed": 3, "success": 3}, {"failed": 4, "success": 9}, "success",
+                 id="global-counts-break"),
+    # 'failed' wins a full tie even over an alphabetically earlier label.
+    pytest.param({"success": 3, "failed": 3, "aborted": 3}, {"success": 5, "failed": 5, "aborted": 5},
+                 "failed", id="global-tie-to-failed"),
+    pytest.param({"warning": 2, "success": 2}, {"warning": 7, "success": 7}, "success",
+                 id="no-failed-to-first-label"),
+    pytest.param({"failed": 1, "success": 4}, {"failed": 50, "success": 5}, "success", id="clear-majority"),
+])
+def test_majority_tie_breaks(counts, global_counts, expected):
+    counts, global_counts = Counter(counts), Counter(global_counts)
+    assert _majority(counts, global_counts) == oracle_majority(counts, global_counts) == expected
 
 
 @pytest.mark.parametrize(
