@@ -14,7 +14,7 @@ from pathlib import Path
 from . import dataset as ds
 from . import featsel, metrics, tree
 from .errors import BuildMetricsError, DataError, EvaluationError, SelectionError
-from .javaparse import CompilationUnit, parse_source
+from .javaparse import CompilationUnit, TypeDecl, parse_source
 from .model import build_code_model
 from .parallel import split_map
 
@@ -70,20 +70,24 @@ def _shown(path) -> str:
     return shown.replace("\r", "\\r").replace("\n", "\\n")
 
 
-def _parse_file(root: Path, path: Path) -> CompilationUnit | str:
-    """The file's parsed unit, or the line that logs why it is left out."""
+def _parse_file(root: Path, path: Path) -> tuple[CompilationUnit, list[float] | None] | str:
+    """What build_code_model reads of the file's unit, with its local metrics (None if it declares no
+    type), or the line that logs why it is left out. The methods and their tallies stay in this process."""
     rel = path.relative_to(root).as_posix()
     if metrics.UNSTORABLE.search(rel):
         return (f"{_shown(rel)}: path holds a comma, a line break or a byte that is not "
                 "UTF-8, which metrics.csv cannot store")
     try:
-        return parse_source(path.read_text(encoding="utf-8"), rel)
+        unit = parse_source(path.read_text(encoding="utf-8"), rel)
     except UnicodeDecodeError as exc:
         return f"{rel}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
     except OSError as exc:
         return f"{rel}: cannot read: {exc.strerror or exc}"
     except BuildMetricsError as exc:
         return f"{rel}: {exc}"
+    types = [TypeDecl(t.name, t.kind, t.is_abstract, t.extends_names, referenced_type_names=t.referenced_type_names)
+             for t in unit.types]
+    return CompilationUnit(rel, unit.package_name, unit.imports, types), metrics.local_metrics(unit) if types else None
 
 
 def _java_files(root: Path) -> list[Path]:
@@ -115,11 +119,11 @@ def cmd_extract(args) -> int:
         raise UsageError(f"no .java files under {root}")
     # A forked child, if any, parses the odd-indexed files; results come back in path order.
     parsed = split_map(functools.partial(_parse_file, root), paths)
-    units = [item for item in parsed if not isinstance(item, str)]
     exclusions = [item for item in parsed if isinstance(item, str)]
-    model = build_code_model(units)
+    skeletons = [item for item in parsed if not isinstance(item, str)]
+    model = build_code_model([unit for unit, _ in skeletons])
     exclusions.extend(f"{path}: {reason}" for path, reason in model.excluded)
-    vectors = metrics.compute_all_metrics(model)
+    vectors = metrics.compute_all_metrics(model, {unit.file_path: values for unit, values in skeletons})
     exclusions.extend(f"{u.file_path}: no type declarations" for u in model.units
                       if u.file_path not in vectors)
     out = Path(args.out)

@@ -12,12 +12,16 @@ the file's package; Halstead counts pool the bodies of all methods and
 constructors in the file. Constructors additionally feed block depth (23) and
 cohesion (27-29) but are excluded from the method-count family
 (5, 6, 7, 15, 16, 24, 26) and from the maintainability-index averages.
+Metrics 8, 18-22 and 42 come from the corpus model; the other 35, LOCAL_IDS,
+read one file alone, so extract computes them where it parsed the file.
 """
 
 import math
 import re
 from collections import Counter
+from functools import reduce
 from itertools import chain
+from operator import or_
 
 from .errors import DataError, ModelError
 from .javaparse import CompilationUnit, MethodDecl, TypeDecl
@@ -74,6 +78,8 @@ TRADITIONAL_IDS = tuple(range(1, 14))
 OBJECT_ORIENTED_IDS = tuple(range(14, 30))
 HALSTEAD_IDS = tuple(range(30, 43))
 AVERAGE_IDS = (2, 3, 4, 5, 6, 7)
+PACKAGE_IDS = (8, 18, 19, 20, 21, 22)
+LOCAL_IDS = tuple(i for i in METRIC_IDS if i not in (*PACKAGE_IDS, 42))
 
 
 def halstead_suite(N1: int, N2: int, n1: int, n2: int) -> dict[int, float]:
@@ -119,18 +125,16 @@ def lcom_suite(decl: TypeDecl) -> tuple[float, float, float]:
     methods here.
     """
     access = [m.accessed_field_names for m in decl.constructors + decl.methods]
-    fields = decl.field_names
-    m = len(access)
-    a = len(fields)
-    p = q = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            if access[i] & access[j]:
-                q += 1
-            else:
-                p += 1
-    lcom1 = p / (p + q) if (p + q) > 0 else 0.0
-    mu_sum = sum(sum(1 for acc in access if f in acc) for f in fields)
+    masks: dict[str, int] = {}  # an accessed name -> one bit for each method that accesses it
+    for bit, names in enumerate(access):
+        for name in names:
+            masks[name] = masks.get(name, 0) | 1 << bit
+    m, a = len(access), len(decl.field_names)
+    pairs = m * (m - 1) // 2
+    # A method's sharers, itself included, are the union of its names' masks; each pair counts twice.
+    q = sum(reduce(or_, map(masks.__getitem__, names)).bit_count() - 1 for names in access if names) // 2
+    lcom1 = (pairs - q) / pairs if pairs else 0.0
+    mu_sum = sum(masks.get(f, 0).bit_count() for f in decl.field_names)
     lcom2 = 1.0 - mu_sum / (m * a) if m * a > 0 else 0.0
     lcom3 = (m - mu_sum / a) / (m - 1) if (m > 1 and a > 0) else 0.0
     return lcom1, lcom2, lcom3
@@ -171,7 +175,8 @@ def _halstead(operators: Counter, operands: Counter) -> dict[int, float]:
     return halstead_suite(sum(operators.values()), sum(operands.values()), len(operators), len(operands))
 
 
-def _unit_metrics(model: CodeModel, unit: CompilationUnit) -> list[float]:
+def local_metrics(unit: CompilationUnit) -> list[float]:
+    """The values of LOCAL_IDS, in that order, for a file that declares a type."""
     types = unit.types
     methods = [m for t in types for m in t.methods]
     ctors = [c for t in types for c in t.constructors]
@@ -187,7 +192,6 @@ def _unit_metrics(model: CodeModel, unit: CompilationUnit) -> list[float]:
     v[5] = _mean(m.body_lines for m in methods)
     v[6] = len(methods) / n_classes
     v[7] = _mean(m.parameter_count for m in methods)
-    v[8] = float(len(model.packages[unit.package_name]))
     v[9] = unit.code_lines / max(1, n_comments)
     v[10] = float(len(ctors))
     v[11] = float(len(unit.imports))
@@ -198,24 +202,13 @@ def _unit_metrics(model: CodeModel, unit: CompilationUnit) -> list[float]:
     v[16] = float(sum(m.parameter_count for m in methods))
     v[17] = float(unit.physical_lines)
 
-    abstractness, ca, ce, instability, distance = martin_suite(model, unit.package_name)
-    v[18] = abstractness
-    v[19] = float(ca)
-    v[20] = float(ce)
-    v[21] = instability
-    v[22] = distance
-
-    all_depths = [d for m in methods + ctors for d in m.block_depths]
-    v[23] = _mean(all_depths)
+    v[23] = _mean(d for m in methods + ctors for d in m.block_depths)
     v[24] = _mean(sum(cyclomatic(m) for m in t.methods) for t in types)
     v[26] = float(sum(cyclomatic(m) for m in methods))
     v[25] = maintainability_index(_mean(_halstead(m.operator_tokens, m.operand_tokens)[41] for m in methods),
                                   _mean(cyclomatic(m) for m in methods), v[5])
 
-    lcoms = [lcom_suite(t) for t in types]
-    v[27] = _mean(l[0] for l in lcoms)
-    v[28] = _mean(l[1] for l in lcoms)
-    v[29] = _mean(l[2] for l in lcoms)
+    v[27], v[28], v[29] = map(_mean, zip(*map(lcom_suite, types)))
 
     operators: Counter = Counter()
     operands: Counter = Counter()
@@ -223,14 +216,22 @@ def _unit_metrics(model: CodeModel, unit: CompilationUnit) -> list[float]:
         operators.update(m.operator_tokens)
         operands.update(m.operand_tokens)
     v.update(_halstead(operators, operands))
-    v[42] = _mean(model.depth[qualify(unit.package_name, t.name)] for t in types)
-    return [v[i] for i in METRIC_IDS]
+    return [v[i] for i in LOCAL_IDS]
 
 
-def compute_all_metrics(model: CodeModel) -> dict[str, list[float]]:
+def compute_all_metrics(model: CodeModel, local: dict[str, list[float]] | None = None) -> dict[str, list[float]]:
     """Each file's metric vector, its 42 values in METRIC_IDS order, keyed by
-    path in path order. A file that declares no type has no vector."""
-    return {unit.file_path: _unit_metrics(model, unit) for unit in model.units if unit.types}
+    path in path order. A file that declares no type has no vector. local maps
+    a path to its local_metrics; without it they are computed from model.units."""
+    suites = {package: (len(members), *martin_suite(model, package)) for package, members in model.packages.items()}
+    vectors = {}
+    for unit in model.units:
+        if unit.types:
+            v = dict(zip(LOCAL_IDS, local_metrics(unit) if local is None else local[unit.file_path]))
+            v.update(zip(PACKAGE_IDS, map(float, suites[unit.package_name])))
+            v[42] = _mean(model.depth[qualify(unit.package_name, t.name)] for t in unit.types)
+            vectors[unit.file_path] = [v[i] for i in METRIC_IDS]
+    return vectors
 
 
 def format_value(v: float, digits: int | None = 6) -> str:

@@ -23,6 +23,7 @@ class CodeModel:
     efferent: dict[str, set[str]] = field(default_factory=dict)  # package -> its types using outside
     depth: dict[str, int] = field(default_factory=dict)  # qualified name -> depth of inheritance
     excluded: list[tuple[str, str]] = field(default_factory=list)  # (file path, reason), by path
+    imported: dict[str, dict[str, str]] = field(default_factory=dict)  # file path -> last part -> first indexed import
 
 
 def qualify(package_name: str, type_name: str) -> str:
@@ -36,7 +37,10 @@ def resolve_name(model: CodeModel, unit: CompilationUnit, name: str) -> str | No
     and the last part is looked up in that type's package (as for Outer.Inner).
     So the qualifiers resolve from the first part on, one part at a time."""
     head, *rest = name.split(".")
-    owner = next((imp for imp in unit.imports if imp.endswith("." + head) and imp in model.type_index), None)
+    if (imported := model.imported.get(unit.file_path)) is None:  # the first indexed import of each last part
+        imported = model.imported[unit.file_path] = {
+            imp.rpartition(".")[2]: imp for imp in reversed(unit.imports) if "." in imp and imp in model.type_index}
+    owner = imported.get(head)
     if owner is None:  # the unit's package, then the default package
         owner = next((q for q in (qualify(unit.package_name, head), head) if q in model.type_index), None)
     for part in rest:

@@ -418,6 +418,25 @@ def test_split_extract_parses_half_the_files_here(monkeypatch, capsys, tmp_path,
     assert parsed_here == paths[::2] and len(parsed_here) == (len(paths) + 1) // 2
 
 
+def test_split_extract_sends_back_no_method(monkeypatch, capsys, tmp_path, forks):
+    # The methods and their tallies stay in the process that parsed them; a
+    # skeleton of each unit and its local metrics come back.
+    _split_corpus(tmp_path / "src")
+    returned = []
+    split_map = cli.split_map
+
+    def recording_split_map(work, items):
+        returned.extend(split_map(work, items))
+        return returned
+
+    monkeypatch.setattr(cli, "split_map", recording_split_map)
+    _extract_artifacts(capsys, tmp_path / "src", tmp_path / "out")
+    assert forks == [os.getpid()]
+    sent = pickle.dumps(returned)
+    assert b"MethodDecl" not in sent and b"Counter" not in sent
+    assert sum(isinstance(item, tuple) and item[0].types != [] for item in returned[1::2]) >= 5
+
+
 def _raise():
     raise RuntimeError("child failed")
 

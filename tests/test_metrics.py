@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from buildmetrics.errors import DataError, ModelError
-from buildmetrics.javaparse import parse_source
+from buildmetrics.javaparse import MethodDecl, TypeDecl, parse_source
 from buildmetrics.metrics import (
     METRIC_IDS,
     compute_all_metrics,
@@ -20,7 +20,7 @@ from buildmetrics.metrics import (
 from buildmetrics.model import build_code_model
 
 from conftest import CORPUS, by_id, load_corpus_units
-from oracle_metrics import OracleCorpus
+from oracle_metrics import OracleCorpus, _lcom
 from synth import coupled_corpus
 
 INTEGRAL_IDS = {1, 8, 10, 11, 12, 13, 14, 15, 16, 17, 19, 20, 26, 30, 31, 32, 33, 38, 40}
@@ -121,6 +121,20 @@ def test_lcom_counts_constructor_access():
     decl = parse_source(src, "A.java").types[0]
     # Both members touch x: fully cohesive.
     assert lcom_suite(decl) == (0.0, 0.0, 0.0)
+
+
+_NAMES = st.sampled_from("abcdef")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(_NAMES, max_size=8), st.lists(st.sets(_NAMES), max_size=12), st.integers(0, 12))
+def test_lcom_matches_the_oracle_on_random_access_sets(fields, access, n_ctors):
+    # Fields may repeat, and a method may access a name that is not a field.
+    members = [MethodDecl(f"m{i}", accessed_field_names=names) for i, names in enumerate(access)]
+    decl = TypeDecl("A", "class", field_names=fields, constructors=members[:n_ctors], methods=members[n_ctors:])
+    oracle = {"fields": fields, "ctors": [{"access": names} for names in access[:n_ctors]],
+              "methods": [{"access": names} for names in access[n_ctors:]]}
+    assert lcom_suite(decl) == _lcom(oracle)
 
 
 # -- martin --------------------------------------------------------------

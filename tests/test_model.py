@@ -125,6 +125,20 @@ def test_default_package_resolution():
     assert ("p.A", "Top") in model.dependency_edges
 
 
+def test_an_import_left_out_by_a_cycle_yields_to_the_next():
+    # Resolving U's supertype in the first round reads its imports while a.X
+    # is indexed; once a.X is left out, X names b.X.
+    model = build_code_model(_units(
+        ("a/X.java", "package a; class X extends Y { }"),
+        ("a/Y.java", "package a; class Y extends X { }"),
+        ("b/X.java", "package b; class X { }"),
+        ("c/Z.java", "package c; class Z { }"),
+        ("p/U.java", "package p; import a.X; import b.X; import c.Z; class U extends Z { X f; }"),
+    ))
+    assert [path for path, _ in model.excluded] == ["a/X.java", "a/Y.java"]
+    assert model.dependency_edges == {("p.U", "b.X"), ("p.U", "c.Z")}
+
+
 def test_qualify():
     assert qualify("p.q", "A") == "p.q.A"
     assert qualify("", "A") == "A"

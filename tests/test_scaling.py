@@ -1,0 +1,54 @@
+"""Each case runs one stage on one large input dimension under an absolute
+time bound. A bound is at least ten times the stage's linear cost on a
+2-vCPU host when its case was added, and the quadratic that the case guards
+against takes longer than the bound. The inputs are built in memory, and no
+case draws random input.
+"""
+
+import time
+
+import pytest
+
+from buildmetrics.javaparse import CompilationUnit, MethodDecl, TypeDecl
+from buildmetrics.metrics import compute_all_metrics, lcom_suite
+from buildmetrics.model import build_code_model
+
+
+def _one_type_files(package: str, n: int) -> list[CompilationUnit]:
+    return [CompilationUnit(f"{package}/T{i}.java", package, types=[TypeDecl(f"T{i}", "class")]) for i in range(n)]
+
+
+def files_in_one_package():
+    """The package's coupling suite, once per file or once per package."""
+    model = build_code_model(_one_type_files("p", 16_000))
+    return lambda: compute_all_metrics(model), lambda vectors: len(vectors) == 16_000
+
+
+def methods_in_one_class():
+    """Every pair of methods compared, or each method's fields ORed as bitmasks."""
+    fields = [f"f{i}" for i in range(50)]
+    methods = [MethodDecl(f"m{i}", accessed_field_names={fields[i % 50], fields[i * 7 % 50]}) for i in range(16_000)]
+    decl = TypeDecl("C", "class", field_names=fields, methods=methods)
+    return lambda: lcom_suite(decl), lambda lcoms: 0.0 < lcoms[0] < 1.0
+
+
+def imports_in_one_file():
+    """All of a file's imports scanned for each name it references, or one lookup."""
+    units = _one_type_files("q", 8000)
+    user = TypeDecl("User", "class", referenced_type_names={f"T{i}" for i in range(8000)})
+    units.append(CompilationUnit("p/User.java", "p", imports=[f"q.T{i}" for i in range(8000)], types=[user]))
+    return lambda: build_code_model(units), lambda model: len(model.dependency_edges) == 8000
+
+
+@pytest.mark.parametrize("case, bound", [
+    (files_in_one_package, 7.0),
+    (methods_in_one_class, 1.5),
+    (imports_in_one_file, 2.0),
+], ids=["files_in_one_package", "methods_in_one_class", "imports_in_one_file"])
+def test_stage_is_linear_in_one_dimension(case, bound):
+    run, check = case()
+    start = time.perf_counter()
+    result = run()
+    elapsed = time.perf_counter() - start
+    assert check(result)
+    assert elapsed < bound, f"{case.__name__}: {elapsed:.2f} s"
