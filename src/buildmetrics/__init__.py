@@ -7,3 +7,4 @@ with a C4.5-style decision tree.
 """
 
 __version__ = "0.1.0"
+FILTER_TAGS = ("full", "a", "b", "c", "d")  # dataset --filter; here, so the CLI parser needs no stage module

@@ -11,11 +11,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import dataset as ds
-from . import featsel, metrics, tree
+from . import FILTER_TAGS
 from .errors import BuildMetricsError, DataError, EvaluationError, SelectionError
-from .javaparse import CompilationUnit, TypeDecl, parse_source
-from .model import build_code_model
 from .parallel import split_map
 
 STRATEGY_FLAGS = {"avg": "average", "max": "maximum", "sum": "sum"}
@@ -70,11 +67,13 @@ def _shown(path) -> str:
     return shown.replace("\r", "\\r").replace("\n", "\\n")
 
 
-def _parse_file(root: Path, path: Path) -> tuple[CompilationUnit, list[float] | None] | str:
+def _parse_file(root: Path, path: Path) -> "tuple[CompilationUnit, list[float] | None] | str":
     """What build_code_model reads of the file's unit, with its local metrics (None if it declares no
     type), or the line that logs why it is left out. The methods and their tallies stay in this process."""
+    from .javaparse import CompilationUnit, TypeDecl, parse_source
+    from .metrics import UNSTORABLE, local_metrics
     rel = path.relative_to(root).as_posix()
-    if metrics.UNSTORABLE.search(rel):
+    if UNSTORABLE.search(rel):
         return (f"{_shown(rel)}: path holds a comma, a line break or a byte that is not "
                 "UTF-8, which metrics.csv cannot store")
     try:
@@ -87,7 +86,7 @@ def _parse_file(root: Path, path: Path) -> tuple[CompilationUnit, list[float] | 
         return f"{rel}: {exc}"
     types = [TypeDecl(t.name, t.kind, t.is_abstract, t.extends_names, referenced_type_names=t.referenced_type_names)
              for t in unit.types]
-    return CompilationUnit(rel, unit.package_name, unit.imports, types), metrics.local_metrics(unit) if types else None
+    return CompilationUnit(rel, unit.package_name, unit.imports, types), local_metrics(unit) if types else None
 
 
 def _java_files(root: Path) -> list[Path]:
@@ -111,6 +110,8 @@ def _java_files(root: Path) -> list[Path]:
 
 
 def cmd_extract(args) -> int:
+    from . import javaparse, metrics  # loaded before split_map forks, so its child does not load them again
+    from .model import build_code_model
     root = Path(args.source)
     if not root.is_dir():
         raise UsageError(f"not a directory: {root}")
@@ -136,6 +137,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_dataset(args) -> int:
+    from . import dataset as ds, metrics
     manifest_dir = Path(args.manifests)
     if not manifest_dir.is_dir():
         raise UsageError(f"not a directory: {manifest_dir}")
@@ -157,6 +159,7 @@ def cmd_dataset(args) -> int:
 
 
 def cmd_select(args) -> int:
+    from . import dataset as ds, featsel, metrics
     select = {"infogain": featsel.info_gain_rank, "cfs": featsel.cfs_select}
     algorithms = dict.fromkeys(args.algo or select)  # a repeated --algo runs once
     runs = []
@@ -198,6 +201,7 @@ def _parse_feature_list(text: str) -> list[int]:
 
 
 def cmd_evaluate(args) -> int:
+    from . import dataset as ds, tree
     if args.replay is not None:
         parts = _parse_feature_list(args.replay)
         if len(parts) != 4:
@@ -234,6 +238,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_freq(args) -> int:
+    from . import featsel, metrics
     if args.threshold < 1:
         raise UsageError("--threshold must be at least 1")
     header, rows = metrics.table_rows(_read(args.selection), "selection report")
@@ -267,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifests")
     p.add_argument("metrics")
     p.add_argument("--strategy", choices=sorted(STRATEGY_FLAGS), required=True)
-    p.add_argument("--filter", choices=ds.FILTER_TAGS, default="full")
+    p.add_argument("--filter", choices=FILTER_TAGS, default="full")
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_dataset)

@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
+from . import FILTER_TAGS
 from .errors import DataError
 from .metrics import (AVERAGE_IDS, HALSTEAD_IDS, METRIC_IDS, OBJECT_ORIENTED_IDS, TRADITIONAL_IDS,
                       UNSTORABLE, finite_floats, format_value, table_rows, table_text)
@@ -19,7 +20,6 @@ from .metrics import (AVERAGE_IDS, HALSTEAD_IDS, METRIC_IDS, OBJECT_ORIENTED_IDS
 # Each strategy folds one metric's per-file values, in manifest file order.
 AGGREGATE = {"average": lambda column: sum(column) / len(column), "maximum": max, "sum": sum}
 STRATEGIES = tuple(AGGREGATE)
-FILTER_TAGS = ("full", "a", "b", "c", "d")
 BUILD_KINDS = ("continuous", "nightly", "integration")
 LABELS = ("success", "failed")
 

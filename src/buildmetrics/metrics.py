@@ -16,6 +16,8 @@ Metrics 8, 18-22 and 42 come from the corpus model; the other 35, LOCAL_IDS,
 read one file alone, so extract computes them where it parsed the file.
 """
 
+from __future__ import annotations  # javaparse's types, named in annotations, stay unloaded: only extract parses
+
 import math
 import re
 from collections import Counter
@@ -24,7 +26,6 @@ from itertools import chain
 from operator import or_
 
 from .errors import DataError, ModelError
-from .javaparse import CompilationUnit, MethodDecl, TypeDecl
 from .model import CodeModel, qualify
 
 METRIC_IDS = tuple(range(1, 43))

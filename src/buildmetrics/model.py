@@ -6,10 +6,11 @@ sorted by path before indexing, so identical input bytes always yield an
 identical model.
 """
 
+from __future__ import annotations  # javaparse's types, named in annotations, stay unloaded: only extract parses
+
 from dataclasses import dataclass, field
 
 from .errors import ModelError
-from .javaparse import CompilationUnit, TypeDecl
 
 
 @dataclass

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from buildmetrics import dataset as ds
-from buildmetrics import cli, featsel, metrics, tree
+from buildmetrics import cli, featsel, javaparse, metrics, model, tree
+from buildmetrics.errors import ModelError
 from buildmetrics.cli import main
 
 from conftest import CORPUS, assert_no_child_left, by_id
@@ -405,13 +406,13 @@ def test_split_extract_merges_in_path_order(monkeypatch, capsys, tmp_path, forks
 def test_split_extract_parses_half_the_files_here(monkeypatch, capsys, tmp_path, forks):
     # Counted, not timed: the child's calls stay in the child.
     parsed_here = []
-    parse = cli.parse_source
+    parse = javaparse.parse_source
 
     def counting_parse(text, path):
         parsed_here.append(path)
         return parse(text, path)
 
-    monkeypatch.setattr(cli, "parse_source", counting_parse)
+    monkeypatch.setattr(javaparse, "parse_source", counting_parse)
     paths = sorted(p.relative_to(CORPUS).as_posix() for p in CORPUS.rglob("*.java"))
     _extract_artifacts(capsys, CORPUS, tmp_path / "out")
     assert len(forks) == 1
@@ -450,14 +451,14 @@ def test_split_extract_survives_a_failed_child(monkeypatch, capsys, tmp_path, fo
         monkeypatch.setattr(pickle, "dump", lambda obj, f: f.write(b"\x80\x05not a pickle"))
     else:
         action = _raise if failure == "raises" else lambda: os.kill(os.getpid(), signal.SIGKILL)
-        parse = cli.parse_source
+        parse = javaparse.parse_source
 
         def failing_in_child(text, path):
             if os.getpid() != parent:
                 action()
             return parse(text, path)
 
-        monkeypatch.setattr(cli, "parse_source", failing_in_child)
+        monkeypatch.setattr(javaparse, "parse_source", failing_in_child)
     assert _extract_artifacts(capsys, tmp_path / "src", tmp_path / "forked") == expected
     assert forks == [parent]
     assert_no_child_left()
@@ -847,8 +848,9 @@ def test_empty_replay_names_the_expected_format(capsys):
         "bogus",
         "select d.csv",
         "select d.csv --out o --bogus",
+        "dataset m metrics.csv --strategy avg --filter z --out o",
     ],
-    ids=["bad-int", "option-like-value", "bad-choice", "bad-command", "missing-out", "unknown-option"],
+    ids=["bad-int", "option-like-value", "bad-choice", "bad-command", "missing-out", "unknown-option", "bad-filter"],
 )
 def test_argument_error_is_one_line_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv.split())
@@ -861,6 +863,26 @@ def test_help_exits_0(capsys):
         main(["evaluate", "--help"])
     assert exc.value.code == 0
     assert "--replay" in capsys.readouterr().out
+
+
+def test_filter_tags_show_in_the_usage_error_and_the_help(capsys):
+    code, _, err = run(capsys, *"dataset m metrics.csv --strategy avg --filter z --out o".split())
+    assert code == 1
+    assert err.split("choose from")[1].replace("'", "").strip(" ()\n").split(", ") == ["full", "a", "b", "c", "d"]
+    with pytest.raises(SystemExit) as exc:
+        main(["dataset", "--help"])
+    assert exc.value.code == 0
+    assert "--filter {full,a,b,c,d}" in capsys.readouterr().out
+
+
+def test_an_invariant_violation_is_one_line_internal_error(monkeypatch, tmp_path, capsys):
+    def violated(units):
+        raise ModelError("type p.A indexed twice\nafter the merge")
+
+    monkeypatch.setattr(model, "build_code_model", violated)
+    code, out, err = run(capsys, "extract", str(CORPUS), "--out", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("internal error: ")
 
 
 def test_evaluate_fold_reduction_note(extracted, tmp_path, capsys):
@@ -973,6 +995,48 @@ def test_a_strict_stdout_prints_an_undecodable_out_path(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == b"wrote " + os.fsencode(tmp_path) + b"/out\\xff/metrics.csv (11 files, 0 excluded)\n"
     assert (Path(os.fsdecode(out)) / "metrics.csv").is_file()
+
+
+# -- real processes: the modules each stage loads ----------------------------------
+
+_LOADED_MODULES = """
+import json, sys
+from buildmetrics import cli
+if sys.argv[1:]:
+    code = cli.main(sys.argv[1:])
+else:
+    cli.build_parser()
+    code = 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "buildmetrics")]))
+"""
+
+
+@pytest.mark.parametrize("argv, loads_no", [
+    pytest.param("", None, id="parser"),
+    pytest.param("extract {corpus} --out {tmp}/e", {"dataset", "featsel", "tree"}, id="extract"),
+    pytest.param("dataset {tmp}/manifests {tmp}/metrics.csv --strategy avg --out {tmp}/d",
+                 {"lexer", "javaparse", "featsel", "tree"}, id="dataset"),
+    pytest.param("select {tmp}/2.csv --out {tmp}/s", {"lexer", "javaparse"}, id="select"),
+    pytest.param("evaluate {tmp}/2.csv --out {tmp}/v", {"lexer", "javaparse"}, id="evaluate"),
+    pytest.param("freq {tmp}/selection.csv --threshold 1", {"lexer", "javaparse"}, id="freq"),
+])
+def test_each_stage_loads_only_the_modules_it_runs(tmp_path, argv, loads_no):
+    # A fresh interpreter per stage: which modules it loaded, not how long they took.
+    (tmp_path / "manifests").mkdir()
+    (tmp_path / "manifests" / "b1.json").write_text(_MANIFEST)
+    (tmp_path / "metrics.csv").write_text(_METRICS_HEADER + "\nA.java" + ",1" * 42 + "\n")
+    rows = [(f"b{i}", ds.LABELS[i % 2], [float(i % 2), float(i)]) for i in range(12)]
+    (tmp_path / "2.csv").write_text(ds.write_csv(ds.Dataset([9, 12], rows, "maximum")))
+    (tmp_path / "selection.csv").write_text(_REPORT_HEADER + "2,cfs,9,1,\n")
+    env = os.environ | {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv.format(corpus=CORPUS, tmp=tmp_path).split()],
+                          env=env, capture_output=True, text=True, timeout=60)
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert (code, proc.stderr) == (0, "")
+    if loads_no is None:
+        assert loaded == ["buildmetrics", "buildmetrics.cli", "buildmetrics.errors", "buildmetrics.parallel"]
+    else:
+        assert not {f"buildmetrics.{name}" for name in loads_no} & set(loaded), loaded
 
 
 # -- one-line errors for paths, --folds and --replay ------------------------------

@@ -5,10 +5,16 @@ against takes longer than the bound. The inputs are built in memory, and no
 case draws random input.
 """
 
+import io
+import tempfile
 import time
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+from buildmetrics.cli import main
+from buildmetrics.dataset import BuildManifest, assemble
 from buildmetrics.javaparse import CompilationUnit, MethodDecl, TypeDecl
 from buildmetrics.metrics import compute_all_metrics, lcom_suite
 from buildmetrics.model import build_code_model
@@ -40,11 +46,47 @@ def imports_in_one_file():
     return lambda: build_code_model(units), lambda model: len(model.dependency_edges) == 8000
 
 
+def _metric_lookup(n: int) -> dict[str, list[float]]:
+    return {f"F{i}.java": [float(i % 7 + m) for m in range(42)] for i in range(n)}
+
+
+def manifests_in_one_dataset():
+    """The metric lookup scanned once per build, or each file found by key."""
+    lookup = _metric_lookup(16_000)
+    manifests = [BuildManifest(f"b{i:05}", "nightly", ("success", "failed")[i % 2], [f"F{i}.java"])
+                 for i in range(16_000)]
+    return lambda: assemble(manifests, lookup, "sum"), lambda result: len(result[0].rows) == 16_000
+
+
+def files_in_one_manifest():
+    """Each of the build's files found by a scan of the metric lookup, or by key."""
+    lookup = _metric_lookup(16_000)
+    manifest = BuildManifest("b", "nightly", "failed", list(lookup))
+    return lambda: assemble([manifest], lookup, "average"), lambda result: len(result[0].rows) == 1
+
+
+def rows_in_one_selection_report():
+    """freq's rows grouped into runs by a scan of the runs so far, or by key; 4000 runs of 40 metrics each."""
+    directory = tempfile.TemporaryDirectory()
+    report = Path(directory.name) / "selection.csv"
+    report.write_text("dataset_id,algorithm,metric_id,rank_or_member,score\n" + "".join(
+        f"d{r // 2},{('cfs', 'infogain')[r % 2]},{k + 1},{k + 1},\n" for r in range(4000) for k in range(40)))
+
+    def run():
+        with directory, redirect_stdout(io.StringIO()) as out:
+            return main(["freq", str(report), "--threshold", "4000"]), out.getvalue()
+    return run, lambda result: result == (0, " ".join(map(str, range(1, 41))) + "\n")
+
+
 @pytest.mark.parametrize("case, bound", [
     (files_in_one_package, 7.0),
     (methods_in_one_class, 1.5),
     (imports_in_one_file, 2.0),
-], ids=["files_in_one_package", "methods_in_one_class", "imports_in_one_file"])
+    (manifests_in_one_dataset, 3.0),
+    (files_in_one_manifest, 1.0),
+    (rows_in_one_selection_report, 3.0),
+], ids=["files_in_one_package", "methods_in_one_class", "imports_in_one_file", "manifests_in_one_dataset",
+        "files_in_one_manifest", "rows_in_one_selection_report"])
 def test_stage_is_linear_in_one_dimension(case, bound):
     run, check = case()
     start = time.perf_counter()
