@@ -964,6 +964,49 @@ def test_freq_names_a_metric_id_that_is_not_a_number(tmp_path, capsys):
         2, "", "error: selection report row 3: metric ID '\u00b2' is not a number\n")
 
 
+# -- the exact output of each stage ------------------------------------------------
+
+
+def _exact_output_inputs(tmp, manifests):
+    """The inputs the exact-output cases read, written under tmp."""
+    (tmp / "m").mkdir()
+    for path in manifests.glob("*.json"):
+        (tmp / "m" / path.name).write_text(path.read_text())
+    (tmp / "m" / "w.json").write_text(json.dumps(
+        {"build_id": "w1", "kind": "continuous", "result": "warning", "files": ["b000/Signal.java"]}))
+    _constant_label_csv(tmp / "c.csv")
+    # 3 success and 17 failed rows: a minority of 3 cuts 10 folds to 3.
+    rng = random.Random(0)
+    rows = [(f"b{i:02d}", ds.LABELS[i >= 3], [(50.0 if i < 3 else 160.0) + rng.random(), rng.random()])
+            for i in range(20)]
+    (tmp / "2.csv").write_text(ds.write_csv(ds.Dataset([9, 13], rows, "maximum")))
+    (tmp / "s.csv").write_text(_REPORT_HEADER + "1,cfs,9,1,\n1,infogain,13,1,0.5\n1,infogain,9,2,0.25\n")
+    (tmp / "h.csv").write_text(_REPORT_HEADER)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param("extract {corpus} --out {tmp}/e",
+                 (0, "wrote {tmp}/e/metrics.csv (11 files, 0 excluded)\n", ""), id="extract"),
+    pytest.param("dataset {tmp}/m {metrics} --strategy sum --filter c --out {tmp}/d",
+                 (0, "wrote {tmp}/d/3c.csv (24 builds, 1 excluded)\n", ""), id="dataset"),
+    pytest.param("select {tmp}/c.csv {dataset} --out {tmp}/s",
+                 (0, "wrote selection reports to {tmp}/s (2 runs)\n",
+                  "skipped 3: dataset label is constant\n"), id="select"),
+    pytest.param("evaluate {tmp}/2.csv --out {tmp}/v",
+                 (0, "ID, Accuracy, # Failed Builds Correct(Incorrect), # Successful Builds Correct(Incorrect)\n"
+                     "2, 100.0000%, 17(0), 3(0)\nnote: folds reduced from 10 to 3\n", ""), id="evaluate"),
+    pytest.param("evaluate --replay 37,14,67,11",
+                 (0, "80.6202%\nfailed 37(14), success 67(11) over 129\n", ""), id="replay"),
+    pytest.param("freq {tmp}/s.csv --threshold 2", (0, "9\n", ""), id="freq"),
+    pytest.param("freq {tmp}/h.csv --threshold 1", (0, "\n", ""), id="freq-header-only"),
+])
+def test_each_stage_prints_exactly(synth_root, extracted, dataset_csv, tmp_path, capsys, argv, expected):
+    _exact_output_inputs(tmp_path, synth_root[2])
+    names = dict(corpus=CORPUS, tmp=tmp_path, metrics=extracted, dataset=dataset_csv)
+    assert run(capsys, *argv.format(**names).split()) == (
+        expected[0], *(text.format(tmp=tmp_path) for text in expected[1:]))
+
+
 # -- real processes: a closed and a strict stdout ------------------------------------
 
 
