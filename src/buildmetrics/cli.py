@@ -10,6 +10,7 @@ import functools
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import FILTER_TAGS
 from .errors import BuildMetricsError, DataError, EvaluationError, SelectionError
@@ -20,6 +21,14 @@ STRATEGY_FLAGS = {"avg": "average", "max": "maximum", "sum": "sum"}
 
 class UsageError(Exception):
     pass
+
+
+class Result(NamedTuple):
+    """A stage's files to write under out, then its stderr and stdout text; only main writes and prints."""
+    out: Path | None = None
+    files: dict[str, str] = {}
+    stdout: str = ""
+    stderr: str = ""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -34,9 +43,9 @@ def _read(path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})")
+        raise DataError(f"{_shown(path)}: not valid UTF-8 ({exc.reason} at byte {exc.start})")
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror or exc}")
+        raise UsageError(f"cannot read {_shown(path)}: {exc.strerror or exc}")
 
 
 def _write(out: Path, files: dict[str, str], force: bool):
@@ -44,12 +53,12 @@ def _write(out: Path, files: dict[str, str], force: bool):
     try:
         for name in files:
             if (out / name).exists() and not force:
-                raise UsageError(f"refusing to overwrite {out / name} (use --force)")
+                raise UsageError(f"refusing to overwrite {_shown(out / name)} (use --force)")
         out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
             (out / name).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise UsageError(f"cannot write to {out}: {exc.strerror or exc}")
+        raise UsageError(f"cannot write to {_shown(out)}: {exc.strerror or exc}")
 
 
 def _parsed(parse, path):
@@ -109,15 +118,15 @@ def _java_files(root: Path) -> list[Path]:
     return sorted(paths)
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(args) -> Result:
     from . import javaparse, metrics  # loaded before split_map forks, so its child does not load them again
     from .model import build_code_model
     root = Path(args.source)
     if not root.is_dir():
-        raise UsageError(f"not a directory: {root}")
+        raise UsageError(f"not a directory: {_shown(root)}")
     paths = _java_files(root)
     if not paths:
-        raise UsageError(f"no .java files under {root}")
+        raise UsageError(f"no .java files under {_shown(root)}")
     # A forked child, if any, parses the odd-indexed files; results come back in path order.
     parsed = split_map(functools.partial(_parse_file, root), paths)
     exclusions = [item for item in parsed if isinstance(item, str)]
@@ -128,37 +137,33 @@ def cmd_extract(args) -> int:
     exclusions.extend(f"{u.file_path}: no type declarations" for u in model.units
                       if u.file_path not in vectors)
     out = Path(args.out)
-    _write(out, {
+    return Result(out, {
         "metrics.csv": metrics.metrics_csv(vectors),
         "extract_exclusions.log": "".join(e + "\n" for e in exclusions),
-    }, args.force)
-    print(f"wrote {_shown(out / 'metrics.csv')} ({len(vectors)} files, {len(exclusions)} excluded)")
-    return 0
+    }, f"wrote {_shown(out / 'metrics.csv')} ({len(vectors)} files, {len(exclusions)} excluded)\n")
 
 
-def cmd_dataset(args) -> int:
+def cmd_dataset(args) -> Result:
     from . import dataset as ds, metrics
     manifest_dir = Path(args.manifests)
     if not manifest_dir.is_dir():
-        raise UsageError(f"not a directory: {manifest_dir}")
+        raise UsageError(f"not a directory: {_shown(manifest_dir)}")
     manifest_paths = sorted(manifest_dir.glob("*.json"))
     if not manifest_paths:
-        raise UsageError(f"no manifest JSON files in {manifest_dir}")
+        raise UsageError(f"no manifest JSON files in {_shown(manifest_dir)}")
     manifests = [_parsed(ds.parse_manifest, p) for p in manifest_paths]
     lookup = metrics.parse_metrics_csv(_read(args.metrics))
     strategy = STRATEGY_FLAGS[args.strategy]
     data, exclusions = ds.assemble(manifests, lookup, strategy, args.filter)
     out = Path(args.out)
     name = data.dataset_id
-    _write(out, {
+    return Result(out, {
         f"{name}.csv": ds.write_csv(data),
         f"{name}_exclusions.log": "".join(f"{bid}: {reason}\n" for bid, reason in exclusions),
-    }, args.force)
-    print(f"wrote {_shown(out / (name + '.csv'))} ({len(data.rows)} builds, {len(exclusions)} excluded)")
-    return 0
+    }, f"wrote {_shown(out / (name + '.csv'))} ({len(data.rows)} builds, {len(exclusions)} excluded)\n")
 
 
-def cmd_select(args) -> int:
+def cmd_select(args) -> Result:
     from . import dataset as ds, featsel, metrics
     select = {"infogain": featsel.info_gain_rank, "cfs": featsel.cfs_select}
     algorithms = dict.fromkeys(args.algo or select)  # a repeated --algo runs once
@@ -168,7 +173,7 @@ def cmd_select(args) -> int:
     for path in args.datasets:
         data = _parsed(ds.read_csv, path)
         if data.dataset_id in seen:
-            raise DataError(f"{path}: dataset {data.dataset_id} is already an input, "
+            raise DataError(f"{_shown(path)}: dataset {data.dataset_id} is already an input, "
                             "and selection.csv could not tell their runs apart")
         seen.add(data.dataset_id)
         try:
@@ -182,15 +187,11 @@ def cmd_select(args) -> int:
     out = Path(args.out)
     thresholds = ([str(threshold), " ".join(map(str, sorted(featsel.frequency_select(runs, threshold))))]
                   for threshold in (4, 6, 8, 10))
-    _write(out, {
+    return Result(out, {
         "selection.csv": featsel.selection_report_csv(runs),
         "frequency.csv": featsel.frequency_csv(runs),
         "thresholds.csv": metrics.table_text(["threshold", "selected_metric_ids"], thresholds),
-    }, args.force)
-    for reason in skipped:
-        print(f"skipped {reason}", file=sys.stderr)
-    print(f"wrote selection reports to {_shown(out)} ({len(runs)} runs)")
-    return 0
+    }, f"wrote selection reports to {_shown(out)} ({len(runs)} runs)\n", "".join(f"skipped {r}\n" for r in skipped))
 
 
 def _parse_feature_list(text: str) -> list[int]:
@@ -200,8 +201,10 @@ def _parse_feature_list(text: str) -> list[int]:
         raise UsageError(f"bad feature list: {text!r}")
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> Result:
     from . import dataset as ds, tree
+    if (args.replay is None) == (not args.dataset):
+        raise UsageError("evaluate takes exactly one of a dataset CSV and --replay")
     if args.replay is not None:
         parts = _parse_feature_list(args.replay)
         if len(parts) != 4:
@@ -211,9 +214,7 @@ def cmd_evaluate(args) -> int:
         fc, fi, sc, si = parts
         total = fc + fi + sc + si
         acc = tree.accuracy_percent(fc + sc, total)
-        print(f"{acc:.4f}%")
-        print(f"failed {fc}({fi}), success {sc}({si}) over {total}")
-        return 0
+        return Result(stdout=f"{acc:.4f}%\nfailed {fc}({fi}), success {sc}({si}) over {total}\n")
     if args.folds < 2:
         raise UsageError("--folds must be at least 2")
     data = ds.read_csv(_read(args.dataset))
@@ -226,18 +227,15 @@ def cmd_evaluate(args) -> int:
         data = data.project(wanted)
     report = tree.cross_validate(data, k=args.folds, seed=args.seed)
     name = data.dataset_id
-    _write(Path(args.out), {
+    note = f"note: folds reduced from {report.requested_k} to {report.k}\n" if report.k != report.requested_k else ""
+    return Result(Path(args.out), {
         f"{name}_report.txt": tree.report_table(report),
         f"{name}_report.json": tree.report_json(report) + "\n",
         f"{name}_tree.txt": tree.render_tree(report.tree),
-    }, args.force)
-    print(tree.report_table(report), end="")
-    if report.k != report.requested_k:
-        print(f"note: folds reduced from {report.requested_k} to {report.k}")
-    return 0
+    }, tree.report_table(report) + note)
 
 
-def cmd_freq(args) -> int:
+def cmd_freq(args) -> Result:
     from . import featsel, metrics
     if args.threshold < 1:
         raise UsageError("--threshold must be at least 1")
@@ -251,8 +249,7 @@ def cmd_freq(args) -> int:
         by_run.setdefault((did, algo), []).append(int(mid))
     runs = [featsel.SelectionRun(did, algo, selected) for (did, algo), selected in sorted(by_run.items())]
     chosen = sorted(featsel.frequency_select(runs, args.threshold))
-    print(" ".join(str(m) for m in chosen))
-    return 0
+    return Result(stdout=" ".join(str(m) for m in chosen) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,11 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "evaluate" and (args.replay is None) == (not args.dataset):
-            raise UsageError("evaluate takes exactly one of a dataset CSV and --replay")
-        code = args.func(args)
-        print(end="", flush=True)  # a closed stdout fails here, not at exit
-        return code
+        result = args.func(args)
+        if result.files:
+            _write(result.out, result.files, args.force)
+        print(result.stderr, end="", file=sys.stderr)
+        print(result.stdout, end="", flush=True)  # a closed stdout fails here, not at exit
+        return 0
     except UsageError as exc:
         return _report("error", exc, 1)
     except (DataError, SelectionError, EvaluationError) as exc:

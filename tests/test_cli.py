@@ -754,6 +754,13 @@ def test_select_skips_a_constant_label_dataset_once(dataset_csv, tmp_path, capsy
     assert err == "skipped 3: dataset label is constant\n"
 
 
+def test_a_failed_write_prints_nothing_else(dataset_csv, tmp_path, capsys):
+    constant = _constant_label_csv(tmp_path / "c.csv")
+    (tmp_path / "file").write_text("")
+    assert run(capsys, "select", str(constant), str(dataset_csv), "--out", str(tmp_path / "file")) == (
+        1, "", f"error: cannot write to {tmp_path / 'file'}: File exists\n")
+
+
 # -- evaluate -------------------------------------------------------------------
 
 
@@ -1032,6 +1039,19 @@ def test_a_closed_stdout_is_one_line_usage_error(tmp_path, env):
     assert proc.stderr.decode() == "error: cannot write to stdout: Broken pipe\n"
 
 
+def test_a_closed_stdout_after_evaluate_leaves_its_artifacts_written(tmp_path):
+    rows = [(f"b{i}", ds.LABELS[i % 2], [float(i % 2), float(i)]) for i in range(12)]
+    (tmp_path / "2.csv").write_text(ds.write_csv(ds.Dataset([9, 12], rows, "maximum")))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_process("evaluate", str(tmp_path / "2.csv"), "--out", str(tmp_path / "o"), stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (1, "error: cannot write to stdout: Broken pipe\n")
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["2_report.json", "2_report.txt", "2_tree.txt"]
+
+
 def test_a_strict_stdout_prints_an_undecodable_out_path(tmp_path):
     out = os.fsencode(tmp_path) + b"/out\xff"
     proc = _cli_process("extract", CORPUS, "--out", out, env={"PYTHONIOENCODING": "utf-8"}, stdout=subprocess.PIPE)
@@ -1141,6 +1161,30 @@ def test_bad_path_or_replay_is_one_line_error(tmp_path, capsys, argv, expected):
     assert code == expected
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, shown", [("x\ny.csv", "x\\ny.csv"), (os.fsdecode(b"z\xff.csv"), "z\\xff.csv")],
+                         ids=["line-break", "undecodable"])
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param("select {tmp}/2.csv {path} --out {tmp}/o",
+                 (2, "error: {shown}: dataset 2 is already an input, and selection.csv could not tell their runs "
+                     "apart\n"), id="duplicate-dataset"),
+    pytest.param("freq {path}.missing --threshold 1",
+                 (1, "error: cannot read {shown}.missing: No such file or directory\n"), id="cannot-read"),
+    pytest.param("extract {corpus} --out {path}",
+                 (1, "error: refusing to overwrite {shown}/metrics.csv (use --force)\n"), id="refusing-to-overwrite"),
+])
+def test_an_error_shows_its_path_on_one_line(tmp_path, capsys, name, shown, argv, expected):
+    rows = [(f"b{i}", ds.LABELS[i % 2], [float(i)]) for i in range(6)]
+    (tmp_path / "2.csv").write_text(ds.write_csv(ds.Dataset([9], rows, "maximum")))
+    path = tmp_path / name
+    if argv.startswith("select"):
+        path.write_text((tmp_path / "2.csv").read_text())
+    else:  # an extract output that is there already; freq reads a name beside it
+        path.mkdir()
+        (path / "metrics.csv").write_text("kept\n")
+    code, out, err = run(capsys, *[arg.format(tmp=tmp_path, path=path, corpus=CORPUS) for arg in argv.split()])
+    assert (code, out, err) == (expected[0], "", expected[1].format(shown=f"{tmp_path}/{shown}"))
 
 
 # -- staged pipeline equals in-process composition --------------------------------
@@ -1325,6 +1369,8 @@ def test_fuzzed_inputs_end_in_one_line_and_exit_0_1_or_2(fuzz_root, data):
                 code = main(argv)
             except SystemExit as exc:  # --help
                 code = exc.code
+        if code != 0:  # a failing stage prints and writes nothing
+            assert out.getvalue() == "" and not (root / "o").exists(), argv
     assert code in (0, 1, 2), err.getvalue()
     assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
     assert "Traceback" not in err.getvalue()
