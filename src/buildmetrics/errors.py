@@ -5,15 +5,6 @@ class BuildMetricsError(Exception):
     """Base class for all toolkit errors."""
 
 
-class LexicalError(BuildMetricsError):
-    """Unterminated comment/string or illegal character; carries position."""
-
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} at line {line}, column {column}")
-        self.line = line
-        self.column = column
-
-
 class ParseError(BuildMetricsError):
     """Structural problem (e.g. unbalanced braces) the parser cannot skim over."""
 
@@ -24,8 +15,12 @@ class ParseError(BuildMetricsError):
         self.column = column
 
 
+class LexicalError(ParseError):
+    """Unterminated comment/string or illegal character; carries position."""
+
+
 class ModelError(BuildMetricsError):
-    """Code-model misuse: a file path given twice, or an unknown package."""
+    """Code-model misuse: a file path given twice."""
 
 
 class DataError(BuildMetricsError):

@@ -64,9 +64,9 @@ _DCLOG = []  # _DCLOG[c] = _CLOG[c + 1] - _CLOG[c]
 
 def _cut(pos, left, n, counts, h_total):
     """best_cut's result for the cut that puts class counts `left` before pos."""
-    h_left = _entropy(left, pos)
-    h_right = _entropy([c - c_left for c, c_left in zip(counts, left)], n - pos)
-    return h_total - (pos / n) * h_left - ((n - pos) / n) * h_right, pos, h_left, h_right, list(left)
+    right = [c - c_left for c, c_left in zip(counts, left)]
+    h_left, h_right = _entropy(left, pos), _entropy(right, n - pos)
+    return h_total - (pos / n) * h_left - ((n - pos) / n) * h_right, pos, h_left, h_right, list(left), right
 
 
 def best_cut(order, values, ys, counts, min_size=1, eps=_GAIN_EPS):
@@ -76,8 +76,8 @@ def best_cut(order, values, ys, counts, min_size=1, eps=_GAIN_EPS):
     counts the class counts over order. One sweep keeps running left
     counts; cuts fall only between distinct values, leave at least min_size
     rows per side and gain more than _GAIN_EPS. A later cut wins only by more
-    than eps. Returns (gain, pos, h_left, h_right, left_counts): rows
-    order[:pos] go left.
+    than eps. Returns (gain, pos, h_left, h_right, left_counts,
+    right_counts): rows order[:pos] go left.
 
     Each cut is screened in O(1): with s the running sum of c*log2(c) over
     both sides' counts, s - pos*log2(pos) - (n-pos)*log2(n-pos) is
@@ -147,8 +147,7 @@ def discretize_mdl(values: list[float], labels: list) -> list[float]:
         best = best_cut(range(lo, hi), values, ys, counts, eps=1e-15)
         if best is None:
             continue
-        gain, pos, h_left, h_right, left = best
-        right = [c - c_left for c, c_left in zip(counts, left)]
+        gain, pos, h_left, h_right, left, right = best
         k1 = sum(1 for c in left if c)
         k2 = sum(1 for c in right if c)
         n = hi - lo
@@ -195,7 +194,7 @@ def _gain(bins: list[int], labels: list) -> float:
     groups: dict[int, list] = {}
     for b, lab in zip(bins, labels):
         groups.setdefault(b, []).append(lab)
-    return entropy(labels) - sum((len(g) / n) * entropy(g) for g in groups.values())
+    return entropy(labels) - math.fsum((len(g) / n) * entropy(g) for g in groups.values())
 
 
 def info_gain_rank(table: Discretized) -> SelectionRun:

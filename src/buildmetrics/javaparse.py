@@ -383,8 +383,7 @@ class _Parser:
     def parse_field_decl(self, decl: TypeDecl, head: range):
         """head holds the type part plus the first declarator name."""
         if not head:
-            if self.peek() is not None:
-                self.take()
+            self.take()
             return
         decl.field_names.append(self.texts[head[-1]])
         decl.referenced_type_names.update(self.identifiers(head[:-1]))

@@ -25,7 +25,7 @@ from functools import reduce
 from itertools import chain
 from operator import or_
 
-from .errors import DataError, ModelError
+from .errors import DataError
 from .model import CodeModel, qualify
 
 METRIC_IDS = tuple(range(1, 43))
@@ -143,8 +143,6 @@ def lcom_suite(decl: TypeDecl) -> tuple[float, float, float]:
 
 def martin_suite(model: CodeModel, package_name: str) -> tuple[float, int, int, float, float]:
     """(abstractness, Ca, Ce, instability, normalized distance) of a package."""
-    if package_name not in model.packages:
-        raise ModelError(f"unknown package: {package_name!r}")
     members = model.packages[package_name]
     abstract = sum(1 for q in members if model.type_index[q].is_abstract)
     abstractness = abstract / len(members)

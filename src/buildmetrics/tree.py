@@ -128,7 +128,7 @@ def train(dataset: Dataset) -> TreeNode:
             continue
         mean_gain = sum(best[0] for _, best, _ in candidates) / len(candidates)
         eligible = [c for c in candidates if c[1][0] >= mean_gain - _GAIN_EPS]
-        k, (_, pos, _, _, left), _ = min(eligible, key=lambda c: (-c[2], dataset.feature_ids[c[0]]))
+        k, (_, pos, _, _, left, right), _ = min(eligible, key=lambda c: (-c[2], dataset.feature_ids[c[0]]))
         order, column = lists[k], columns[k]
         node.metric_id = dataset.feature_ids[k]
         node.threshold = cut_point(column[order[pos - 1]], column[order[pos]])
@@ -136,7 +136,6 @@ def train(dataset: Dataset) -> TreeNode:
         # exactly the rows with value <= threshold.
         for j, i in enumerate(order):
             goes_left[i] = j < pos
-        right = [c - c_left for c, c_left in zip(counts, left)]
         node.left, node.right = TreeNode(), TreeNode()
         # Both halves are taken before either child reuses goes_left.
         stack.append((node.right, right, [[i for i in lst if not goes_left[i]] for lst in lists]))

@@ -145,6 +145,29 @@ def test_extract_logs_dangling_and_looping_links(tmp_path, capsys):
     assert set(lookup) == {"p/A.java"}
 
 
+def test_extract_skips_a_directory_it_cannot_list(monkeypatch, tmp_path, capsys):
+    src = tmp_path / "src"
+    for name in ("p/A.java", "locked/B.java", "locked/q/C.java"):
+        (src / name).parent.mkdir(parents=True, exist_ok=True)
+        (src / name).write_text(f"package p; class {Path(name).stem} {{ int a; }}")
+    refused = []
+    scandir = os.scandir
+
+    def refusing_scandir(path):
+        if Path(path) == src / "locked":
+            refused.append(path)
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return scandir(path)
+
+    # chmod cannot lock a directory against a superuser, so the listing itself is refused.
+    monkeypatch.setattr(os, "scandir", refusing_scandir)
+    code, _, err = run(capsys, "extract", str(src), "--out", str(tmp_path / "out"))
+    assert (code, err, len(refused)) == (0, "", 1)
+    assert (tmp_path / "out" / "extract_exclusions.log").read_text() == ""
+    lookup = metrics.parse_metrics_csv((tmp_path / "out" / "metrics.csv").read_text())
+    assert set(lookup) == {"p/A.java"}
+
+
 @pytest.mark.parametrize(
     "files, excluded",
     [

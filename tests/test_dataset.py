@@ -341,6 +341,9 @@ def test_csv_header_validation():
         read_csv("id,label,m9\nb1,success,1\n")
     with pytest.raises(DataError):
         read_csv("build_id,label,m9,m9\nb1,success,1,2\n")
+    for col in ("x9", "m", "m\u0663", "m-1"):
+        with pytest.raises(DataError, match="^malformed metric column"):
+            read_csv(f"build_id,label,{col}\nb1,success,1\n")
     with pytest.raises(DataError):
         read_csv("# strategy=average filter=full\n")
     assert read_csv("build_id,label,m9\nb1,success,1\n# strategy=sum filter=c\n").dataset_id == "3c"

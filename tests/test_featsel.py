@@ -11,6 +11,7 @@ from buildmetrics import featsel
 from buildmetrics.dataset import Dataset
 from buildmetrics.errors import SelectionError
 from buildmetrics.featsel import (
+    Discretized,
     SelectionRun,
     best_cut,
     cfs_select,
@@ -234,7 +235,7 @@ def reference_best_cut(order, values, ys, counts, min_size=1, eps=1e-12):
         h_right = featsel._entropy(right, n - pos)
         gain = h_total - (pos / n) * h_left - ((n - pos) / n) * h_right
         if gain > 1e-12 and (best is None or gain > best[0] + eps):
-            best = (gain, pos, h_left, h_right, list(left))
+            best = (gain, pos, h_left, h_right, list(left), list(right))
     return best
 
 
@@ -378,6 +379,18 @@ def test_info_gain_rank_skips_a_feature_without_a_cut():
     assert table.bins[2] == [0] * 6
     run = info_gain_rank(table)
     assert run.scores[2] == 0.0 and run.selected == [1]
+
+
+def test_info_gain_rank_breaks_equal_gains_by_metric_id_whatever_the_row_order():
+    # Both features' bins hold the same class counts, first met in a different row order.
+    labels = ["failed"] * 10 + ["success"] * 14
+    table = Discretized("1", labels, {
+        3: [0] * 2 + [1] * 4 + [2] * 4 + [0] * 4 + [1] * 4 + [2] * 6,
+        37: [0] * 2 + [2] * 4 + [1] * 4 + [0] * 4 + [2] * 6 + [1] * 4,
+    })
+    run = info_gain_rank(table)
+    assert run.scores[3] == run.scores[37] > 0
+    assert run.selected == [3, 37]
 
 
 def test_info_gain_rank_scores_equal_info_gain():

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from buildmetrics.errors import DataError, ModelError
+from buildmetrics.errors import DataError
 from buildmetrics.javaparse import MethodDecl, TypeDecl, parse_source
 from buildmetrics.metrics import (
     METRIC_IDS,
@@ -166,12 +166,6 @@ def test_martin_balanced_package():
     assert (ca, ce) == (1, 1)
     assert i == pytest.approx(0.5)
     assert dn == pytest.approx(0.0)
-
-
-def test_martin_unknown_package():
-    model = _model(("p/A.java", "package p; class A { }"))
-    with pytest.raises(ModelError):
-        martin_suite(model, "nope")
 
 
 # -- maintainability index -----------------------------------------------
