@@ -223,10 +223,10 @@ def _merit(su_label: dict[int, float], su_pair: dict[tuple[int, int], float], su
     k = len(subset)
     if k == 0:
         return 0.0
-    rcf = sum(su_label[f] for f in subset) / k
+    rcf = math.fsum(su_label[f] for f in subset) / k
     if k == 1:
         return rcf
-    rff = sum(su_pair[pair] for pair in combinations(subset, 2)) / (k * (k - 1) / 2)
+    rff = math.fsum(su_pair[pair] for pair in combinations(subset, 2)) / (k * (k - 1) / 2)
     return k * rcf / math.sqrt(k + k * (k - 1) * rff)
 
 

@@ -6,8 +6,8 @@ All features are numeric; every split is binary on a midpoint threshold
 root; the winning cut hands each child its sorted rows and class counts, as
 MDL's frames get theirs, and places its threshold once (as in SLIQ).
 Pruning is one bottom-up pass of subtree replacement using the binomial
-upper confidence bound on the leaf error rate; the bound is computed in log
-space, so it stays finite at any node size. The settings are C4.5's
+upper confidence bound on the leaf error rate; summing its CDF from the
+largest term down keeps it finite at any node size. The settings are C4.5's
 defaults: at least 2 instances per leaf and a confidence factor of 0.25.
 Trees are grown and walked with explicit stacks, so any depth works. With a
 second CPU, a forked child runs folds 0, 2, 4, ... and returns only their
@@ -146,37 +146,33 @@ def train(dataset: Dataset) -> TreeNode:
 @functools.cache
 def _binomial_upper_bound(errors: int, n: int, cf: float) -> float:
     """Upper confidence limit on the error rate: the p with
-    P(Binomial(n, p) <= errors) = cf, found by bisection.
-
-    The CDF is summed in log space, each term scaled by the largest, so the
-    bound stays finite at any n. The bound depends on its arguments alone, so
-    one memo per process serves every prune call there: the folds it runs and
-    the final tree. Its keys are bounded by the training set sizes seen.
+    P(Binomial(n, p) <= errors) = cf, found by bisection. Each step sums the
+    CDF down from its largest term, scaled to 1, so the bound stays finite at
+    any n, and a key costs one lgamma triple. The bound depends on its arguments
+    alone, so one memo per process serves every prune call there: the folds it
+    runs and the final tree. Its keys are bounded by the training set sizes seen.
     """
     if errors >= n:  # also the empty node, n == 0
         return 1.0
-    log_n_fact = math.lgamma(n + 1)
-    log_coeffs = [
-        log_n_fact - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in range(errors + 1)
-    ]
+    log_coeff = math.lgamma(n + 1) - math.lgamma(errors + 1) - math.lgamma(n - errors + 1)
     log_cf = math.log(cf)
-
-    def log_cdf(p: float) -> float:
-        log_p, log_q = math.log(p), math.log(1.0 - p)
-        terms = [c + i * log_p + (n - i) * log_q for i, c in enumerate(log_coeffs)]
-        top = max(terms)
-        return top + math.log(sum(math.exp(t - top) for t in terms))
-
     lo, hi = errors / n, 1.0
     while True:
         mid = (lo + hi) / 2.0
         if mid == lo or mid == hi:
             # lo and hi are adjacent floats, which halving always reaches: no later step moves the result.
             return mid
-        if log_cdf(mid) > log_cf:
-            lo = mid
-        else:
-            hi = mid
+        # mid > errors/n puts the mode at or above errors, so the ratio r = i(1-p)/((n-i+1)p) of
+        # term(i-1) to term(i) is below 1 and falls with i: the unsummed tail is under term * r / (1-r).
+        odds = (1.0 - mid) / mid
+        term = total = 1.0
+        for i in range(errors, 0, -1):
+            term *= i * odds / (n - i + 1)
+            total += term
+            if term < 1e-17 * total:
+                break
+        log_cdf = log_coeff + errors * math.log(mid) + (n - errors) * math.log(1.0 - mid) + math.log(total)
+        lo, hi = (mid, hi) if log_cdf > log_cf else (lo, mid)
 
 
 def prune(tree: TreeNode, confidence_factor: float = 0.25) -> TreeNode:

@@ -1,0 +1,37 @@
+"""The differential harness (tests/differential.py) in its quick form: a
+source tree against itself shows no difference, and one planted one-line
+change is found and named."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+HARNESS = Path(__file__).parent / "differential.py"
+SRC = Path(__file__).parent.parent / "src"
+
+
+def _quick(parent, change):
+    return subprocess.run([sys.executable, str(HARNESS), str(parent), str(change), "--quick"],
+                          capture_output=True, text=True)
+
+
+def test_a_tree_against_itself_is_identical():
+    result = _quick(SRC, SRC)
+    assert (result.returncode, result.stderr) == (0, ""), result.stdout
+    assert result.stdout == "9 invocations: 9 identical, 0 differ (parent: 8 exit 0, 1 exit 1)\n"
+
+
+def test_a_planted_change_is_named(tmp_path):
+    change = tmp_path / "src"
+    shutil.copytree(SRC, change, ignore=shutil.ignore_patterns("__pycache__"))
+    metrics = change / "buildmetrics" / "metrics.py"
+    text = metrics.read_text()
+    planted = text.replace("digits: int | None = 6)", "digits: int | None = 5)")
+    assert planted != text
+    metrics.write_text(planted)
+    result = _quick(SRC, change)
+    assert (result.returncode, result.stderr) == (1, ""), result.stdout
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("fixture extract: metrics.csv line 2: ")
+    assert lines[-1].startswith("9 invocations: ") and " identical, 0 differ" not in lines[-1]

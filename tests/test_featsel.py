@@ -472,6 +472,25 @@ def test_cfs_duplicate_perfect_feature():
     assert run.selected == [1]
 
 
+def test_cfs_never_picks_a_copied_column_without_its_original():
+    # A copy under a larger ID ties its original exactly, so the tie-break
+    # keeps the original. With merits summed in subset order, seed 433
+    # picked [3, 7, 11, 12], where 12 copies 5.
+    for seed in range(500):
+        rng = random.Random(seed)
+        n, f = rng.randint(20, 120), rng.randint(6, 12)
+        bins = {m: [rng.randrange(rng.choice((2, 3, 4))) for _ in range(n)] for m in range(1, f + 1)}
+        signal = rng.sample(sorted(bins), rng.randint(2, 6))
+        labels = ["failed" if (sum(bins[m][i] for m in signal) + (rng.random() < 0.2)) % 2 else "success"
+                  for i in range(n)]
+        original = rng.choice(sorted(bins))
+        bins[f + 1] = list(bins[original])
+        if len(set(labels)) < 2:
+            continue
+        selected = cfs_select(Discretized("1", labels, bins)).selected
+        assert f + 1 not in selected or original in selected, (seed, original, selected)
+
+
 def _random_columns(rng, n_features, n_rows):
     labels = [rng.choice(["f", "s"]) for _ in range(n_rows)]
     if len(set(labels)) < 2:

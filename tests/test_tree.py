@@ -6,6 +6,7 @@ import random
 import signal
 import sys
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -443,6 +444,31 @@ def reference_binomial_upper_bound(errors, n, cf):
     return (lo + hi) / 2.0
 
 
+def full_sum_binomial_upper_bound(errors, n, cf):
+    """The bound with every term of the CDF summed in log space, each scaled
+    by the largest, bisected to adjacent floats; it stays finite at any n."""
+    if errors >= n:
+        return 1.0
+    log_n_fact = math.lgamma(n + 1)
+    log_coeffs = [log_n_fact - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in range(errors + 1)]
+
+    def log_cdf(p):
+        log_p, log_q = math.log(p), math.log(1.0 - p)
+        terms = [c + i * log_p + (n - i) * log_q for i, c in enumerate(log_coeffs)]
+        top = max(terms)
+        return top + math.log(sum(math.exp(t - top) for t in terms))
+
+    lo, hi = errors / n, 1.0
+    while True:
+        mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            return mid
+        if log_cdf(mid) > math.log(cf):
+            lo = mid
+        else:
+            hi = mid
+
+
 def naive_prune(node, cf):
     """Subtree replacement that re-walks every leaf below each ancestor."""
 
@@ -484,6 +510,42 @@ def test_binomial_bound_finite_past_float_range(errors, n):
     bound = _binomial_upper_bound(errors, n, 0.25)
     assert math.isfinite(bound)
     assert errors / n <= bound <= 1.0
+
+
+def test_binomial_bound_matches_the_full_sum_past_the_exact_reference():
+    # Summing from the largest term down stops once terms are negligible; the
+    # full sum in log space keeps every term.
+    rng = random.Random(2014)
+    cases = []
+    for n in (1000, 1500, 2500, 4000, 6000, 9000, 13000, 20000):
+        cases += [(1, n), (n // 2, n), (n - 1, n)] + [(rng.randrange(n), n) for _ in range(2)]
+    for errors, n in cases:
+        cf = rng.choice((0.1, 0.25, 0.5))
+        assert _binomial_upper_bound(errors, n, cf) == pytest.approx(
+            full_sum_binomial_upper_bound(errors, n, cf), abs=1e-12
+        ), (errors, n, cf)
+
+
+def test_binomial_bound_takes_one_lgamma_triple_per_key(monkeypatch):
+    calls = Counter()
+
+    class CountingMath:
+        def __getattr__(self, name):
+            calls[name] += 1
+            return getattr(math, name)
+
+    monkeypatch.setattr(tree_module, "math", CountingMath())
+    _binomial_upper_bound.__wrapped__(500, 1000, 0.25)
+    assert calls["lgamma"] == 3
+    assert calls["exp"] == 0
+
+
+def test_binomial_bound_computes_a_large_key_quickly():
+    # Summing all 50,001 terms on each bisection step took about 0.5 s.
+    start = time.perf_counter()
+    bound = _binomial_upper_bound.__wrapped__(50_000, 100_000, 0.25)
+    assert time.perf_counter() - start < 0.2
+    assert 0.5 < bound < 0.51
 
 
 def test_binomial_bound_monotone_in_errors_at_large_n():
