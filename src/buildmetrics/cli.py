@@ -1,8 +1,8 @@
 """Command-line pipeline: extract -> dataset -> select -> evaluate, plus a
 standalone frequency-threshold command.
 
-Exit codes: 0 success, 1 usage error, 2 data error (e.g. exclusions leave
-nothing to work with), 3 internal invariant violation.
+Exit codes: 0 success, 1 usage error (UsageError), 2 data error (DataError, e.g.
+exclusions leave nothing to work with), 3 invariant violation (BuildMetricsError).
 """
 
 import argparse
@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import FILTER_TAGS
-from .errors import BuildMetricsError, DataError, EvaluationError, SelectionError
+from .errors import BuildMetricsError, DataError, ParseError
 from .parallel import split_map
 
 STRATEGY_FLAGS = {"avg": "average", "max": "maximum", "sum": "sum"}
@@ -91,7 +91,7 @@ def _parse_file(root: Path, path: Path) -> "tuple[CompilationUnit, list[float] |
         return f"{rel}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
     except OSError as exc:
         return f"{rel}: cannot read: {exc.strerror or exc}"
-    except BuildMetricsError as exc:
+    except ParseError as exc:
         return f"{rel}: {exc}"
     types = [TypeDecl(t.name, t.kind, t.is_abstract, t.extends_names, referenced_type_names=t.referenced_type_names)
              for t in unit.types]
@@ -178,7 +178,7 @@ def cmd_select(args) -> Result:
         seen.add(data.dataset_id)
         try:
             table = featsel.discretize(data)
-        except SelectionError as exc:
+        except DataError as exc:  # the dataset label is constant
             skipped.append(f"{data.dataset_id}: {exc}")
             continue
         runs.extend(select[algo](table) for algo in algorithms)
@@ -310,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except UsageError as exc:
         return _report("error", exc, 1)
-    except (DataError, SelectionError, EvaluationError) as exc:
+    except DataError as exc:
         return _report("error", exc, 2)
     except BuildMetricsError as exc:
         return _report("internal error", exc, 3)

@@ -1,12 +1,16 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exceptions shared across the toolkit, one class per exit code of the CLI:
+cli.UsageError exits 1, DataError (data it cannot work with) 2, and
+BuildMetricsError itself (an invariant violation) 3. ParseError carries a
+position; extract catches it per file and logs the file as excluded."""
 
 
 class BuildMetricsError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; raised itself for an invariant violation."""
 
 
 class ParseError(BuildMetricsError):
-    """Structural problem (e.g. unbalanced braces) the parser cannot skim over."""
+    """A file the lexer or parser cannot read: an unterminated comment or string, an
+    illegal character, or a structural problem (e.g. unbalanced braces)."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
         pos = f" at line {line}, column {column}" if line else ""
@@ -15,21 +19,6 @@ class ParseError(BuildMetricsError):
         self.column = column
 
 
-class LexicalError(ParseError):
-    """Unterminated comment/string or illegal character; carries position."""
-
-
-class ModelError(BuildMetricsError):
-    """Code-model misuse: a file path given twice."""
-
-
 class DataError(BuildMetricsError):
-    """Dataset assembly or CSV parsing problem."""
-
-
-class SelectionError(BuildMetricsError):
-    """Feature selection cannot run (e.g. constant label)."""
-
-
-class EvaluationError(BuildMetricsError):
-    """Classifier training or cross-validation cannot run."""
+    """Input data that cannot be worked with: dataset assembly, CSV parsing,
+    feature selection or cross-validation."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .dataset import Dataset
-from .errors import SelectionError
+from .errors import DataError
 from .metrics import table_text
 
 _GAIN_EPS = 1e-12
@@ -51,11 +51,12 @@ def _entropy(counts, n: int) -> float:
 
 
 def entropy(labels) -> float:
-    """Shannon entropy in bits."""
+    """Shannon entropy in bits. The counts are summed in ascending order, so the
+    result depends on their multiset alone, not on the order of the labels."""
     labels = list(labels)
     if not labels:
-        raise SelectionError("entropy of an empty label list")
-    return _entropy(Counter(labels).values(), len(labels))
+        raise DataError("entropy of an empty label list")
+    return _entropy(sorted(Counter(labels).values()), len(labels))
 
 
 _CLOG = [0.0]  # _CLOG[c] = c * log2(c), grown on demand
@@ -131,7 +132,7 @@ def discretize_mdl(values: list[float], labels: list) -> list[float]:
     a (possibly empty) ascending cut list.
     """
     if len(values) != len(labels):
-        raise SelectionError("values and labels differ in length")
+        raise DataError("values and labels differ in length")
     order = sorted(range(len(values)), key=values.__getitem__)
     values = [values[i] for i in order]
     class_index: dict = {}
@@ -180,7 +181,7 @@ def discretize(dataset: Dataset) -> Discretized:
     """MDL-discretize every feature of a dataset whose label takes two or more values."""
     labels = dataset.labels()
     if len(set(labels)) < 2:
-        raise SelectionError("dataset label is constant")
+        raise DataError("dataset label is constant")
     bins = {mid: _mdl_bins(dataset.column(mid), labels) for mid in sorted(dataset.feature_ids)}
     return Discretized(dataset.dataset_id, labels, bins)
 
@@ -210,7 +211,7 @@ def info_gain_rank(table: Discretized) -> SelectionRun:
 def symmetric_uncertainty(x: list, y: list) -> float:
     """SU = 2*(H(x)+H(y)-H(x,y))/(H(x)+H(y)); 0 when both entropies vanish."""
     if len(x) != len(y):
-        raise SelectionError("sequences differ in length")
+        raise DataError("sequences differ in length")
     hx = entropy(x)
     hy = entropy(y)
     if hx + hy == 0:
@@ -306,7 +307,7 @@ def _run_counts(runs: list[SelectionRun]) -> Counter:
 def frequency_select(runs: list[SelectionRun], threshold: int) -> set[int]:
     """Metric IDs selected by at least `threshold` of the given runs."""
     if threshold < 1:
-        raise SelectionError("threshold must be at least 1")
+        raise DataError("threshold must be at least 1")
     return {mid for mid, count in _run_counts(runs).items() if count >= threshold}
 
 

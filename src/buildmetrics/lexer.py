@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 
-from .errors import LexicalError
+from .errors import ParseError
 
 KEYWORDS = frozenset("""abstract assert boolean break byte case catch char class const continue default
     do double else enum extends final finally float for goto if implements import instanceof int interface
@@ -69,7 +69,7 @@ class Tokens:
 
 
 def tokenize(source_text: str) -> Tokens:
-    """One file's tokens as parallel lists in source order; raises LexicalError on
+    """One file's tokens as parallel lists in source order; raises ParseError on
     unterminated block comments or string/char literals, and on illegal characters."""
     source_text = source_text.removesuffix("\x1a")  # a last SUB (control-Z) is ignored (JLS 3.5)
     source_text = source_text.replace("\r\n", "\n").replace("\r", "\n")  # CR LF, CR, LF (JLS 3.4)
@@ -83,7 +83,7 @@ def tokenize(source_text: str) -> Tokens:
         i = texts.index(bad := exc.args[0])  # so its first occurrence is the first error
         what = (f"unterminated {_UNTERMINATED[bad[0]]}" if bad[0] in _UNTERMINATED
                 else f"illegal character {bad!r}")
-        raise LexicalError(what, lines[i], columns(source_text)[i]) from None
+        raise ParseError(what, lines[i], columns(source_text)[i]) from None
 
 
 def columns(source: str) -> list[int]:

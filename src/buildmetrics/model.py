@@ -10,7 +10,7 @@ from __future__ import annotations  # javaparse's types, named in annotations, s
 
 from dataclasses import dataclass, field
 
-from .errors import ModelError
+from .errors import BuildMetricsError
 
 
 @dataclass
@@ -63,7 +63,7 @@ def build_code_model(units: list[CompilationUnit]) -> CodeModel:
     seen_paths = set()
     for unit in units:
         if unit.file_path in seen_paths:
-            raise ModelError(f"duplicate file path: {unit.file_path}")
+            raise BuildMetricsError(f"duplicate file path: {unit.file_path}")
         seen_paths.add(unit.file_path)
 
     units = sorted(units, key=lambda u: u.file_path)

@@ -23,12 +23,13 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .dataset import Dataset
-from .errors import EvaluationError
+from .errors import DataError
 from .featsel import _GAIN_EPS, _entropy, best_cut, cut_point
 from .metrics import METRIC_NAMES, format_value
 from .parallel import split_map
 
 _MIN_LEAF = 2  # C4.5's default minimum of instances per leaf
+_CONFIDENCE = 0.25  # C4.5's default pruning confidence factor
 
 
 @dataclass
@@ -100,7 +101,7 @@ def train(dataset: Dataset) -> TreeNode:
     """
     labels = dataset.labels()
     if not labels:
-        raise EvaluationError("cannot train on an empty dataset")
+        raise DataError("cannot train on an empty dataset")
     global_counts = Counter(labels)
     classes = list(global_counts)
     ys = [classes.index(label) for label in labels]
@@ -175,7 +176,7 @@ def _binomial_upper_bound(errors: int, n: int, cf: float) -> float:
         lo, hi = (mid, hi) if log_cdf > log_cf else (lo, mid)
 
 
-def prune(tree: TreeNode, confidence_factor: float = 0.25) -> TreeNode:
+def prune(tree: TreeNode) -> TreeNode:
     """Bottom-up subtree replacement by a majority leaf whenever the leaf's
     pessimistic error estimate does not exceed the subtree's.
 
@@ -186,7 +187,7 @@ def prune(tree: TreeNode, confidence_factor: float = 0.25) -> TreeNode:
     for node, *_ in reversed(list(_preorder(tree))):
         counts = node.training_counts
         n = sum(counts.values())
-        estimate = n * _binomial_upper_bound(n - max(counts.values(), default=0), n, confidence_factor)
+        estimate = n * _binomial_upper_bound(n - max(counts.values(), default=0), n, _CONFIDENCE)
         replacement = node
         if not node.is_leaf:
             (node.left, left_estimate), (node.right, right_estimate) = done.pop(), done.pop()
@@ -203,7 +204,7 @@ def predict(tree: TreeNode, features: dict[int, float]) -> str:
     node = tree
     while not node.is_leaf:
         if node.metric_id not in features:
-            raise EvaluationError(f"instance is missing metric {node.metric_id}")
+            raise DataError(f"instance is missing metric {node.metric_id}")
         node = node.left if features[node.metric_id] <= node.threshold else node.right
     return node.label
 
@@ -240,11 +241,11 @@ def cross_validate(dataset: Dataset, k: int = 10, seed: int = 0) -> EvaluationRe
     labels = dataset.labels()
     class_counts = Counter(labels)
     if len(class_counts) < 2:
-        raise EvaluationError("cross-validation needs at least two classes")
+        raise DataError("cross-validation needs at least two classes")
     requested_k = k
     k = min(k, min(class_counts.values()))
     if k < 2:
-        raise EvaluationError("minority class too small for cross-validation")
+        raise DataError("minority class too small for cross-validation")
     assignment = stratified_folds(labels, k, seed)
 
     # Job None is the final tree. split_map runs index 0 here, so the tree

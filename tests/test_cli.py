@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from buildmetrics import dataset as ds
 from buildmetrics import cli, featsel, javaparse, metrics, model, tree
-from buildmetrics.errors import ModelError
+from buildmetrics.errors import BuildMetricsError, DataError, ParseError
 from buildmetrics.cli import main
 
 from conftest import CORPUS, assert_no_child_left, by_id
@@ -905,14 +905,17 @@ def test_filter_tags_show_in_the_usage_error_and_the_help(capsys):
     assert "--filter {full,a,b,c,d}" in capsys.readouterr().out
 
 
-def test_an_invariant_violation_is_one_line_internal_error(monkeypatch, tmp_path, capsys):
-    def violated(units):
-        raise ModelError("type p.A indexed twice\nafter the merge")
+def test_each_error_class_is_one_line_with_its_exit_code(monkeypatch, tmp_path, capsys):
+    # One class per exit code; a ParseError that escapes extract's per-file catch is an invariant violation.
+    table = [(cli.UsageError, 1, "error"), (DataError, 2, "error"),
+             (ParseError, 3, "internal error"), (BuildMetricsError, 3, "internal error")]
+    for error, code, prefix in table:
+        def violated(units):
+            raise error(f"{error.__name__} raised\nafter the merge")
 
-    monkeypatch.setattr(model, "build_code_model", violated)
-    code, out, err = run(capsys, "extract", str(CORPUS), "--out", str(tmp_path))
-    assert (code, out) == (3, "")
-    assert len(err.splitlines()) == 1 and err.startswith("internal error: ")
+        monkeypatch.setattr(model, "build_code_model", violated)
+        assert run(capsys, "extract", str(CORPUS), "--out", str(tmp_path / error.__name__)) == (
+            code, "", f"{prefix}: {error.__name__} raised after the merge\n")
 
 
 def test_evaluate_fold_reduction_note(extracted, tmp_path, capsys):

@@ -1,7 +1,9 @@
 """The differential harness (tests/differential.py) in its quick form: a
 source tree against itself shows no difference, and one planted one-line
-change is found and named."""
+change is found and named. The full form's error cases, read from
+test_cli.py's parametrize tables, are built without running them."""
 
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -35,3 +37,15 @@ def test_a_planted_change_is_named(tmp_path):
     lines = result.stdout.splitlines()
     assert lines[0].startswith("fixture extract: metrics.csv line 2: ")
     assert lines[-1].startswith("9 invocations: ") and " identical, 0 differ" not in lines[-1]
+
+
+def test_the_full_run_builds_test_clis_error_cases(tmp_path, monkeypatch):
+    # Only the full run reads these tables; a renamed or re-shaped one fails here instead.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the harness puts src/ and perfbench/ on it
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    spec = importlib.util.spec_from_file_location("differential", HARNESS)
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    runs = harness._error_runs(tmp_path)
+    assert len(runs) == len({name for name, _, _ in runs}) == 64
+    assert all(argv and all(isinstance(arg, str) for arg in argv) for _, argv, _ in runs)

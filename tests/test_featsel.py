@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from buildmetrics import featsel
 from buildmetrics.dataset import Dataset
-from buildmetrics.errors import SelectionError
+from buildmetrics.errors import DataError
 from buildmetrics.featsel import (
     Discretized,
     SelectionRun,
@@ -144,7 +144,7 @@ def test_entropy_study_distribution():
 
 
 def test_entropy_empty_rejected():
-    with pytest.raises(SelectionError):
+    with pytest.raises(DataError):
         entropy([])
 
 
@@ -184,7 +184,7 @@ def test_mdl_matches_oracle_randomized():
 
 
 def test_mdl_length_mismatch():
-    with pytest.raises(SelectionError):
+    with pytest.raises(DataError):
         discretize_mdl([1.0], ["a", "b"])
 
 
@@ -367,7 +367,7 @@ def test_info_gain_rank_order_and_cutoff():
 
 
 def test_info_gain_rank_constant_label():
-    with pytest.raises(SelectionError, match="dataset label is constant"):
+    with pytest.raises(DataError, match="dataset label is constant"):
         info_gain_rank(discretize(make_dataset({1: [0.0, 1.0]}, ["f", "f"])))
 
 
@@ -393,6 +393,20 @@ def test_info_gain_rank_breaks_equal_gains_by_metric_id_whatever_the_row_order()
     assert run.selected == [3, 37]
 
 
+def test_info_gain_rank_ties_a_feature_with_its_pure_refinement():
+    # Metric 25 splits metric 3's pure bins 1 and 2 into pure bins, so the two gains are equal.
+    # H(label) - sum w*H(label | bin) computes them exactly equal, so the tie goes to the smaller
+    # ID; H(bins) + H(label) - H(bins, label) would round them to ...216 and ...26.
+    labels = ["failed"] * 54 + ["success"] * 80 + ["failed"] * 26 + ["success"] * 40
+    table = Discretized("1", labels, {
+        3: [0] * 134 + [1] * 26 + [2] * 40,
+        25: [0] * 134 + [1] * 3 + [2] * 23 + [3] * 1 + [4] * 39,
+    })
+    run = info_gain_rank(table)
+    assert run.scores[3] == run.scores[25] == 0.3192617003870424
+    assert run.selected == [3, 25]
+
+
 def test_info_gain_rank_scores_equal_info_gain():
     rng = random.Random(31)
     columns, labels = _random_columns(rng, 6, 40)
@@ -409,7 +423,7 @@ def test_discretize_keys_bins_by_ascending_metric_id():
 @pytest.mark.parametrize("labels", [["f", "f"], []], ids=["constant", "empty"])
 def test_discretize_rejects_constant_label(labels):
     columns = {1: [float(k) for k in range(len(labels))]}
-    with pytest.raises(SelectionError, match="dataset label is constant"):
+    with pytest.raises(DataError, match="dataset label is constant"):
         discretize(make_dataset(columns, labels))
 
 
@@ -436,8 +450,19 @@ def test_su_three_of_four_agreement():
     assert expected == pytest.approx(0.343711, abs=1e-6)
 
 
+def test_su_is_bit_identical_under_any_row_order():
+    # entropy sums its count table in ascending order, so SU depends on the counts' multiset alone.
+    rng = random.Random(13)
+    for _ in range(1000):
+        n = rng.randrange(6, 80)
+        x = [rng.randrange(rng.randrange(3, 7)) for _ in range(n)]
+        y = [rng.randrange(rng.randrange(2, 5)) for _ in range(n)]
+        order = rng.sample(range(n), n)
+        assert symmetric_uncertainty([x[i] for i in order], [y[i] for i in order]) == symmetric_uncertainty(x, y)
+
+
 def test_su_length_mismatch():
-    with pytest.raises(SelectionError, match="sequences differ in length"):
+    with pytest.raises(DataError, match="sequences differ in length"):
         symmetric_uncertainty([0, 1, 0], [0, 1])
 
 
@@ -544,7 +569,7 @@ def test_cfs_merit_formula_spot_check():
 
 
 def test_cfs_constant_label():
-    with pytest.raises(SelectionError, match="dataset label is constant"):
+    with pytest.raises(DataError, match="dataset label is constant"):
         cfs_select(discretize(make_dataset({1: [0.0, 1.0]}, ["f", "f"])))
 
 
@@ -645,7 +670,7 @@ def test_frequency_antitone():
 
 def test_frequency_validation():
     assert frequency_select([], 1) == set()
-    with pytest.raises(SelectionError):
+    with pytest.raises(DataError):
         frequency_select([SelectionRun("1", "cfs", [1])], 0)
 
 

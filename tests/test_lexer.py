@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_lexer
-from buildmetrics.errors import LexicalError
+from buildmetrics.errors import ParseError
 from buildmetrics import lexer
 from buildmetrics.lexer import tokenize
 from conftest import CORPUS
@@ -37,13 +37,13 @@ def test_declaration_with_line_comment():
 
 
 def test_unterminated_block_comment():
-    with pytest.raises(LexicalError) as exc:
+    with pytest.raises(ParseError) as exc:
         tokenize("/* unclosed")
     assert exc.value.line == 1
 
 
 def test_unterminated_string():
-    with pytest.raises(LexicalError):
+    with pytest.raises(ParseError):
         tokenize('String s = "oops;\n')
 
 
@@ -101,7 +101,7 @@ def _stream(lex, to_rows, error, text):
 
 
 def assert_matches_oracle(text):
-    assert _stream(tokenize, rows, LexicalError, text) == _stream(
+    assert _stream(tokenize, rows, ParseError, text) == _stream(
         oracle_lexer.tokenize, lambda toks: [(t.kind, t.text, t.line, t.column) for t in toks],
         oracle_lexer.LexicalError, text)
 
@@ -183,7 +183,7 @@ UNCLOSED_OPENERS = [pytest.param(src, message, 1, 1, id=f"{message}-x10000") for
     *UNCLOSED_OPENERS,
 ])
 def test_error_message_and_position(src, message, line, column):
-    with pytest.raises(LexicalError) as exc:
+    with pytest.raises(ParseError) as exc:
         tokenize(src)
     assert (str(exc.value), exc.value.line, exc.value.column) == (
         f"{message} at line {line}, column {column}", line, column)
@@ -192,7 +192,7 @@ def test_error_message_and_position(src, message, line, column):
 @pytest.mark.parametrize("src, message, line, column", UNCLOSED_OPENERS)
 def test_unclosed_openers_lex_in_linear_time(src, message, line, column):
     start = time.perf_counter()
-    with pytest.raises(LexicalError, match=message):
+    with pytest.raises(ParseError, match=message):
         tokenize(src)
     assert time.perf_counter() - start < 1.0
 

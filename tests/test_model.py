@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from buildmetrics.errors import ModelError
+from buildmetrics.errors import BuildMetricsError
 from buildmetrics.javaparse import parse_source
 from buildmetrics.metrics import compute_all_metrics, metrics_csv
 from buildmetrics.model import build_code_model, qualify, resolve_name
@@ -102,7 +102,7 @@ def test_qualified_nested_name_resolves_through_its_owner():
 
 def test_duplicate_path_rejected():
     units = _units(("A.java", "class A { }"), ("A.java", "class B { }"))
-    with pytest.raises(ModelError):
+    with pytest.raises(BuildMetricsError, match="^duplicate file path: A.java$"):
         build_code_model(units)
 
 

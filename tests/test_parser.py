@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from buildmetrics.errors import LexicalError, ParseError
+from buildmetrics.errors import ParseError
 from buildmetrics.javaparse import parse_source, parse_unit
 from buildmetrics.lexer import KEYWORDS, WORD_LITERALS, Tokens, tokenize
 
@@ -363,7 +363,7 @@ _TEMPLATES = (
 def test_fragment_sources_parse_or_fail_cleanly(template, fragments):
     try:
         unit = parse_source(template.format(" ".join(fragments)), "A.java")
-    except (LexicalError, ParseError):
+    except ParseError:
         return
     for decl in unit.types:
         field_names = set(decl.field_names)
@@ -378,7 +378,7 @@ _OPENERS = {"unbalanced parameter list": "(", "unbalanced method body": "{",
 
 
 def _named_token(error) -> str:
-    """The token text that a positioned LexicalError or ParseError names or reports the opening of."""
+    """The token text that a positioned ParseError names or reports the opening of."""
     message = str(error).rsplit(" at line ", 1)[0]
     if message in _OPENERS:
         return _OPENERS[message]
@@ -396,7 +396,7 @@ def test_error_position_holds_the_named_token(template, fragments):
     text = "/* x */ " + template.format(" ".join(fragments))
     try:
         parse_source(text, "A.java")
-    except (LexicalError, ParseError) as exc:
+    except ParseError as exc:
         if exc.line:
             line = text.replace("\r\n", "\n").split("\n")[exc.line - 1]
             assert line[exc.column - 1:].startswith(_named_token(exc)), exc
