@@ -10,7 +10,7 @@ vector are excluded, never imputed.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import FILTER_TAGS
 from .errors import DataError
@@ -40,16 +40,14 @@ def dataset_id(strategy: str, filter_tag: str) -> str:
     return _STRATEGY_NUM[strategy] + suffix
 
 
-@dataclass
-class BuildManifest:
+class BuildManifest(NamedTuple):
     build_id: str
     kind: str
     result: str
     files: list[str]
 
 
-@dataclass
-class Dataset:
+class Dataset(NamedTuple):
     feature_ids: list[int]
     rows: list[tuple[str, str, list[float]]]  # (build_id, label, values)
     strategy: str = "average"
@@ -70,8 +68,7 @@ class Dataset:
         """Keep the columns whose metric ID is in metric_ids, in column order."""
         keep = set(metric_ids)
         indices = [k for k, mid in enumerate(self.feature_ids) if mid in keep]
-        return replace(
-            self,
+        return self._replace(
             feature_ids=[self.feature_ids[k] for k in indices],
             rows=[(bid, label, [values[k] for k in indices]) for bid, label, values in self.rows],
         )
@@ -113,9 +110,7 @@ def apply_filter(dataset: Dataset, tag: str) -> Dataset:
     """Project onto a sub-dataset's metric IDs, preserving column order."""
     if tag not in FILTER_TAGS:
         raise DataError(f"unknown filter tag {tag!r}")
-    projected = dataset.project(FILTER_IDS[tag])
-    projected.filter_tag = tag if tag != "full" else dataset.filter_tag
-    return projected
+    return dataset.project(FILTER_IDS[tag])._replace(filter_tag=tag if tag != "full" else dataset.filter_tag)
 
 
 def assemble(

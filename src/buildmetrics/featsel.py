@@ -19,8 +19,8 @@ import heapq
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .dataset import Dataset
 from .errors import DataError
@@ -32,12 +32,11 @@ _PATIENCE = 5
 REPORT_HEADER = ["dataset_id", "algorithm", "metric_id", "rank_or_member", "score"]
 
 
-@dataclass
-class SelectionRun:
+class SelectionRun(NamedTuple):
     dataset_id: str
     algorithm: str  # infogain | cfs
     selected: list[int]
-    scores: dict[int, float] = field(default_factory=dict)
+    scores: dict[int, float] = {}  # shared, never mutated
 
 
 def _entropy(counts, n: int) -> float:
@@ -168,8 +167,7 @@ def _mdl_bins(values: list[float], labels: list) -> list[int]:
     return [bisect_left(cuts, v) for v in values]
 
 
-@dataclass
-class Discretized:
+class Discretized(NamedTuple):
     """A dataset's labels and each feature's MDL bin list, keyed by ascending
     metric ID: the one input of info_gain_rank and cfs_select."""
     dataset_id: str

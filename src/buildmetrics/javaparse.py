@@ -12,7 +12,6 @@ annotations and lambdas are tolerated token-wise but not modeled structurally.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import ne
 
@@ -35,39 +34,46 @@ HALSTEAD_KEYWORDS = frozenset(
 _CLOSERS = {">": 1, ">>": 2, ">>>": 3}
 
 
-@dataclass
 class MethodDecl:
-    name: str
-    parameter_count: int = 0
-    body_lines: int = 0
-    decision_points: int = 0
-    block_depths: list[int] = field(default_factory=list)
-    accessed_field_names: set[str] = field(default_factory=set)
-    operator_tokens: Counter = field(default_factory=Counter)
-    operand_tokens: Counter = field(default_factory=Counter)
+    __slots__ = ("name", "parameter_count", "body_lines", "decision_points", "block_depths",
+                 "accessed_field_names", "operator_tokens", "operand_tokens")
+
+    def __init__(self, name: str, parameter_count: int = 0, body_lines: int = 0, decision_points: int = 0,
+                 block_depths: list[int] | None = None, accessed_field_names: set[str] | None = None,
+                 operator_tokens: Counter | None = None, operand_tokens: Counter | None = None):
+        self.name, self.parameter_count, self.body_lines = name, parameter_count, body_lines
+        self.decision_points = decision_points
+        self.block_depths = [] if block_depths is None else block_depths
+        self.accessed_field_names = set() if accessed_field_names is None else accessed_field_names
+        self.operator_tokens = Counter() if operator_tokens is None else operator_tokens
+        self.operand_tokens = Counter() if operand_tokens is None else operand_tokens
 
 
-@dataclass
 class TypeDecl:
-    name: str
-    kind: str  # class | interface | enum
-    is_abstract: bool = False
-    extends_names: list[str] = field(default_factory=list)
-    field_names: list[str] = field(default_factory=list)
-    constructors: list[MethodDecl] = field(default_factory=list)
-    methods: list[MethodDecl] = field(default_factory=list)
-    referenced_type_names: set[str] = field(default_factory=set)
+    __slots__ = ("name", "kind", "is_abstract", "extends_names", "field_names", "constructors", "methods",
+                 "referenced_type_names")
+
+    def __init__(self, name: str, kind: str, is_abstract: bool = False, extends_names: list[str] | None = None,
+                 field_names: list[str] | None = None, constructors: list[MethodDecl] | None = None,
+                 methods: list[MethodDecl] | None = None, referenced_type_names: set[str] | None = None):
+        self.name, self.kind, self.is_abstract = name, kind, is_abstract  # kind: class | interface | enum
+        self.extends_names = [] if extends_names is None else extends_names
+        self.field_names = [] if field_names is None else field_names
+        self.constructors = [] if constructors is None else constructors
+        self.methods = [] if methods is None else methods
+        self.referenced_type_names = set() if referenced_type_names is None else referenced_type_names
 
 
-@dataclass
 class CompilationUnit:
-    file_path: str
-    package_name: str = ""
-    imports: list[str] = field(default_factory=list)
-    types: list[TypeDecl] = field(default_factory=list)
-    comment_count: int = 0
-    physical_lines: int = 0
-    code_lines: int = 0
+    __slots__ = ("file_path", "package_name", "imports", "types", "comment_count", "physical_lines", "code_lines")
+
+    def __init__(self, file_path: str, package_name: str = "", imports: list[str] | None = None,
+                 types: list[TypeDecl] | None = None, comment_count: int = 0, physical_lines: int = 0,
+                 code_lines: int = 0):
+        self.file_path, self.package_name = file_path, package_name
+        self.imports = [] if imports is None else imports
+        self.types = [] if types is None else types
+        self.comment_count, self.physical_lines, self.code_lines = comment_count, physical_lines, code_lines
 
 
 class _Parser:

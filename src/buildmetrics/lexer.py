@@ -10,7 +10,6 @@ Unicode numerics such as `²`, `½` and `Ⅻ` are identifier characters.
 """
 
 import re
-from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
 
 from .errors import ParseError
@@ -57,12 +56,13 @@ _KINDS = _Kinds(dict.fromkeys(KEYWORDS, "keyword") | dict.fromkeys(WORD_LITERALS
                 | dict.fromkeys(_OPERATORS, "operator-symbol") | dict.fromkeys(_PUNCTUATION, "punctuation"))
 
 
-@dataclass(frozen=True, slots=True)
 class Tokens:
-    source: str  # the lexed text, every line end made LF; a token has a line but no column
-    kinds: list[str]  # identifier | keyword | operator-symbol | literal | comment | punctuation
-    texts: list[str]
-    lines: list[int]
+    __slots__ = ("source", "kinds", "texts", "lines")
+
+    def __init__(self, source: str, kinds: list[str], texts: list[str], lines: list[int]):
+        self.source = source  # the lexed text, every line end made LF; a token has a line but no column
+        self.kinds = kinds  # identifier | keyword | operator-symbol | literal | comment | punctuation
+        self.texts, self.lines = texts, lines
 
     def __len__(self) -> int:
         return len(self.texts)

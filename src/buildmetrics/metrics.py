@@ -16,7 +16,7 @@ Metrics 8, 18-22 and 42 come from the corpus model; the other 35, LOCAL_IDS,
 read one file alone, so extract computes them where it parsed the file.
 """
 
-from __future__ import annotations  # javaparse's types, named in annotations, stay unloaded: only extract parses
+from __future__ import annotations  # javaparse's and model's types, named in annotations only, stay unloaded
 
 import math
 import re
@@ -26,7 +26,6 @@ from itertools import chain
 from operator import or_
 
 from .errors import DataError
-from .model import CodeModel, qualify
 
 METRIC_IDS = tuple(range(1, 43))
 
@@ -222,6 +221,7 @@ def compute_all_metrics(model: CodeModel, local: dict[str, list[float]] | None =
     """Each file's metric vector, its 42 values in METRIC_IDS order, keyed by
     path in path order. A file that declares no type has no vector. local maps
     a path to its local_metrics; without it they are computed from model.units."""
+    from .model import qualify  # here, not at the top, so that only extract loads model
     suites = {package: (len(members), *martin_suite(model, package)) for package, members in model.packages.items()}
     vectors = {}
     for unit in model.units:

@@ -8,23 +8,25 @@ identical model.
 
 from __future__ import annotations  # javaparse's types, named in annotations, stay unloaded: only extract parses
 
-from dataclasses import dataclass, field
-
 from .errors import BuildMetricsError
 
 
-@dataclass
 class CodeModel:
-    units: list[CompilationUnit] = field(default_factory=list)
-    packages: dict[str, set[str]] = field(default_factory=dict)  # package -> qualified type names
-    type_index: dict[str, TypeDecl] = field(default_factory=dict)  # qualified name -> decl
-    dependency_edges: set[tuple[str, str]] = field(default_factory=set)
-    unit_of_type: dict[str, CompilationUnit] = field(default_factory=dict)
-    afferent: dict[str, set[str]] = field(default_factory=dict)  # package -> outside types using it
-    efferent: dict[str, set[str]] = field(default_factory=dict)  # package -> its types using outside
-    depth: dict[str, int] = field(default_factory=dict)  # qualified name -> depth of inheritance
-    excluded: list[tuple[str, str]] = field(default_factory=list)  # (file path, reason), by path
-    imported: dict[str, dict[str, str]] = field(default_factory=dict)  # file path -> last part -> first indexed import
+    __slots__ = ("units", "packages", "type_index", "dependency_edges", "unit_of_type", "afferent", "efferent",
+                 "depth", "excluded", "imported")
+
+    def __init__(self, units=None, packages=None, type_index=None, dependency_edges=None, unit_of_type=None,
+                 afferent=None, efferent=None, depth=None, excluded=None, imported=None):
+        self.units: list[CompilationUnit] = [] if units is None else units
+        self.packages: dict[str, set[str]] = {} if packages is None else packages  # package -> qualified type names
+        self.type_index: dict[str, TypeDecl] = {} if type_index is None else type_index  # qualified name -> decl
+        self.dependency_edges: set[tuple[str, str]] = set() if dependency_edges is None else dependency_edges
+        self.unit_of_type: dict[str, CompilationUnit] = {} if unit_of_type is None else unit_of_type
+        self.afferent: dict[str, set[str]] = {} if afferent is None else afferent  # package -> outside types using it
+        self.efferent: dict[str, set[str]] = {} if efferent is None else efferent  # package -> its types using outside
+        self.depth: dict[str, int] = {} if depth is None else depth  # qualified name -> depth of inheritance
+        self.excluded: list[tuple[str, str]] = [] if excluded is None else excluded  # (file path, reason), by path
+        self.imported: dict[str, dict[str, str]] = {} if imported is None else imported  # path -> last part -> import
 
 
 def qualify(package_name: str, type_name: str) -> str:

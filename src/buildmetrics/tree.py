@@ -20,7 +20,7 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .dataset import Dataset
 from .errors import DataError
@@ -32,15 +32,15 @@ _MIN_LEAF = 2  # C4.5's default minimum of instances per leaf
 _CONFIDENCE = 0.25  # C4.5's default pruning confidence factor
 
 
-@dataclass
 class TreeNode:
-    # Leaf: label set, children None. Internal: metric_id/threshold set.
-    label: str | None = None
-    metric_id: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    training_counts: Counter = field(default_factory=Counter)
+    """Leaf: label set, children None. Internal: metric_id/threshold set."""
+    __slots__ = ("label", "metric_id", "threshold", "left", "right", "training_counts")
+
+    def __init__(self, label: str | None = None, metric_id: int | None = None, threshold: float | None = None,
+                 left: "TreeNode | None" = None, right: "TreeNode | None" = None,
+                 training_counts: Counter | None = None):
+        self.label, self.metric_id, self.threshold, self.left, self.right = label, metric_id, threshold, left, right
+        self.training_counts = Counter() if training_counts is None else training_counts
 
     @property
     def is_leaf(self) -> bool:
@@ -64,8 +64,7 @@ def _preorder(tree: TreeNode):
             stack.append((node.left, depth + 1, node, "<="))
 
 
-@dataclass
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     dataset_id: str
     accuracy: float  # percentage
     per_class: dict[str, tuple[int, int]]  # label -> (correct, incorrect)
@@ -226,7 +225,7 @@ def stratified_folds(labels: list[str], k: int, seed: int) -> list[int]:
 
 def _fold(dataset: Dataset, assignment: list[int], fold: int) -> list[tuple[str, str, bool]]:
     """(build_id, label, hit) per test row of a fold, by a tree pruned on the rest."""
-    model = prune(train(replace(dataset, rows=[
+    model = prune(train(dataset._replace(rows=[
         row for i, row in enumerate(dataset.rows) if assignment[i] != fold])))
     return [(bid, label, predict(model, dict(zip(dataset.feature_ids, values))) == label)
             for i, (bid, label, values) in enumerate(dataset.rows) if assignment[i] == fold]

@@ -1096,18 +1096,20 @@ if sys.argv[1:]:
 else:
     cli.build_parser()
     code = 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "buildmetrics")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "buildmetrics"),
+                  "dataclasses" in sys.modules]))
 """
+_BARE_LOADS_DATACLASSES = "import json, sys; print(json.dumps('dataclasses' in sys.modules))"
 
 
 @pytest.mark.parametrize("argv, loads_no", [
     pytest.param("", None, id="parser"),
     pytest.param("extract {corpus} --out {tmp}/e", {"dataset", "featsel", "tree"}, id="extract"),
     pytest.param("dataset {tmp}/manifests {tmp}/metrics.csv --strategy avg --out {tmp}/d",
-                 {"lexer", "javaparse", "featsel", "tree"}, id="dataset"),
-    pytest.param("select {tmp}/2.csv --out {tmp}/s", {"lexer", "javaparse"}, id="select"),
-    pytest.param("evaluate {tmp}/2.csv --out {tmp}/v", {"lexer", "javaparse"}, id="evaluate"),
-    pytest.param("freq {tmp}/selection.csv --threshold 1", {"lexer", "javaparse"}, id="freq"),
+                 {"lexer", "javaparse", "model", "featsel", "tree"}, id="dataset"),
+    pytest.param("select {tmp}/2.csv --out {tmp}/s", {"lexer", "javaparse", "model"}, id="select"),
+    pytest.param("evaluate {tmp}/2.csv --out {tmp}/v", {"lexer", "javaparse", "model"}, id="evaluate"),
+    pytest.param("freq {tmp}/selection.csv --threshold 1", {"lexer", "javaparse", "model"}, id="freq"),
 ])
 def test_each_stage_loads_only_the_modules_it_runs(tmp_path, argv, loads_no):
     # A fresh interpreter per stage: which modules it loaded, not how long they took.
@@ -1120,8 +1122,13 @@ def test_each_stage_loads_only_the_modules_it_runs(tmp_path, argv, loads_no):
     env = os.environ | {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv.format(corpus=CORPUS, tmp=tmp_path).split()],
                           env=env, capture_output=True, text=True, timeout=60)
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    code, loaded, loads_dataclasses = json.loads(proc.stdout.splitlines()[-1])
     assert (code, proc.stderr) == (0, "")
+    # No stage imports dataclasses (which loads inspect and ast); a bare interpreter here shows
+    # whether the environment itself loads it at start-up.
+    bare = subprocess.run([sys.executable, "-c", _BARE_LOADS_DATACLASSES],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert not loads_dataclasses or json.loads(bare.stdout), "the stage loaded dataclasses"
     if loads_no is None:
         assert loaded == ["buildmetrics", "buildmetrics.cli", "buildmetrics.errors", "buildmetrics.parallel"]
     else:

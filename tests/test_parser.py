@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import re
 from collections import Counter
 from itertools import chain
@@ -301,27 +300,34 @@ def test_halstead_calls_and_ternary():
 
 
 def _held(value) -> list:
-    """value and everything reachable from it through dataclass fields and containers."""
+    """value and everything reachable from it through slotted attributes and containers."""
     held, stack = [], [value]
     while stack:
         held.append(v := stack.pop())
-        if dataclasses.is_dataclass(v):
-            stack.extend(getattr(v, f.name) for f in dataclasses.fields(v))
-        elif isinstance(v, dict):
+        if isinstance(v, dict):
             stack.extend(chain.from_iterable(v.items()))
         elif isinstance(v, (list, set, tuple)):
             stack.extend(v)
+        else:
+            stack.extend(getattr(v, name) for cls in type(v).__mro__ for name in getattr(cls, "__slots__", ()))
     return held
 
 
 def test_parsed_units_hold_no_tokens():
     paths = sorted(CORPUS.rglob("*.java"))
     assert paths
+    tallies = 0
     for path in paths:
         tokens = tokenize(path.read_text())
         stream = {id(tokens), id(tokens.kinds), id(tokens.texts), id(tokens.lines)}
-        held = _held(parse_unit(tokens, path.name))
-        assert not any(isinstance(v, Tokens) or id(v) in stream for v in held), path
+        unit = parse_unit(tokens, path.name)
+        held = {id(v): v for v in _held(unit)}
+        assert not any(isinstance(v, Tokens) or i in stream for i, v in held.items()), path
+        # The walk reaches down to each method's tallies, so it looked at everything the unit holds.
+        counters = [m.operator_tokens for t in unit.types for m in t.methods + t.constructors]
+        assert all(id(c) in held for c in counters), path
+        tallies += len(counters)
+    assert tallies
 
 
 @pytest.mark.parametrize("src", [
