@@ -108,13 +108,13 @@ def _java_files(root: Path) -> list[Path]:
                 entries = list(it)
         except OSError:
             continue
-        for entry in entries:
-            p = Path(entry.path)
+        for entry in entries:  # an entry's type is read from the listing, so a plain file takes no stat
             if entry.is_dir(follow_symlinks=False):
-                stack.append(p)
+                stack.append(entry.path)
             # A dangling or looping link is kept, so its failed read is logged; a FIFO would block a read.
-            elif entry.name.endswith(".java") and (p.is_file() or (p.is_symlink() and not p.exists())):
-                paths.append(p)
+            elif entry.name.endswith(".java") and (entry.is_file(follow_symlinks=False) or entry.is_symlink() and (
+                    os.path.isfile(entry.path) or not os.path.exists(entry.path))):
+                paths.append(Path(entry.path))
     return sorted(paths)
 
 

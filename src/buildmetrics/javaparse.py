@@ -5,15 +5,11 @@ nested ones), fields, constructors and methods. Each method body is walked
 once at token level: brace tracking gives block depths, a fixed
 keyword/symbol table gives decision points and operator/operand tallies, and
 bare or `this.` identifiers give the candidate field accesses. The parser
-indexes the lexer's parallel lists with the comments dropped, and a position is
-an index into them; an error maps it back through that mask to `lexer.columns`.
+indexes the lexer's parallel lists of code tokens directly, and a position is
+an index into them and into `lexer.columns`, which an error reads.
 A parsed unit keeps counts and names, nothing of the token stream. Generics,
 annotations and lambdas are tolerated token-wise but not modeled structurally.
 """
-
-from collections import Counter
-from itertools import compress, repeat
-from operator import ne
 
 from .errors import ParseError
 from .lexer import Tokens, columns, tokenize
@@ -40,13 +36,13 @@ class MethodDecl:
 
     def __init__(self, name: str, parameter_count: int = 0, body_lines: int = 0, decision_points: int = 0,
                  block_depths: list[int] | None = None, accessed_field_names: set[str] | None = None,
-                 operator_tokens: Counter | None = None, operand_tokens: Counter | None = None):
+                 operator_tokens: dict[str, int] | None = None, operand_tokens: dict[str, int] | None = None):
         self.name, self.parameter_count, self.body_lines = name, parameter_count, body_lines
         self.decision_points = decision_points
         self.block_depths = [] if block_depths is None else block_depths
         self.accessed_field_names = set() if accessed_field_names is None else accessed_field_names
-        self.operator_tokens = Counter() if operator_tokens is None else operator_tokens
-        self.operand_tokens = Counter() if operand_tokens is None else operand_tokens
+        self.operator_tokens = {} if operator_tokens is None else operator_tokens  # tallies by token text
+        self.operand_tokens = {} if operand_tokens is None else operand_tokens
 
 
 class TypeDecl:
@@ -78,11 +74,9 @@ class CompilationUnit:
 
 class _Parser:
     def __init__(self, tokens: Tokens, file_path: str):
-        self.code = code = list(map(ne, tokens.kinds, repeat("comment")))
-        self.kinds, self.texts, self.lines = (
-            list(compress(values, code)) for values in (tokens.kinds, tokens.texts, tokens.lines))
+        self.kinds, self.texts, self.lines = tokens.kinds, tokens.texts, tokens.lines
         self.source = text = tokens.source  # every line end is LF; the last line may have none
-        self.unit = CompilationUnit(file_path=file_path, comment_count=len(tokens) - len(self.texts),
+        self.unit = CompilationUnit(file_path=file_path, comment_count=tokens.comment_count,
                                     physical_lines=text.count("\n") + (text != "" and text[-1] != "\n"),
                                     code_lines=len(set(self.lines)))
         self.i = 0
@@ -103,8 +97,8 @@ class _Parser:
         return self.texts[self.i - 1]
 
     def error(self, message: str, j: int) -> ParseError:
-        """A ParseError at the line and column of token j, a position with the comments dropped."""
-        return ParseError(message, self.lines[j], list(compress(columns(self.source), self.code))[j])
+        """A ParseError at the line and column of token j."""
+        return ParseError(message, self.lines[j], columns(self.source)[j])
 
     def expect(self, text: str) -> int:
         """Consume text and return its position."""
@@ -355,18 +349,19 @@ class _Parser:
                     break
             elif kind == "identifier":
                 if i + 1 < end and texts[i + 1] == "(":
-                    operators[text] += 1
+                    operators[text] = operators.get(text, 0) + 1
                 else:
-                    operands[text] += 1
+                    operands[text] = operands.get(text, 0) + 1
                 if texts[i - 1] != "." or texts[i - 2] == "this":
                     fields.add(text)
             elif kind == "operator-symbol":
-                operators["?:" if text == "?" else text] += 1
-                if text in ("?", "&&", "||"):
+                text = "?:" if text == "?" else text
+                operators[text] = operators.get(text, 0) + 1
+                if text in ("?:", "&&", "||"):
                     decisions += 1
             elif kind == "keyword":
                 if text in HALSTEAD_KEYWORDS:
-                    operators[text] += 1
+                    operators[text] = operators.get(text, 0) + 1
                 if text in DECISION_KEYWORDS:
                     decisions += 1
                 elif text == "new" and i + 1 < end and kinds[i + 1] == "identifier":
@@ -377,7 +372,7 @@ class _Parser:
                         j += 2
                     decl.referenced_type_names.add(".".join(parts))
             elif kind == "literal":
-                operands[text] += 1
+                operands[text] = operands.get(text, 0) + 1
             i += 1
         else:
             raise self.error("unbalanced method body", opener)

@@ -1,16 +1,20 @@
 """Tokenizer for the Java subset handled by the toolkit.
 
-Kinds: identifier, keyword, operator-symbol, literal, comment (one token,
-delimiters included) and punctuation. One C-level `findall` per file tries one
-alternation in order at each offset, and `columns` lexes again for an error. A
-`/*` or quote that cannot be closed takes the rest of the text as one kindless
-token, so both scans stay linear in the text's length on any input. A word
-starts with a `\\w` character that is not a decimal digit (`\\d`), or `$`, so
-Unicode numerics such as `²`, `½` and `Ⅻ` are identifier characters.
+A code token has a kind: identifier, keyword, operator-symbol, literal or
+punctuation. A comment, delimiters included, is a token that is counted, not
+kept. One C-level `findall` per file matches one pattern again and again: a
+code token, then the run of white space and comments after it; the first match
+has no token, only the run that opens the text. `columns` runs the same scan
+again for an error. A `/*` or quote that cannot be closed takes the rest of the
+text as one kindless token, so both scans stay linear in the text's length on
+any input. A word starts with a `\\w` character that is not a decimal digit
+(`\\d`), or `$`, so Unicode numerics such as `²`, `½` and `Ⅻ` are identifier
+characters.
 """
 
 import re
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, repeat
+from operator import itemgetter
 
 from .errors import ParseError
 
@@ -28,21 +32,22 @@ _UNTERMINATED = {"/": "block comment", '"': "string literal", "'": "character li
 _SPACE = " \t\f\r\n"  # JLS 3.6 white space
 _RUN = r"(?:[\d_]|[eE][\d+-])*"  # digits, underscores and exponent pairs such as `e5` or `E-`
 
-_COMMENT = r"//[^\n]*|/\*.*?\*/"
+_COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
 _QUOTED = r'"(?:\\.|[^"\\\n])*"|' r"'(?:\\.|[^'\\\n])*'"
-_TOKEN = re.compile("|".join([
-    f"[{_SPACE}]+", _COMMENT, _QUOTED, r"0[xX][\da-fA-F_]*[lLfFdD]?",
-    rf"(?:\.\d|\d{_RUN}\.(?=\d)|\d){_RUN}[lLfFdD]?", r"(?:[^\W\d]|\$)[\w$]*",
-    r"(?:/\*|[\"']).*",  # an opener the above cannot close is the first error: take the rest
-    f"[{re.escape(_PUNCTUATION)}]", *map(re.escape, _OPERATORS), ".",  # any other character is illegal
-]), re.DOTALL)
-_FIRST = re.compile(rf"(?P<comment>(?:{_COMMENT})\Z)|(?P<literal>(?:{_QUOTED})\Z|\.?\d)"
-                    r"|(?P<identifier>[^\W\d]|\$)", re.DOTALL)
+# Groups: the whole match, its code token ("" at the start of the text) and the run after the token.
+# The run comes last, so it takes every trailing comment and the scan never starts again inside one.
+_TOKEN = re.compile(r"((?:\A|(" + "|".join([
+    r"(?:[^\W\d]|\$)[\w$]*", f"[{re.escape(_PUNCTUATION)}]", _QUOTED, r"0[xX][\da-fA-F_]*[lLfFdD]?",
+    rf"(?:\.\d|\d{_RUN}\.(?=\d)|\d){_RUN}[lLfFdD]?",
+    r"(?:/\*|[\"']).*",  # an opener that no comment or literal closes is the first error: take the rest
+    *map(re.escape, _OPERATORS), ".",  # any other character is illegal
+]) + rf"))([{_SPACE}]*(?:(?:{_COMMENT.pattern})[{_SPACE}]*)*))", re.DOTALL)
+_FIRST = re.compile(rf"(?P<literal>(?:{_QUOTED})\Z|\.?\d)|(?P<identifier>[^\W\d]|\$)", re.DOTALL)
 
 
 class _Kinds(dict):
     """Kind by token text. Keywords and symbols are given, an identifier is kept once seen, and
-    a comment or literal is told by its form and never kept: the memo holds a vocabulary."""
+    a literal is told by its form and never kept: the memo holds a vocabulary."""
 
     def __missing__(self, text: str) -> str:
         if (m := _FIRST.match(text)) is None:
@@ -57,28 +62,28 @@ _KINDS = _Kinds(dict.fromkeys(KEYWORDS, "keyword") | dict.fromkeys(WORD_LITERALS
 
 
 class Tokens:
-    __slots__ = ("source", "kinds", "texts", "lines")
+    __slots__ = ("source", "kinds", "texts", "lines", "comment_count")
 
-    def __init__(self, source: str, kinds: list[str], texts: list[str], lines: list[int]):
+    def __init__(self, source: str, kinds: list[str], texts: list[str], lines: list[int], comment_count: int):
         self.source = source  # the lexed text, every line end made LF; a token has a line but no column
-        self.kinds = kinds  # identifier | keyword | operator-symbol | literal | comment | punctuation
-        self.texts, self.lines = texts, lines
+        self.kinds = kinds  # identifier | keyword | operator-symbol | literal | punctuation
+        self.texts, self.lines, self.comment_count = texts, lines, comment_count
 
     def __len__(self) -> int:
-        return len(self.texts)
+        return len(self.texts) + self.comment_count
 
 
 def tokenize(source_text: str) -> Tokens:
-    """One file's tokens as parallel lists in source order; raises ParseError on
-    unterminated block comments or string/char literals, and on illegal characters."""
+    """One file's code tokens as parallel lists in source order, and its comment count; raises
+    ParseError on unterminated block comments or string/char literals, and on illegal characters."""
     source_text = source_text.removesuffix("\x1a")  # a last SUB (control-Z) is ignored (JLS 3.5)
     source_text = source_text.replace("\r\n", "\n").replace("\r", "\n")  # CR LF, CR, LF (JLS 3.4)
-    found = _TOKEN.findall(source_text)
-    keep = list(map(str.strip, found, repeat(_SPACE)))  # empty for white space
-    texts = list(compress(found, keep))
-    lines = list(compress(accumulate(map(str.count, found, repeat("\n")), initial=1), keep))
+    matches, texts, runs = zip(*_TOKEN.findall(source_text))
+    texts = list(texts[1:])
+    lines = list(accumulate(map(str.count, matches, repeat("\n")), initial=1))[1:-1]
+    comment_count = len(_COMMENT.findall("".join(runs)))  # the runs hold white space and whole comments
     try:
-        return Tokens(source_text, list(map(_KINDS.__getitem__, texts)), texts, lines)
+        return Tokens(source_text, list(map(_KINDS.__getitem__, texts)), texts, lines, comment_count)
     except KeyError as exc:  # an unterminated or illegal token; a kind depends on the text alone,
         i = texts.index(bad := exc.args[0])  # so its first occurrence is the first error
         what = (f"unterminated {_UNTERMINATED[bad[0]]}" if bad[0] in _UNTERMINATED
@@ -87,7 +92,6 @@ def tokenize(source_text: str) -> Tokens:
 
 
 def columns(source: str) -> list[int]:
-    """The 1-based column of each token, comments included, of a `Tokens.source` lexed again."""
-    found = _TOKEN.findall(source)
-    return [offset - source.rfind("\n", 0, offset) for offset in compress(
-        accumulate(map(len, found), initial=0), map(str.strip, found, repeat(_SPACE)))]
+    """The 1-based column of each code token of a `Tokens.source` lexed again."""
+    ends = list(accumulate(map(len, map(itemgetter(0), _TOKEN.findall(source)))))
+    return [offset - source.rfind("\n", 0, offset) for offset in ends[:-1]]

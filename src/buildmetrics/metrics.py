@@ -20,7 +20,6 @@ from __future__ import annotations  # javaparse's and model's types, named in an
 
 import math
 import re
-from collections import Counter
 from functools import reduce
 from itertools import chain
 from operator import or_
@@ -168,7 +167,7 @@ def _mean(values) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def _halstead(operators: Counter, operands: Counter) -> dict[int, float]:
+def _halstead(operators: dict[str, int], operands: dict[str, int]) -> dict[int, float]:
     """The Halstead suite of one operator tally and one operand tally."""
     return halstead_suite(sum(operators.values()), sum(operands.values()), len(operators), len(operands))
 
@@ -208,12 +207,11 @@ def local_metrics(unit: CompilationUnit) -> list[float]:
 
     v[27], v[28], v[29] = map(_mean, zip(*map(lcom_suite, types)))
 
-    operators: Counter = Counter()
-    operands: Counter = Counter()
-    for m in methods + ctors:
-        operators.update(m.operator_tokens)
-        operands.update(m.operand_tokens)
-    v.update(_halstead(operators, operands))
+    # The file pools its bodies' tallies: the totals add up, and the distinct tokens are their keys' union.
+    bodies = methods + ctors
+    operators, operands = [m.operator_tokens for m in bodies], [m.operand_tokens for m in bodies]
+    v.update(halstead_suite(sum(map(sum, map(dict.values, operators))), sum(map(sum, map(dict.values, operands))),
+                            len(set().union(*operators)), len(set().union(*operands))))
     return [v[i] for i in LOCAL_IDS]
 
 

@@ -98,10 +98,10 @@ class OracleUnit:
         self.path = path
         if text.endswith("\x1a"):  # a last SUB is ignored (JLS 3.5)
             text = text[:-1]
-        # A line ends at CR LF, CR or LF (JLS 3.4); the last line may have no end.
+        # A line ends at CR LF, CR or LF (JLS 3.4), and each is lexed as LF; the last line may have no end.
         lines = re.split(r"\r\n|\r|\n", text)
         self.physical_lines = len(lines) - (lines[-1] == "")
-        toks = lex(text)
+        toks = lex("\n".join(lines))
         self.comment_count = sum(1 for k, _, _ in toks if k == "comment")
         code = [t for t in toks if t[0] != "comment"]
         self.code_lines = len({ln for _, _, ln in code})

@@ -145,6 +145,26 @@ def test_extract_logs_dangling_and_looping_links(tmp_path, capsys):
     assert set(lookup) == {"p/A.java"}
 
 
+def test_extract_skips_a_fifo_without_opening_it(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "A.java").write_text("class A { int a; }")
+    (tmp_path / "B.java").write_text("class B { int b; }")
+    try:
+        os.mkfifo(src / "F.java")  # opening it to read would block until a writer came
+        (src / "L.java").symlink_to(tmp_path / "B.java")
+    except (AttributeError, OSError):
+        pytest.skip("the file system refuses a FIFO or a symbolic link")
+    # The walk reads each entry's type from the listing and keeps a link to a file; it must
+    # not list the FIFO, or the extract below would block reading it.
+    assert cli._java_files(src) == [src / "A.java", src / "L.java"]
+    code, _, err = run(capsys, "extract", str(src), "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    assert (tmp_path / "out" / "extract_exclusions.log").read_text() == ""
+    lookup = metrics.parse_metrics_csv((tmp_path / "out" / "metrics.csv").read_text())
+    assert set(lookup) == {"A.java", "L.java"}
+
+
 def test_extract_skips_a_directory_it_cannot_list(monkeypatch, tmp_path, capsys):
     src = tmp_path / "src"
     for name in ("p/A.java", "locked/B.java", "locked/q/C.java"):

@@ -11,13 +11,25 @@ from conftest import CORPUS
 from synth import coupled_corpus, generate_corpus
 
 
-def kinds(tokens):
-    return list(zip(tokens.kinds, tokens.texts))
-
-
 def rows(tokens):
-    """(kind, text, line, column) per token; the column comes from `lexer.columns`."""
-    return list(zip(tokens.kinds, tokens.texts, tokens.lines, lexer.columns(tokens.source), strict=True))
+    """(kind, text, line, column) per token, comments included, in source order. A code token's
+    column comes from `lexer.columns`; each comment is cut from the run that follows a code token
+    in the lexer's own scan, and placed by its offset in `tokens.source`."""
+    source, code, out, offset = tokens.source, zip(tokens.kinds, tokens.texts, tokens.lines,
+                                                   lexer.columns(tokens.source), strict=True), [], 0
+    for match, text, run in lexer._TOKEN.findall(source):
+        if text:
+            out.append(next(code))
+        for comment in lexer._COMMENT.finditer(run):
+            at = offset + len(text) + comment.start()
+            out.append(("comment", comment.group(), source.count("\n", 0, at) + 1, at - source.rfind("\n", 0, at)))
+        offset += len(match)
+    assert next(code, None) is None and len(out) == len(tokens)
+    return out
+
+
+def kinds(tokens):
+    return [(kind, text) for kind, text, _, _ in rows(tokens)]
 
 
 def test_empty_input():
@@ -49,9 +61,9 @@ def test_unterminated_string():
 
 def test_block_comment_is_single_token():
     toks = tokenize("/* one\n two\n three */ int x;")
-    assert toks.kinds[0] == "comment"
-    assert toks.texts[0].startswith("/*") and toks.texts[0].endswith("*/")
-    assert toks.kinds.count("comment") == 1
+    (kind, text), *_ = kinds(toks)
+    assert kind == "comment" and text.startswith("/*") and text.endswith("*/")
+    assert toks.comment_count == 1 and [kind for kind, _ in kinds(toks)].count("comment") == 1
 
 
 def test_positions_non_decreasing():
@@ -231,13 +243,13 @@ def test_second_pass_classifies_nothing_new(monkeypatch, tmp_path):
     _tokenize_counting_classifications(monkeypatch, sources)
     size = len(lexer._KINDS)
     again = _tokenize_counting_classifications(monkeypatch, sources)
-    # Only comments and literals, which the memo never keeps, reach the classifier again.
-    assert len(lexer._KINDS) == size and set(again) == {"comment", "literal"}
+    # Only literals, which the memo never keeps, reach the classifier again; comments never reach it.
+    assert len(lexer._KINDS) == size and set(again) == {"literal"}
 
 
 def test_comments_and_literals_add_no_memo_entries():
     source = "".join(f'"s{i}" {i}L \'{chr(0x4e00 + i)}\' /* c{i} */ // d{i}\n' for i in range(10_000))
     size = len(lexer._KINDS)
     toks = tokenize(source)
-    assert toks.kinds.count("literal") == 30_000 and toks.kinds.count("comment") == 20_000
+    assert toks.kinds.count("literal") == 30_000 and toks.comment_count == 20_000
     assert len(lexer._KINDS) == size

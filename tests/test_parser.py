@@ -12,6 +12,7 @@ from buildmetrics.javaparse import parse_source, parse_unit
 from buildmetrics.lexer import KEYWORDS, WORD_LITERALS, Tokens, tokenize
 
 from conftest import CORPUS, load_corpus_units
+from oracle_metrics import OracleUnit
 
 
 def test_simple_class_with_if():
@@ -215,10 +216,34 @@ def test_unbalanced_braces_error():
             parse_source("class A { void m() { " + tail, "A.java")
 
 
+@pytest.mark.parametrize("src", [
+    pytest.param("class A { int a; void m() { a = 1; } } // x", id="line comment without a last line end"),
+    pytest.param("class A {\n  void m() {\n    a = 1;\n  }\n}\n/* */", id="block comment before end of file"),
+    pytest.param("/* a // b\n */ class A {\n  void m() { a = b; }\n}\n", id="line opener in a block comment"),
+    pytest.param('// a /* b\nclass A {\n  String s = "/* c";\n  void m() {\n    s = "/*" + s; // d\n  }\n}\n',
+                 id="block opener in a line comment and in strings"),
+    pytest.param("// a\rclass A {\r  void m() {\r    x = 1; /* b\r c */\r  }\r}\r", id="CR line ends"),
+])
+def test_comment_edge_cases_match_the_oracle(src):
+    unit, oracle = parse_source(src, "A.java"), OracleUnit("A.java", src)
+    assert (unit.comment_count, unit.code_lines, unit.physical_lines) == (
+        oracle.comment_count, oracle.code_lines, oracle.physical_lines)
+    assert [m.body_lines for t in unit.types for m in t.constructors + t.methods] == [
+        m["lines"] for t in oracle.types for m in t["ctors"] + t["methods"]]
+
+
 @pytest.mark.parametrize("src, message", [
     ("class A /* c */ x", "expected '{', found 'x' at line 1, column 17"),
     ("// l\n/* a\n b */ class A { /* c */ void m() { ", "unbalanced method body at line 3, column 34"),
     ("class A { void m(/* c */ int a  { }", "unbalanced parameter list at line 1, column 17"),
+    ("class A { } // x\n#", "illegal character '#' at line 2, column 1"),
+    ("/* a // b\n */ class A x", "expected '{', found 'x' at line 2, column 13"),
+    ("// a /* b\nclass A x", "expected '{', found 'x' at line 2, column 9"),
+    ('class A { String s = "/* c"; void m() { s = "/*"; } /* d */ void n( }',
+     "unbalanced parameter list at line 1, column 67"),
+    ("// a\rclass A {\r  /* b\r c */ void m() {\r", "unbalanced method body at line 4, column 16"),
+    ("class A { void m() { x = 1; // y", "unbalanced method body at line 1, column 20"),
+    ("/* a */ /* b */ '", "unterminated character literal at line 1, column 17"),
 ])
 def test_error_position_counts_the_comments_before_it(src, message):
     with pytest.raises(ParseError) as exc:

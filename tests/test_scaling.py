@@ -15,7 +15,8 @@ import pytest
 
 from buildmetrics.cli import main
 from buildmetrics.dataset import BuildManifest, assemble
-from buildmetrics.javaparse import CompilationUnit, MethodDecl, TypeDecl
+from buildmetrics.javaparse import CompilationUnit, MethodDecl, TypeDecl, parse_source
+from buildmetrics.lexer import tokenize
 from buildmetrics.metrics import compute_all_metrics, lcom_suite
 from buildmetrics.model import build_code_model
 
@@ -78,6 +79,30 @@ def rows_in_one_selection_report():
     return run, lambda result: result == (0, " ".join(map(str, range(1, 41))) + "\n")
 
 
+def _parsed_exactly(source: str, code: list[str], comments: int, fields: list[str]):
+    """parse_source on source, and a check that its code tokens are code, no text from inside a
+    comment among them, and that it counted comments comments."""
+    def check(unit):
+        (decl,) = unit.types
+        return (tokenize(source).texts == code and decl.field_names == fields
+                and unit.comment_count == comments)
+    return lambda: parse_source(source, "A.java"), check
+
+
+def comments_between_tokens():
+    """Each comment between two code tokens taken once, or scanned again from inside it."""
+    fields = [f"f{i}" for i in range(10_000)]
+    code = ["class", "A", "{", *(t for name in fields for t in ("int", name, ";")), "}"]
+    return _parsed_exactly("/* c // */".join(code) + "/**/", code, len(code), fields)
+
+
+def comment_lines_after_a_class():
+    """The trailing run of comments and blank lines taken by one match, or the scan started again
+    inside it."""
+    return _parsed_exactly("class A { int a; }\n" + "// c\n\n" * 25_000, ["class", "A", "{", "int", "a", ";", "}"],
+                           25_000, ["a"])
+
+
 @pytest.mark.parametrize("case, bound", [
     (files_in_one_package, 7.0),
     (methods_in_one_class, 1.5),
@@ -85,8 +110,11 @@ def rows_in_one_selection_report():
     (manifests_in_one_dataset, 3.0),
     (files_in_one_manifest, 1.0),
     (rows_in_one_selection_report, 3.0),
+    (comments_between_tokens, 1.5),
+    (comment_lines_after_a_class, 1.0),
 ], ids=["files_in_one_package", "methods_in_one_class", "imports_in_one_file", "manifests_in_one_dataset",
-        "files_in_one_manifest", "rows_in_one_selection_report"])
+        "files_in_one_manifest", "rows_in_one_selection_report", "comments_between_tokens",
+        "comment_lines_after_a_class"])
 def test_stage_is_linear_in_one_dimension(case, bound):
     run, check = case()
     start = time.perf_counter()
