@@ -9,6 +9,9 @@ indexes the lexer's parallel lists of code tokens directly, and a position is
 an index into them and into `lexer.columns`, which an error reads.
 A parsed unit keeps counts and names, nothing of the token stream. Generics,
 annotations and lambdas are tolerated token-wise but not modeled structurally.
+A skipped `(...)`, `{...}` or `<...>` section counts its nesting, and `>>` and
+`>>>` close two and three `<`; a section that never closes is reported at its
+opener.
 """
 
 from .errors import ParseError
@@ -26,23 +29,22 @@ HALSTEAD_KEYWORDS = frozenset(
     "if else for while do switch case return new try catch finally throw instanceof".split()
 )
 
-#: Levels of generic nesting that each closing token ends.
-_CLOSERS = {">": 1, ">>": 2, ">>>": 3}
+TYPE_KINDS = frozenset({"class", "interface", "enum"})
+
+#: For each opener of a skipped section, the levels of nesting that each closing token ends.
+_SECTIONS = {"(": {")": 1}, "{": {"}": 1}, "<": {">": 1, ">>": 2, ">>>": 3}}
 
 
 class MethodDecl:
     __slots__ = ("name", "parameter_count", "body_lines", "decision_points", "block_depths",
                  "accessed_field_names", "operator_tokens", "operand_tokens")
 
-    def __init__(self, name: str, parameter_count: int = 0, body_lines: int = 0, decision_points: int = 0,
-                 block_depths: list[int] | None = None, accessed_field_names: set[str] | None = None,
-                 operator_tokens: dict[str, int] | None = None, operand_tokens: dict[str, int] | None = None):
-        self.name, self.parameter_count, self.body_lines = name, parameter_count, body_lines
-        self.decision_points = decision_points
-        self.block_depths = [] if block_depths is None else block_depths
+    def __init__(self, name: str, accessed_field_names: set[str] | None = None):
+        self.name, self.parameter_count, self.body_lines, self.decision_points = name, 0, 0, 0
+        self.block_depths: list[int] = []
         self.accessed_field_names = set() if accessed_field_names is None else accessed_field_names
-        self.operator_tokens = {} if operator_tokens is None else operator_tokens  # tallies by token text
-        self.operand_tokens = {} if operand_tokens is None else operand_tokens
+        self.operator_tokens: dict[str, int] = {}  # tallies by token text
+        self.operand_tokens: dict[str, int] = {}
 
 
 class TypeDecl:
@@ -121,36 +123,24 @@ class _Parser:
         return ".".join(parts)
 
     def skip_generics(self):
-        """Consume a <...> section if one starts here; shift tokens close
-        multiple levels at once."""
-        if not self.at("<"):
-            return
-        depth = 0
-        while self.peek() is not None:
-            text = self.take()
-            depth += 1 if text == "<" else -_CLOSERS.get(text, 0)
-            if depth <= 0:
-                return
-        raise ParseError("unterminated generic parameter list")
+        if self.at("<"):
+            self.skim_balanced("<")
 
     def skip_annotation(self):
         self.expect("@")
         self.dotted_name()
         if self.at("("):
-            self.skim_balanced("(", ")")
+            self.skim_balanced("(")
 
-    def skim_balanced(self, open_text: str, close_text: str):
-        """Consume a balanced bracketed section."""
+    def skim_balanced(self, open_text: str):
+        """Consume a bracketed section, counting its nesting by _SECTIONS."""
         opener = self.expect(open_text)
-        depth = 1
+        closers, depth = _SECTIONS[open_text], 1
         while self.peek() is not None:
             text = self.take()
-            if text == open_text:
-                depth += 1
-            elif text == close_text:
-                depth -= 1
-                if depth == 0:
-                    return
+            depth += (text == open_text) - closers.get(text, 0)
+            if depth <= 0:
+                return
         raise self.error(f"unbalanced {open_text!r}", opener)
 
     # -- grammar -------------------------------------------------------
@@ -169,9 +159,9 @@ class _Parser:
                 self.skip_annotation()
             else:
                 mods = self.modifiers()
-                if self.at("class") or self.at("interface") or self.at("enum"):
+                if (t := self.peek()) in TYPE_KINDS:
                     self.parse_type(mods)
-                elif self.peek() is not None:
+                elif t is not None:
                     # Recovery: skip one token of what we don't model, with
                     # any modifiers before it.
                     self.take()
@@ -207,9 +197,9 @@ class _Parser:
                 self.unit.types.append(decl)
                 continue
             mods = self.modifiers()
-            if self.at("{"):  # instance/static initializer block
-                self.skim_balanced("{", "}")
-            elif self.at("class") or self.at("interface") or self.at("enum"):
+            if (t := self.peek()) == "{":  # instance/static initializer block
+                self.skim_balanced("{")
+            elif t in TYPE_KINDS:
                 stack.append(self.type_head(mods))
             else:  # a bare ';' is an empty member
                 self.parse_member(decl)
@@ -233,10 +223,8 @@ class _Parser:
         """Skip an enum's constants, with their arguments and bodies, through
         the first top-level ';' or up to the enum's closing '}'."""
         while (t := self.peek()) is not None and t != "}":
-            if t == "(":
-                self.skim_balanced("(", ")")
-            elif t == "{":
-                self.skim_balanced("{", "}")
+            if t in ("(", "{"):
+                self.skim_balanced(t)
             elif self.take() == ";":
                 return
 
@@ -253,15 +241,15 @@ class _Parser:
         """Parse one field or method/constructor declaration."""
         self.skip_generics()  # generic method type parameters
         start = self.i
-        angle = 0
+        angle, closers = 0, _SECTIONS["<"]
         while True:
             t = self.peek()
             if t is None or t == "}":
                 return  # recovery: truncated member
             if t == "<":
                 angle += 1
-            elif t in _CLOSERS and angle > 0:
-                angle -= _CLOSERS[t]
+            elif t in closers and angle > 0:
+                angle -= closers[t]
             elif angle == 0 and t in ("(", "=", ",", ";"):
                 break
             self.i += 1
@@ -270,11 +258,11 @@ class _Parser:
     def parse_callable(self, decl: TypeDecl, head: range):
         if not head:
             # Recovery: stray parenthesis, skim it.
-            self.skim_balanced("(", ")")
+            self.skim_balanced("(")
             return
         name = self.texts[head[-1]]
         is_ctor = len(head) == 1 and name == decl.name
-        method = MethodDecl(name=name)
+        method = MethodDecl(name)
         decl.referenced_type_names.update(self.identifiers(head[:-1]))
         self.parse_parameters(decl, method)
         if self.at("throws"):
@@ -292,7 +280,7 @@ class _Parser:
         """A comma splits parameters only outside brackets and generics; an
         annotation, with its arguments, adds no type name."""
         opener = self.expect("(")
-        depth, angle = 1, 0
+        depth, angle, closers = 1, 0, _SECTIONS["<"]
         segment: list[int] = []
         segments: list[list[int]] = []
         while self.peek() is not None:
@@ -308,8 +296,8 @@ class _Parser:
                     break
             elif t == "<":
                 angle += 1
-            elif t in _CLOSERS and angle > 0:
-                angle -= _CLOSERS[t]
+            elif t in closers and angle > 0:
+                angle -= closers[t]
             elif t == "," and depth == 1 and angle == 0:
                 segments.append(segment)
                 segment = []

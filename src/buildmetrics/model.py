@@ -15,18 +15,17 @@ class CodeModel:
     __slots__ = ("units", "packages", "type_index", "dependency_edges", "unit_of_type", "afferent", "efferent",
                  "depth", "excluded", "imported")
 
-    def __init__(self, units=None, packages=None, type_index=None, dependency_edges=None, unit_of_type=None,
-                 afferent=None, efferent=None, depth=None, excluded=None, imported=None):
-        self.units: list[CompilationUnit] = [] if units is None else units
-        self.packages: dict[str, set[str]] = {} if packages is None else packages  # package -> qualified type names
-        self.type_index: dict[str, TypeDecl] = {} if type_index is None else type_index  # qualified name -> decl
-        self.dependency_edges: set[tuple[str, str]] = set() if dependency_edges is None else dependency_edges
-        self.unit_of_type: dict[str, CompilationUnit] = {} if unit_of_type is None else unit_of_type
-        self.afferent: dict[str, set[str]] = {} if afferent is None else afferent  # package -> outside types using it
-        self.efferent: dict[str, set[str]] = {} if efferent is None else efferent  # package -> its types using outside
-        self.depth: dict[str, int] = {} if depth is None else depth  # qualified name -> depth of inheritance
-        self.excluded: list[tuple[str, str]] = [] if excluded is None else excluded  # (file path, reason), by path
-        self.imported: dict[str, dict[str, str]] = {} if imported is None else imported  # path -> last part -> import
+    def __init__(self, units: list[CompilationUnit]):
+        self.units = units
+        self.packages: dict[str, set[str]] = {}  # package -> qualified type names
+        self.type_index: dict[str, TypeDecl] = {}  # qualified name -> decl
+        self.dependency_edges: set[tuple[str, str]] = set()
+        self.unit_of_type: dict[str, CompilationUnit] = {}
+        self.afferent: dict[str, set[str]] = {}  # package -> outside types using it
+        self.efferent: dict[str, set[str]] = {}  # package -> its types using outside
+        self.depth: dict[str, int] = {}  # qualified name -> depth of inheritance
+        self.excluded: list[tuple[str, str]] = []  # (file path, reason), by path
+        self.imported: dict[str, dict[str, str]] = {}  # path -> last part -> import
 
 
 def qualify(package_name: str, type_name: str) -> str:
@@ -76,7 +75,7 @@ def build_code_model(units: list[CompilationUnit]) -> CodeModel:
     excluded = {path: f"duplicate type {qname} declared in {' and '.join(sorted(paths))}"
                 for qname, paths in declared.items() if len(paths) > 1 for path in paths}
     while True:
-        model = CodeModel(units=[u for u in units if u.file_path not in excluded])
+        model = CodeModel([u for u in units if u.file_path not in excluded])
         for unit in model.units:
             for decl in unit.types:
                 qname = qualify(unit.package_name, decl.name)

@@ -5,9 +5,11 @@ source trees, compared byte for byte.
 
 The inputs are built once, in a temporary directory: the fixture corpus,
 planted corpora from tests/synth.py (seeds 1-5), coupled corpora, noisy
-datasets (seeds 1-5) and the probe dataset from perfbench/gen.py, and the
-usage and data error cases of test_cli.py's tables. The invocations are every
---help, those error cases, extract, dataset for 3 strategies x 5 filters,
+datasets (seeds 1-5) and the probe dataset from perfbench/gen.py, the
+usage and data error cases of test_cli.py's tables, the grammar fixture tree,
+and a malformed tree with one file per row of two of test_parser.py's error
+tables. The invocations are every --help, those error cases, extract of each
+tree, dataset for 3 strategies x 5 filters,
 select, freq --threshold 2, evaluate on every dataset (the probe with
 --folds 2) and --replay.
 
@@ -40,6 +42,7 @@ sys.path[1:1] = [str(TESTS.parent / "src"), str(TESTS.parent / "perfbench")]
 
 import gen  # perfbench/gen.py
 import test_cli
+import test_parser
 from buildmetrics import FILTER_TAGS
 from buildmetrics import dataset as ds
 from buildmetrics.cli import STRATEGY_FLAGS
@@ -52,11 +55,13 @@ SIDES = ("parent", "change")
 
 
 def _cases(test):
-    """(id, values) for each case of a test's parametrize mark."""
+    """(id, values) for each case of a test's parametrize mark; a plain row, not a pytest.param, is numbered."""
     (mark,) = (m for m in test.pytestmark if m.name == "parametrize")
     if "ids" in mark.kwargs:
         return [(ident, (case,)) for ident, case in zip(mark.kwargs["ids"], mark.args[1])]
-    return [(case.id, case.values) for case in mark.args[1]]
+    several = "," in mark.args[0]
+    return [(case.id, case.values) if hasattr(case, "values") else (str(number), case if several else (case,))
+            for number, case in enumerate(mark.args[1], 1)]
 
 
 def _error_runs(inp: Path) -> list:
@@ -97,6 +102,17 @@ def _error_runs(inp: Path) -> list:
     return runs
 
 
+def _malformed_run(inp: Path) -> tuple:
+    """extract of a tree with one file per row of test_parser.py's error-position and truncation tables."""
+    tree = inp / "malformed"
+    tree.mkdir()
+    for table in (test_parser.test_error_position_counts_the_comments_before_it,
+                  test_parser.test_truncated_source_is_parse_error):
+        for ident, (src, *_) in _cases(table):
+            (tree / f"{table.__name__}-{ident}.java").write_text(src)
+    return ("malformed extract", ["extract", f"{IN}/malformed", "--out", "out/malformed"], "out/malformed")
+
+
 def _learn(name: str, csvs: list[str]) -> list:
     """select and freq over the datasets, then evaluate on each."""
     runs = [(f"{name} select", ["select", *csvs, "--out", f"out/{name}/select"], f"out/{name}/select"),
@@ -120,6 +136,7 @@ def _pipeline(name: str, src: str, manifests: str, datasets: list[tuple[str, str
 
 
 FIXTURE = ("fixture extract", ["extract", f"{IN}/fixture", "--out", "out/fixture"], "out/fixture")
+GRAMMAR = ("grammar extract", ["extract", f"{IN}/grammar", "--out", "out/grammar"], "out/grammar")
 REPLAYS = [("replay", ["evaluate", "--replay", "7,3,12,2"], None),
            ("replay one class", ["evaluate", "--replay", "0,0,5,1"], None)]
 
@@ -134,7 +151,8 @@ def plan(inp: Path, quick: bool) -> list:
             "synth-1", f"{IN}/synth-1/src", f"{IN}/synth-1/manifests", [("avg", "full")]) + REPLAYS[:1]
     runs += [(f"{command} help", [command, "--help"], None)
              for command in ("extract", "dataset", "select", "evaluate", "freq")]
-    runs += _error_runs(inp) + [FIXTURE]
+    shutil.copytree(CORPUS.parent / "grammar", inp / "grammar")
+    runs += _error_runs(inp) + [FIXTURE, GRAMMAR, _malformed_run(inp)]
     every_dataset = [(strategy, tag) for strategy in STRATEGY_FLAGS for tag in FILTER_TAGS]
     for seed in SEEDS:
         generate_corpus(inp / f"synth-{seed}", 120, 120, seed=seed)

@@ -1,7 +1,8 @@
 """The differential harness (tests/differential.py) in its quick form: a
 source tree against itself shows no difference, and one planted one-line
 change is found and named. The full form's error cases, read from
-test_cli.py's parametrize tables, are built without running them."""
+test_cli.py's and test_parser.py's parametrize tables, are built without
+running them."""
 
 import importlib.util
 import shutil
@@ -49,3 +50,5 @@ def test_the_full_run_builds_test_clis_error_cases(tmp_path, monkeypatch):
     runs = harness._error_runs(tmp_path)
     assert len(runs) == len({name for name, _, _ in runs}) == 64
     assert all(argv and all(isinstance(arg, str) for arg in argv) for _, argv, _ in runs)
+    assert harness._malformed_run(tmp_path)[0] == "malformed extract"
+    assert sum(1 for path in (tmp_path / "malformed").iterdir() if path.read_text()) == 24

@@ -244,6 +244,11 @@ def test_comment_edge_cases_match_the_oracle(src):
     ("// a\rclass A {\r  /* b\r c */ void m() {\r", "unbalanced method body at line 4, column 16"),
     ("class A { void m() { x = 1; // y", "unbalanced method body at line 1, column 20"),
     ("/* a */ /* b */ '", "unterminated character literal at line 1, column 17"),
+    ("class A /* c */ <T {", "unbalanced '<' at line 1, column 17"),
+    ("class A extends /* c */ B<C { }", "unbalanced '<' at line 1, column 26"),
+    ("class A { /* c */ <T void m() {} }", "unbalanced '<' at line 1, column 19"),
+    ("class A { @X(/* c */ 1 int f; }", "unbalanced '(' at line 1, column 13"),
+    ("class A { static /* c */ { int x; ", "unbalanced '{' at line 1, column 26"),
 ])
 def test_error_position_counts_the_comments_before_it(src, message):
     with pytest.raises(ParseError) as exc:

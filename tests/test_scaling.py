@@ -103,6 +103,15 @@ def comment_lines_after_a_class():
                            25_000, ["a"])
 
 
+def nested_sections():
+    """A static initializer's braces, an annotation's arguments and a field type's generics, each 16,000 deep,
+    skipped by counting levels, not by a call per level; the run of '>' lexes as '>>>' tokens and one '>'."""
+    n = 16_000
+    source = ("class A { static " + "{" * n + "}" * n + " @X" + "(" * n + ")" * n
+              + " " + "List<" * n + "X" + ">" * n + " f; }")
+    return lambda: parse_source(source, "A.java"), lambda unit: unit.types[0].field_names == ["f"]
+
+
 @pytest.mark.parametrize("case, bound", [
     (files_in_one_package, 7.0),
     (methods_in_one_class, 1.5),
@@ -112,9 +121,10 @@ def comment_lines_after_a_class():
     (rows_in_one_selection_report, 3.0),
     (comments_between_tokens, 1.5),
     (comment_lines_after_a_class, 1.0),
+    (nested_sections, 1.0),
 ], ids=["files_in_one_package", "methods_in_one_class", "imports_in_one_file", "manifests_in_one_dataset",
         "files_in_one_manifest", "rows_in_one_selection_report", "comments_between_tokens",
-        "comment_lines_after_a_class"])
+        "comment_lines_after_a_class", "nested_sections"])
 def test_stage_is_linear_in_one_dimension(case, bound):
     run, check = case()
     start = time.perf_counter()
