@@ -169,14 +169,14 @@ class _Parser:
 
     def modifiers(self) -> set[str]:
         """Consume modifiers and the annotations before and between them."""
-        mods = set()
-        while True:
-            if self.at("@"):
+        mods, texts = set(), self.texts
+        while self.i < len(texts) and ((t := texts[self.i]) == "@" or t in MODIFIERS):
+            if t == "@":
                 self.skip_annotation()
-            elif self.peek() in MODIFIERS:
-                mods.add(self.take())
             else:
-                return mods
+                mods.add(t)
+                self.i += 1
+        return mods
 
     def parse_type(self, mods: set[str]):
         """Parse a type declaration and the types nested in it, from a stack
@@ -240,20 +240,19 @@ class _Parser:
     def parse_member(self, decl: TypeDecl):
         """Parse one field or method/constructor declaration."""
         self.skip_generics()  # generic method type parameters
-        start = self.i
-        angle, closers = 0, _SECTIONS["<"]
-        while True:
-            t = self.peek()
-            if t is None or t == "}":
-                return  # recovery: truncated member
+        texts, start, end = self.texts, self.i, len(self.texts)
+        i, angle, closers = start, 0, _SECTIONS["<"]
+        while i < end and (t := texts[i]) != "}":
             if t == "<":
                 angle += 1
             elif t in closers and angle > 0:
                 angle -= closers[t]
             elif angle == 0 and t in ("(", "=", ",", ";"):
-                break
-            self.i += 1
-        (self.parse_callable if t == "(" else self.parse_field_decl)(decl, range(start, self.i))
+                self.i = i
+                (self.parse_callable if t == "(" else self.parse_field_decl)(decl, range(start, i))
+                return
+            i += 1
+        self.i = i  # recovery: truncated member
 
     def parse_callable(self, decl: TypeDecl, head: range):
         if not head:
@@ -268,26 +267,31 @@ class _Parser:
         if self.at("throws"):
             decl.referenced_type_names.update(self._type_list())
         # Recovery: skim whatever comes before the body or the statement end.
-        while self.peek() is not None and not self.at(";") and not self.at("{"):
-            self.take()
+        texts, i, end = self.texts, self.i, len(self.texts)
+        while i < end and texts[i] not in (";", "{"):
+            i += 1
+        self.i = i
         if self.at("{"):
             self.parse_body(decl, method)
-        elif self.at(";"):
-            self.take()
+        elif i < end:
+            self.i += 1  # the ';'
         (decl.constructors if is_ctor else decl.methods).append(method)
 
     def parse_parameters(self, decl: TypeDecl, method: MethodDecl):
         """A comma splits parameters only outside brackets and generics; an
         annotation, with its arguments, adds no type name."""
         opener = self.expect("(")
+        texts, i, end = self.texts, self.i, len(self.texts)
         depth, angle, closers = 1, 0, _SECTIONS["<"]
         segment: list[int] = []
         segments: list[list[int]] = []
-        while self.peek() is not None:
-            if self.at("@"):
+        while i < end:
+            if (t := texts[i]) == "@":
+                self.i = i
                 self.skip_annotation()
+                i = self.i
                 continue
-            t = self.take()
+            i += 1
             if t in ("(", "["):
                 depth += 1
             elif t in (")", "]"):
@@ -302,9 +306,10 @@ class _Parser:
                 segments.append(segment)
                 segment = []
                 continue
-            segment.append(self.i - 1)
+            segment.append(i - 1)
         else:
             raise self.error("unbalanced parameter list", opener)
+        self.i = i
         if segment:
             segments.append(segment)
         method.parameter_count = len(segments)
@@ -328,13 +333,14 @@ class _Parser:
         i = self.i
         while i < end:
             kind, text = kinds[i], texts[i]
-            if text == "{":
-                depth += 1
-                depths.append(depth)
-            elif text == "}":
-                depth -= 1
-                if depth == 0:
-                    break
+            if kind == "punctuation":
+                if text == "{":
+                    depth += 1
+                    depths.append(depth)
+                elif text == "}":
+                    depth -= 1
+                    if depth == 0:
+                        break
             elif kind == "identifier":
                 if i + 1 < end and texts[i + 1] == "(":
                     operators[text] = operators.get(text, 0) + 1

@@ -2,19 +2,20 @@
 
 A code token has a kind: identifier, keyword, operator-symbol, literal or
 punctuation. A comment, delimiters included, is a token that is counted, not
-kept. One C-level `findall` per file matches one pattern again and again: a
+kept. One C-level `split` per file matches one pattern again and again: a
 code token, then the run of white space and comments after it; the first match
-has no token, only the run that opens the text. `columns` runs the same scan
-again for an error. A `/*` or quote that cannot be closed takes the rest of the
-text as one kindless token, so both scans stay linear in the text's length on
-any input. A word starts with a `\\w` character that is not a decimal digit
-(`\\d`), or `$`, so Unicode numerics such as `²`, `½` and `Ⅻ` are identifier
-characters.
+has no token, only the run that opens the text. Lines come from the line ends
+in the runs, and from those in the tokens only when a token holds one.
+`columns` runs the same scan again for an error. A `/*` or quote that cannot
+be closed takes the rest of the text as one kindless token, so both scans stay
+linear in the text's length on any input. A word starts with a `\\w`
+character that is not a decimal digit (`\\d`), or `$`, so Unicode numerics such
+as `²`, `½` and `Ⅻ` are identifier characters.
 """
 
 import re
 from itertools import accumulate, repeat
-from operator import itemgetter
+from operator import add
 
 from .errors import ParseError
 
@@ -34,14 +35,16 @@ _RUN = r"(?:[\d_]|[eE][\d+-])*"  # digits, underscores and exponent pairs such a
 
 _COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
 _QUOTED = r'"(?:\\.|[^"\\\n])*"|' r"'(?:\\.|[^'\\\n])*'"
-# Groups: the whole match, its code token ("" at the start of the text) and the run after the token.
-# The run comes last, so it takes every trailing comment and the scan never starts again inside one.
-_TOKEN = re.compile(r"((?:\A|(" + "|".join([
+_GAP = rf"(?:{_COMMENT.pattern})[{_SPACE}]*"  # a comment and the white space after it
+# Groups: a code token (none at the start of the text) and the run after it. The run comes last, so
+# it takes every trailing comment and the scan never starts again inside one. A run with no comment
+# takes the empty branch, which costs less than a repeat that matches nothing.
+_TOKEN = re.compile(r"(?:\A|(" + "|".join([
     r"(?:[^\W\d]|\$)[\w$]*", f"[{re.escape(_PUNCTUATION)}]", _QUOTED, r"0[xX][\da-fA-F_]*[lLfFdD]?",
     rf"(?:\.\d|\d{_RUN}\.(?=\d)|\d){_RUN}[lLfFdD]?",
     r"(?:/\*|[\"']).*",  # an opener that no comment or literal closes is the first error: take the rest
     *map(re.escape, _OPERATORS), ".",  # any other character is illegal
-]) + rf"))([{_SPACE}]*(?:(?:{_COMMENT.pattern})[{_SPACE}]*)*))", re.DOTALL)
+]) + rf"))([{_SPACE}]*(?:{_GAP}(?:{_GAP})*|))", re.DOTALL)
 _FIRST = re.compile(rf"(?P<literal>(?:{_QUOTED})\Z|\.?\d)|(?P<identifier>[^\W\d]|\$)", re.DOTALL)
 
 
@@ -50,6 +53,8 @@ class _Kinds(dict):
     a literal is told by its form and never kept: the memo holds a vocabulary."""
 
     def __missing__(self, text: str) -> str:
+        if text[0] in "0123456789.":  # a number, with no regex; the bare `.` is given
+            return "literal"
         if (m := _FIRST.match(text)) is None:
             raise KeyError(text)
         if m.lastgroup == "identifier":
@@ -57,6 +62,17 @@ class _Kinds(dict):
         return m.lastgroup
 
 
+class _LineEnds(dict):
+    """Line ends by run. A run of white space alone is kept, so the memo holds indentations."""
+
+    def __missing__(self, run: str) -> int:
+        n = run.count("\n")
+        if not run.strip(_SPACE):  # a run that holds a comment is counted each time
+            self[run] = n
+        return n
+
+
+_LINE_ENDS = _LineEnds()
 _KINDS = _Kinds(dict.fromkeys(KEYWORDS, "keyword") | dict.fromkeys(WORD_LITERALS, "literal")
                 | dict.fromkeys(_OPERATORS, "operator-symbol") | dict.fromkeys(_PUNCTUATION, "punctuation"))
 
@@ -78,9 +94,13 @@ def tokenize(source_text: str) -> Tokens:
     ParseError on unterminated block comments or string/char literals, and on illegal characters."""
     source_text = source_text.removesuffix("\x1a")  # a last SUB (control-Z) is ignored (JLS 3.5)
     source_text = source_text.replace("\r\n", "\n").replace("\r", "\n")  # CR LF, CR, LF (JLS 3.4)
-    matches, texts, runs = zip(*_TOKEN.findall(source_text))
-    texts = list(texts[1:])
-    lines = list(accumulate(map(str.count, matches, repeat("\n")), initial=1))[1:-1]
+    parts = _TOKEN.split(source_text)  # "", None, the first run, then "", a token and its run per token, ""
+    texts, runs = parts[4::3], parts[2::3]
+    del parts  # freed before the lines and kinds are built, so it never coexists with them
+    lines = list(accumulate(map(_LINE_ENDS.__getitem__, runs), initial=1))
+    if lines[-1] != source_text.count("\n") + 1:  # a token holds a line end: an escaped one, or an error's
+        lines = list(accumulate(map(str.count, map(add, ["", *texts], runs), repeat("\n")), initial=1))
+    del lines[0], lines[-1]
     comment_count = len(_COMMENT.findall("".join(runs)))  # the runs hold white space and whole comments
     try:
         return Tokens(source_text, list(map(_KINDS.__getitem__, texts)), texts, lines, comment_count)
@@ -93,5 +113,6 @@ def tokenize(source_text: str) -> Tokens:
 
 def columns(source: str) -> list[int]:
     """The 1-based column of each code token of a `Tokens.source` lexed again."""
-    ends = list(accumulate(map(len, map(itemgetter(0), _TOKEN.findall(source)))))
-    return [offset - source.rfind("\n", 0, offset) for offset in ends[:-1]]
+    # The split's lengths from the first run on alternate run, "", token: each run ends where a token starts.
+    starts = list(accumulate(map(len, _TOKEN.split(source)[2:-2])))[::3]
+    return [offset - source.rfind("\n", 0, offset) for offset in starts]

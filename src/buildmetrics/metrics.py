@@ -20,6 +20,7 @@ from __future__ import annotations  # javaparse's and model's types, named in an
 
 import math
 import re
+from collections import Counter
 from functools import reduce
 from itertools import chain
 from operator import or_
@@ -124,14 +125,18 @@ def lcom_suite(decl: TypeDecl) -> tuple[float, float, float]:
     methods here.
     """
     access = [m.accessed_field_names for m in decl.constructors + decl.methods]
+    groups = Counter(map(frozenset, access))  # the methods by their access set
     masks: dict[str, int] = {}  # an accessed name -> one bit for each method that accesses it
-    for bit, names in enumerate(access):
+    low = 0
+    for names, c in groups.items():  # a group's c methods take c adjacent bits
         for name in names:
-            masks[name] = masks.get(name, 0) | 1 << bit
+            masks[name] = masks.get(name, 0) | ((1 << c) - 1) << low
+        low += c
     m, a = len(access), len(decl.field_names)
     pairs = m * (m - 1) // 2
-    # A method's sharers, itself included, are the union of its names' masks; each pair counts twice.
-    q = sum(reduce(or_, map(masks.__getitem__, names)).bit_count() - 1 for names in access if names) // 2
+    # A method's sharers, itself included, are the union of its group's names' masks; each pair counts twice.
+    q = sum(c * (reduce(or_, map(masks.__getitem__, names)).bit_count() - 1)
+            for names, c in groups.items() if names) // 2
     lcom1 = (pairs - q) / pairs if pairs else 0.0
     mu_sum = sum(masks.get(f, 0).bit_count() for f in decl.field_names)
     lcom2 = 1.0 - mu_sum / (m * a) if m * a > 0 else 0.0

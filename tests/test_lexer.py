@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,13 +18,13 @@ def rows(tokens):
     in the lexer's own scan, and placed by its offset in `tokens.source`."""
     source, code, out, offset = tokens.source, zip(tokens.kinds, tokens.texts, tokens.lines,
                                                    lexer.columns(tokens.source), strict=True), [], 0
-    for match, text, run in lexer._TOKEN.findall(source):
+    for text, run in lexer._TOKEN.findall(source):
         if text:
             out.append(next(code))
         for comment in lexer._COMMENT.finditer(run):
             at = offset + len(text) + comment.start()
             out.append(("comment", comment.group(), source.count("\n", 0, at) + 1, at - source.rfind("\n", 0, at)))
-        offset += len(match)
+        offset += len(text) + len(run)
     assert next(code, None) is None and len(out) == len(tokens)
     return out
 
@@ -253,3 +254,25 @@ def test_comments_and_literals_add_no_memo_entries():
     toks = tokenize(source)
     assert toks.kinds.count("literal") == 30_000 and toks.comment_count == 20_000
     assert len(lexer._KINDS) == size
+
+
+def test_tokenize_peak_memory_per_code_token():
+    """A generated file of 50 fields and 20,000 one-line methods (0.93 MiB, 300,154 code tokens): the split's
+    list is freed before the lines are counted, so the peak stays within a bound per code token."""
+    source = "class Big {\n" + "".join(f"    int f{i};\n" for i in range(50)) + "".join(
+        f"    int m{i}(int x) {{ return x * {i} + f{i % 50}; }}\n" for i in range(20_000)) + "}\n"
+    tracemalloc.start()
+    try:
+        tokens = tokenize(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tokens.texts) == 300_154
+    assert peak / len(tokens.texts) <= 120, f"{peak / len(tokens.texts):.0f} bytes per code token"
+
+
+def test_line_end_memo_keeps_runs_of_white_space_only():
+    source = "a /* x\n */ b // y\n  c\n\n  d"
+    assert tokenize(source).lines == tokenize(source).lines == [1, 2, 3, 5]  # the second pass reads the memo
+    assert lexer._LINE_ENDS.get("\n\n  ") == 2
+    assert not any(run.strip(" \t\f\n") for run in lexer._LINE_ENDS)

@@ -11,6 +11,7 @@ from buildmetrics.errors import ParseError
 from buildmetrics.javaparse import parse_source, parse_unit
 from buildmetrics.lexer import KEYWORDS, WORD_LITERALS, Tokens, tokenize
 
+import oracle_lexer
 from conftest import CORPUS, load_corpus_units
 from oracle_metrics import OracleUnit
 
@@ -230,6 +231,27 @@ def test_comment_edge_cases_match_the_oracle(src):
         oracle.comment_count, oracle.code_lines, oracle.physical_lines)
     assert [m.body_lines for t in unit.types for m in t.constructors + t.methods] == [
         m["lines"] for t in oracle.types for m in t["ctors"] + t["methods"]]
+
+
+# The first string literal holds a backslash and a line end, so the lines after it count the line ends
+# inside tokens too, and the second holds two.
+ESCAPED_LINE_ENDS = 'class A {\n  String s = "a\\\nb";\n  void m() {\n    s = s + "c\\\n\\\nd";\n  }\n}\n'
+
+
+def test_lines_after_a_literal_that_holds_a_line_end_match_the_oracles():
+    tokens, unit = tokenize(ESCAPED_LINE_ENDS), parse_source(ESCAPED_LINE_ENDS, "A.java")
+    oracle = OracleUnit("A.java", ESCAPED_LINE_ENDS)
+    assert tokens.lines == [t.line for t in oracle_lexer.tokenize(ESCAPED_LINE_ENDS)]
+    assert tokens.lines[-3:] == [7, 8, 9]
+    assert (unit.code_lines, unit.physical_lines) == (oracle.code_lines, oracle.physical_lines) == (8, 9)
+    assert [m.body_lines for m in unit.types[0].methods] == [m["lines"] for m in oracle.types[0]["methods"]] == [5]
+    with pytest.raises(oracle_lexer.LexicalError) as expected:
+        oracle_lexer.tokenize(ESCAPED_LINE_ENDS + "  #")
+    with pytest.raises(ParseError) as exc:
+        tokenize(ESCAPED_LINE_ENDS + "  #")
+    assert (str(exc.value), exc.value.line, exc.value.column) == (
+        str(expected.value), expected.value.line, expected.value.column) == (
+        "illegal character '#' at line 10, column 3", 10, 3)
 
 
 @pytest.mark.parametrize("src, message", [

@@ -39,6 +39,16 @@ def methods_in_one_class():
     return lambda: lcom_suite(decl), lambda lcoms: 0.0 < lcoms[0] < 1.0
 
 
+def methods_in_shared_access_sets():
+    """Each method's fields ORed as bitmasks of one bit per method, or of one block of bits per access set;
+    200,000 methods share 50 sets."""
+    fields = [f"f{i}" for i in range(50)]
+    methods = [MethodDecl(f"m{i}", accessed_field_names={fields[i % 50], fields[i * 7 % 50]})
+               for i in range(200_000)]
+    decl = TypeDecl("C", "class", field_names=fields, methods=methods)
+    return lambda: lcom_suite(decl), lambda lcoms: 0.0 < lcoms[0] < 1.0
+
+
 def imports_in_one_file():
     """All of a file's imports scanned for each name it references, or one lookup."""
     units = _one_type_files("q", 8000)
@@ -103,6 +113,13 @@ def comment_lines_after_a_class():
                            25_000, ["a"])
 
 
+def tokens_after_a_literal_that_holds_a_line_end():
+    """The lines of the 50,000 tokens after a literal that holds a line end counted once, in one running
+    sum over tokens and runs, or again for each token."""
+    source = '"a\\\nb"' + "\n        x" * 50_000
+    return lambda: tokenize(source), lambda tokens: (len(tokens.texts), tokens.lines[-1]) == (50_001, 50_002)
+
+
 def nested_sections():
     """A static initializer's braces, an annotation's arguments and a field type's generics, each 16,000 deep,
     skipped by counting levels, not by a call per level; the run of '>' lexes as '>>>' tokens and one '>'."""
@@ -115,16 +132,19 @@ def nested_sections():
 @pytest.mark.parametrize("case, bound", [
     (files_in_one_package, 7.0),
     (methods_in_one_class, 1.5),
+    (methods_in_shared_access_sets, 1.0),
     (imports_in_one_file, 2.0),
     (manifests_in_one_dataset, 3.0),
     (files_in_one_manifest, 1.0),
     (rows_in_one_selection_report, 3.0),
     (comments_between_tokens, 1.5),
     (comment_lines_after_a_class, 1.0),
+    (tokens_after_a_literal_that_holds_a_line_end, 1.0),
     (nested_sections, 1.0),
-], ids=["files_in_one_package", "methods_in_one_class", "imports_in_one_file", "manifests_in_one_dataset",
-        "files_in_one_manifest", "rows_in_one_selection_report", "comments_between_tokens",
-        "comment_lines_after_a_class", "nested_sections"])
+], ids=["files_in_one_package", "methods_in_one_class", "methods_in_shared_access_sets", "imports_in_one_file",
+        "manifests_in_one_dataset", "files_in_one_manifest", "rows_in_one_selection_report",
+        "comments_between_tokens", "comment_lines_after_a_class", "tokens_after_a_literal_that_holds_a_line_end",
+        "nested_sections"])
 def test_stage_is_linear_in_one_dimension(case, bound):
     run, check = case()
     start = time.perf_counter()
