@@ -108,8 +108,6 @@ def parse_manifest(text: str) -> BuildManifest:
 
 def apply_filter(dataset: Dataset, tag: str) -> Dataset:
     """Project onto a sub-dataset's metric IDs, preserving column order."""
-    if tag not in FILTER_TAGS:
-        raise DataError(f"unknown filter tag {tag!r}")
     return dataset.project(FILTER_IDS[tag])._replace(filter_tag=tag if tag != "full" else dataset.filter_tag)
 
 
@@ -123,8 +121,6 @@ def assemble(
 
     Exclusion reasons: warning-result, empty-file-list, missing-metrics.
     """
-    if strategy not in AGGREGATE:
-        raise DataError(f"unknown aggregation strategy {strategy!r}")
     aggregate = AGGREGATE[strategy]
     seen: set[str] = set()
     rows = []

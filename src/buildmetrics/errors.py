@@ -1,7 +1,6 @@
-"""Exceptions shared across the toolkit, one class per exit code of the CLI:
-cli.UsageError exits 1, DataError (data it cannot work with) 2, and
-BuildMetricsError itself (an invariant violation) 3. ParseError carries a
-position; extract catches it per file and logs the file as excluded."""
+"""Exceptions shared across the toolkit, one class per exit code of the CLI: cli.UsageError, raised in cli
+alone, exits 1, DataError 2 and BuildMetricsError itself (an invariant violation) 3. Each condition is
+checked once, where input enters; the functions behind those checks trust their callers."""
 
 
 class BuildMetricsError(Exception):
@@ -9,8 +8,8 @@ class BuildMetricsError(Exception):
 
 
 class ParseError(BuildMetricsError):
-    """A file the lexer or parser cannot read: an unterminated comment or string, an
-    illegal character, or a structural problem (e.g. unbalanced braces)."""
+    """A file that lexer.tokenize or the javaparse parser cannot read: an unterminated comment or string,
+    an illegal character or an unbalanced bracket, at its line and column if it has one; extract logs it as excluded."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0):
         pos = f" at line {line}, column {column}" if line else ""
@@ -20,5 +19,6 @@ class ParseError(BuildMetricsError):
 
 
 class DataError(BuildMetricsError):
-    """Input data that cannot be worked with: dataset assembly, CSV parsing,
-    feature selection or cross-validation."""
+    """Input data that cannot be worked with, raised where it enters: by cli, dataset.parse_manifest, assemble
+    and read_csv, metrics.table_rows, parse_metrics_csv and finite_floats, and the dataset checks of
+    featsel.discretize and tree.cross_validate."""

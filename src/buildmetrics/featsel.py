@@ -53,8 +53,6 @@ def entropy(labels) -> float:
     """Shannon entropy in bits. The counts are summed in ascending order, so the
     result depends on their multiset alone, not on the order of the labels."""
     labels = list(labels)
-    if not labels:
-        raise DataError("entropy of an empty label list")
     return _entropy(sorted(Counter(labels).values()), len(labels))
 
 
@@ -130,8 +128,6 @@ def discretize_mdl(values: list[float], labels: list) -> list[float]:
     accepted only when its information gain beats the MDL criterion. Returns
     a (possibly empty) ascending cut list.
     """
-    if len(values) != len(labels):
-        raise DataError("values and labels differ in length")
     order = sorted(range(len(values)), key=values.__getitem__)
     values = [values[i] for i in order]
     class_index: dict = {}
@@ -208,13 +204,11 @@ def info_gain_rank(table: Discretized) -> SelectionRun:
 
 def symmetric_uncertainty(x: list, y: list) -> float:
     """SU = 2*(H(x)+H(y)-H(x,y))/(H(x)+H(y)); 0 when both entropies vanish."""
-    if len(x) != len(y):
-        raise DataError("sequences differ in length")
     hx = entropy(x)
     hy = entropy(y)
     if hx + hy == 0:
         return 0.0
-    hxy = entropy(list(zip(x, y)))
+    hxy = entropy(zip(x, y, strict=True))
     return 2.0 * (hx + hy - hxy) / (hx + hy)
 
 
@@ -304,8 +298,6 @@ def _run_counts(runs: list[SelectionRun]) -> Counter:
 
 def frequency_select(runs: list[SelectionRun], threshold: int) -> set[int]:
     """Metric IDs selected by at least `threshold` of the given runs."""
-    if threshold < 1:
-        raise DataError("threshold must be at least 1")
     return {mid for mid, count in _run_counts(runs).items() if count >= threshold}
 
 

@@ -99,8 +99,6 @@ def train(dataset: Dataset) -> TreeNode:
     from a stack, not by recursion, so any depth is reached.
     """
     labels = dataset.labels()
-    if not labels:
-        raise DataError("cannot train on an empty dataset")
     global_counts = Counter(labels)
     classes = list(global_counts)
     ys = [classes.index(label) for label in labels]
@@ -202,8 +200,6 @@ def predict(tree: TreeNode, features: dict[int, float]) -> str:
     """Descend the tree (left on value <= threshold) to a leaf label."""
     node = tree
     while not node.is_leaf:
-        if node.metric_id not in features:
-            raise DataError(f"instance is missing metric {node.metric_id}")
         node = node.left if features[node.metric_id] <= node.threshold else node.right
     return node.label
 

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from buildmetrics.metrics import METRIC_IDS, compute_all_metrics
 from buildmetrics.model import build_code_model
 
 CORPUS = Path(__file__).parent / "fixtures" / "corpus"
+HARNESS = Path(__file__).parent / "differential.py"
 
 
 def by_id(values: list[float]) -> dict[int, float]:
@@ -66,3 +68,15 @@ def forks(monkeypatch):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def harness(monkeypatch):
+    """tests/differential.py as a module, with the sys.path entries and bytecode setting it changes undone
+    after the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    spec = importlib.util.spec_from_file_location("differential", HARNESS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -68,29 +68,13 @@ def _error_runs(inp: Path) -> list:
     """test_cli.py's usage and data error cases, with the files they read."""
     runs = [(f"usage {ident}", argv.split(), None)
             for ident, (argv,) in _cases(test_cli.test_argument_error_is_one_line_usage_error)]
-    paths = inp / "paths"
-    (paths / "dir").mkdir(parents=True)
-    (paths / "file").write_text("")
-    (paths / "manifests").mkdir()
-    (paths / "manifests" / "b1.json").write_text(test_cli._MANIFEST)
-    (paths / "dir_manifests" / "b1.json").mkdir(parents=True)
-    (paths / "metrics.csv").write_text(test_cli._METRICS_HEADER + "\nA.java" + ",1" * 42 + "\n")
-    (paths / "latin1.csv").write_bytes(b"build_id,label,m9\nb\xe9,failed,1\n")
-    rows = [(f"b{i}", ("failed", "success")[i % 2], [float(i)]) for i in range(6)]
-    (paths / "2.csv").write_text(ds.write_csv(ds.Dataset([9], rows, "maximum")))
-    (paths / "bogus.csv").write_text(ds.write_csv(ds.Dataset([9], rows, "bogus")))
-    (paths / "selection.csv").write_text("dataset_id,algorithm,metric_id,rank_or_member,score\n1,cfs,9,1,\n")
-    names = {name: f"{IN}/paths/{name}" for name in ("dir", "file", "manifests", "dir_manifests")}
-    names.update({name: f"{IN}/paths/{name}.csv"
-                  for name in ("missing", "latin1", "metrics", "bogus", "selection")})
-    names.update(csv=f"{IN}/paths/2.csv", corpus=f"{IN}/fixture")
+    names = {name: f"{IN}/paths/{path}" for name, path in test_cli._path_inputs(inp / "paths").items()}
     for ident, (argv, _) in _cases(test_cli.test_bad_path_or_replay_is_one_line_error):
         out = f"out/paths-{ident}"
-        runs.append((f"path {ident}", argv.format(tmp=out, **names).split(), out))
+        runs.append((f"path {ident}", argv.format(corpus=f"{IN}/fixture", tmp=out, **names).split(), out))
     for ident, (manifest, metrics_text, _) in _cases(test_cli.test_dataset_parse_failure_is_one_line_data_error):
         case = inp / "dataset-errors" / ident
-        (case / "manifests").mkdir(parents=True)
-        (case / "manifests" / "b1.json").write_text(manifest)
+        test_cli._write_manifests(case / "manifests", manifest)
         (case / "metrics.csv").write_text(metrics_text)
         out = f"out/dataset-errors-{ident}"
         runs.append((f"dataset error {ident}", ["dataset", f"{IN}/dataset-errors/{ident}/manifests",

@@ -641,6 +641,14 @@ _MANIFEST = json.dumps(
     {"build_id": "b1", "kind": "nightly", "result": "failed", "files": ["A.java"]}
 )
 _METRICS_HEADER = "file_path," + ",".join(f"m{i}" for i in metrics.METRIC_IDS)
+_METRICS = _METRICS_HEADER + "\nA.java" + ",1" * 42 + "\n"
+
+
+def _write_manifests(mdir: Path, manifests):
+    """A table row's manifest text, or each of its texts, as b1.json, b2.json, ... in a new mdir."""
+    mdir.mkdir(parents=True)
+    for number, text in enumerate([manifests] if isinstance(manifests, str) else manifests, 1):
+        (mdir / f"b{number}.json").write_text(text)
 
 
 @pytest.mark.parametrize(
@@ -679,20 +687,26 @@ _METRICS_HEADER = "file_path," + ",".join(f"m{i}" for i in metrics.METRIC_IDS)
         ),
         pytest.param(
             _MANIFEST.replace('"A.java"', '"A.java", "A.java"'),
-            _METRICS_HEADER + "\nA.java" + ",1" * 42 + "\n",
+            _METRICS,
             True,
             id="manifest-repeated-file",
         ),
-        *(pytest.param(_MANIFEST.replace('"b1"', json.dumps(bid)), _METRICS_HEADER + "\nA.java" + ",1" * 42 + "\n",
-                       True, id=f"build-id-{name}")
+        *(pytest.param(_MANIFEST.replace('"b1"', json.dumps(bid)), _METRICS, True, id=f"build-id-{name}")
           for name, bid in [("lf", "b\n1"), ("cr", "b\r1"), ("surrogate", "b\ud8001")]),
+        pytest.param(json.dumps({"build_id": "b1", "result": "failed", "files": ["A.java"]}), _METRICS, True,
+                     id="manifest-missing-field"),
+        pytest.param(_MANIFEST.replace('"failed"', '"flaky"'), _METRICS, True, id="manifest-unknown-result"),
+        pytest.param(_MANIFEST.replace('["A.java"]', '"A.java"'), _METRICS, True, id="manifest-files-not-a-list"),
+        pytest.param(_MANIFEST.replace('"A.java"', '"A.java", 7'), _METRICS, True, id="manifest-bad-file-entry"),
+        pytest.param((_MANIFEST, _MANIFEST.replace('"nightly"', '"continuous"')), _METRICS, False,
+                     id="two-manifests-one-build-id"),
+        pytest.param(_MANIFEST.replace('"failed"', '"warning"'), _METRICS, False, id="nothing-retained"),
     ],
 )
 def test_dataset_parse_failure_is_one_line_data_error(tmp_path, capsys, manifest, metrics_text,
                                                       manifest_at_fault):
     mdir = tmp_path / "manifests"
-    mdir.mkdir()
-    (mdir / "b1.json").write_text(manifest)
+    _write_manifests(mdir, manifest)
     (tmp_path / "metrics.csv").write_text(metrics_text)
     code, _, err = run(
         capsys, "dataset", str(mdir), str(tmp_path / "metrics.csv"),
@@ -1135,7 +1149,7 @@ def test_each_stage_loads_only_the_modules_it_runs(tmp_path, argv, loads_no):
     # A fresh interpreter per stage: which modules it loaded, not how long they took.
     (tmp_path / "manifests").mkdir()
     (tmp_path / "manifests" / "b1.json").write_text(_MANIFEST)
-    (tmp_path / "metrics.csv").write_text(_METRICS_HEADER + "\nA.java" + ",1" * 42 + "\n")
+    (tmp_path / "metrics.csv").write_text(_METRICS)
     rows = [(f"b{i}", ds.LABELS[i % 2], [float(i % 2), float(i)]) for i in range(12)]
     (tmp_path / "2.csv").write_text(ds.write_csv(ds.Dataset([9, 12], rows, "maximum")))
     (tmp_path / "selection.csv").write_text(_REPORT_HEADER + "2,cfs,9,1,\n")
@@ -1156,6 +1170,38 @@ def test_each_stage_loads_only_the_modules_it_runs(tmp_path, argv, loads_no):
 
 
 # -- one-line errors for paths, --folds and --replay ------------------------------
+
+
+_ROWS = [(f"b{i}", ("failed", "success")[i % 2], [float(i)]) for i in range(6)]
+# Dataset CSVs that select or evaluate refuse, by name; each holds one defect.
+_BAD_DATASETS = {
+    "bogus": ds.write_csv(ds.Dataset([9], _ROWS, "bogus")),
+    "constant": ds.write_csv(ds.Dataset([9], [(bid, "failed", values) for bid, _, values in _ROWS], "maximum")),
+    "minority": ds.write_csv(ds.Dataset([9], [(bid, ds.LABELS[i > 0], values) for i, (bid, _, values) in
+                                              enumerate(_ROWS)], "maximum")),
+    "header": "build,label,m9\nb1,failed,1\n",
+    "column": "build_id,label,9\nb1,failed,1\n",
+    "range": "build_id,label,m43\nb1,failed,1\n",
+    "repeated": "build_id,label,m9,m9\nb1,failed,1,1\n",
+    "label": "build_id,label,m9\nb1,flaky,1\n",
+}
+
+
+def _path_inputs(root: Path) -> dict[str, str]:
+    """Write the inputs of the table below under root; each name's path relative to root. An input that
+    is not there, and root itself, are named too."""
+    (root / "dir").mkdir(parents=True)
+    (root / "dir_manifests" / "b1.json").mkdir(parents=True)
+    _write_manifests(root / "manifests", _MANIFEST)
+    files = {"file": "", "metrics.csv": _METRICS, "2.csv": ds.write_csv(ds.Dataset([9], _ROWS, "maximum")),
+             "selection.csv": _REPORT_HEADER + "1,cfs,9,1,\n",
+             **{f"{name}.csv": text for name, text in _BAD_DATASETS.items()}}
+    for path, text in files.items():
+        (root / path).write_text(text)
+    (root / "latin1.csv").write_bytes(b"build_id,label,m9\nb\xe9,failed,1\n")
+    return {"inputs": ".", "dir": "dir", "file": "file", "manifests": "manifests", "dir_manifests": "dir_manifests",
+            "missing": "missing.csv", "latin1": "latin1.csv", "metrics": "metrics.csv", "csv": "2.csv",
+            "selection": "selection.csv", **{name: f"{name}.csv" for name in _BAD_DATASETS}}
 
 
 @pytest.mark.parametrize(
@@ -1192,25 +1238,24 @@ def test_each_stage_loads_only_the_modules_it_runs(tmp_path, argv, loads_no):
         pytest.param("freq {selection} --threshold=-3", 1, id="threshold-negative"),
         pytest.param("select {bogus} --out {tmp}/o", 2, id="select-unknown-strategy"),
         pytest.param("evaluate {bogus} --out {tmp}/o", 2, id="evaluate-unknown-strategy"),
+        pytest.param("extract {dir} --out {tmp}/o", 1, id="extract-no-java-files"),
+        pytest.param("dataset {dir} {metrics} --strategy avg --out {tmp}/o", 1, id="dataset-no-manifests"),
+        pytest.param("select {csv} --out {inputs}", 1, id="select-out-holds-a-report"),
+        pytest.param("select {csv} {csv} --out {tmp}/o", 2, id="select-one-dataset-twice"),
+        pytest.param("evaluate {csv} --features 9,x --out {tmp}/o", 1, id="features-not-a-number"),
+        pytest.param("select {constant} --out {tmp}/o", 2, id="select-constant-label"),
+        pytest.param("evaluate {constant} --out {tmp}/o", 2, id="evaluate-one-class"),
+        pytest.param("evaluate {minority} --out {tmp}/o", 2, id="evaluate-minority-of-one"),
+        pytest.param("select {header} --out {tmp}/o", 2, id="select-bad-header"),
+        pytest.param("select {column} --out {tmp}/o", 2, id="select-malformed-metric-column"),
+        pytest.param("evaluate {range} --out {tmp}/o", 2, id="evaluate-metric-id-out-of-range"),
+        pytest.param("evaluate {repeated} --out {tmp}/o", 2, id="evaluate-repeated-metric-column"),
+        pytest.param("select {label} --out {tmp}/o", 2, id="select-unknown-label"),
     ],
 )
 def test_bad_path_or_replay_is_one_line_error(tmp_path, capsys, argv, expected):
-    (tmp_path / "dir").mkdir()
-    (tmp_path / "file").write_text("")
-    (tmp_path / "manifests").mkdir()
-    (tmp_path / "manifests" / "b1.json").write_text(_MANIFEST)
-    (tmp_path / "dir_manifests" / "b1.json").mkdir(parents=True)
-    (tmp_path / "metrics.csv").write_text(_METRICS_HEADER + "\nA.java" + ",1" * 42 + "\n")
-    (tmp_path / "latin1.csv").write_bytes(b"build_id,label,m9\nb\xe9,failed,1\n")
-    rows = [(f"b{i}", ("failed", "success")[i % 2], [float(i)]) for i in range(6)]
-    (tmp_path / "2.csv").write_text(ds.write_csv(ds.Dataset([9], rows, "maximum")))
-    (tmp_path / "bogus.csv").write_text(ds.write_csv(ds.Dataset([9], rows, "bogus")))
-    (tmp_path / "selection.csv").write_text("dataset_id,algorithm,metric_id,rank_or_member,score\n1,cfs,9,1,\n")
-    names = {name: tmp_path / name for name in ("dir", "file", "manifests", "dir_manifests")}
-    names.update(missing=tmp_path / "missing.csv", latin1=tmp_path / "latin1.csv",
-                 metrics=tmp_path / "metrics.csv", csv=tmp_path / "2.csv", corpus=CORPUS, tmp=tmp_path,
-                 bogus=tmp_path / "bogus.csv", selection=tmp_path / "selection.csv")
-    code, _, err = run(capsys, *argv.format(**names).split())
+    names = {name: tmp_path / path for name, path in _path_inputs(tmp_path).items()}
+    code, _, err = run(capsys, *argv.format(corpus=CORPUS, tmp=tmp_path, **names).split())
     assert code == expected
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err

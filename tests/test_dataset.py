@@ -80,11 +80,6 @@ def test_empty_file_list_excluded():
     assert exclusions == [("b", "empty-file-list")]
 
 
-def test_unknown_strategy():
-    with pytest.raises(DataError):
-        assemble([manifest("a")], {"a.java": vec(1.0)}, "median")
-
-
 @given(
     st.lists(
         st.lists(st.floats(0, 1e6, allow_nan=False), min_size=3, max_size=3),
@@ -176,11 +171,6 @@ def test_filter_commutes_with_row_subsetting():
     )
     filter_then_subset = apply_filter(data, "b")
     assert subset_then_filter.rows == filter_then_subset.rows[:3]
-
-
-def test_unknown_filter_tag():
-    with pytest.raises(DataError):
-        apply_filter(_full_dataset(), "z")
 
 
 def test_filter_id_blocks():

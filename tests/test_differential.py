@@ -4,13 +4,13 @@ change is found and named. The full form's error cases, read from
 test_cli.py's and test_parser.py's parametrize tables, are built without
 running them."""
 
-import importlib.util
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-HARNESS = Path(__file__).parent / "differential.py"
+from conftest import HARNESS
+
 SRC = Path(__file__).parent.parent / "src"
 
 
@@ -40,15 +40,10 @@ def test_a_planted_change_is_named(tmp_path):
     assert lines[-1].startswith("9 invocations: ") and " identical, 0 differ" not in lines[-1]
 
 
-def test_the_full_run_builds_test_clis_error_cases(tmp_path, monkeypatch):
+def test_the_full_run_builds_test_clis_error_cases(tmp_path, harness):
     # Only the full run reads these tables; a renamed or re-shaped one fails here instead.
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the harness puts src/ and perfbench/ on it
-    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
-    spec = importlib.util.spec_from_file_location("differential", HARNESS)
-    harness = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(harness)
     runs = harness._error_runs(tmp_path)
-    assert len(runs) == len({name for name, _, _ in runs}) == 64
+    assert len(runs) == len({name for name, _, _ in runs}) == 83
     assert all(argv and all(isinstance(arg, str) for arg in argv) for _, argv, _ in runs)
     assert harness._malformed_run(tmp_path)[0] == "malformed extract"
-    assert sum(1 for path in (tmp_path / "malformed").iterdir() if path.read_text()) == 24
+    assert sum(1 for path in (tmp_path / "malformed").iterdir() if path.read_text()) == 26

@@ -271,6 +271,8 @@ def test_lines_after_a_literal_that_holds_a_line_end_match_the_oracles():
     ("class A { /* c */ <T void m() {} }", "unbalanced '<' at line 1, column 19"),
     ("class A { @X(/* c */ 1 int f; }", "unbalanced '(' at line 1, column 13"),
     ("class A { static /* c */ { int x; ", "unbalanced '{' at line 1, column 26"),
+    ("class A extends B /* c */", "expected '{', found 'end of file'"),  # an error at the end has no position
+    ("class A { int f; /* c */", "unbalanced braces in type A"),
 ])
 def test_error_position_counts_the_comments_before_it(src, message):
     with pytest.raises(ParseError) as exc:
