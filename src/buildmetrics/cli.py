@@ -118,6 +118,14 @@ def _java_files(root: Path) -> list[Path]:
     return sorted(paths)
 
 
+def _size(path: Path) -> int:
+    """The file's size in bytes, or 0 if it cannot be read: _parse_file then logs the failed read."""
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0
+
+
 def cmd_extract(args) -> Result:
     from . import javaparse, metrics  # loaded before split_map forks, so its child does not load them again
     from .model import build_code_model
@@ -127,8 +135,10 @@ def cmd_extract(args) -> Result:
     paths = _java_files(root)
     if not paths:
         raise UsageError(f"no .java files under {_shown(root)}")
-    # A forked child, if any, parses the odd-indexed files; results come back in path order.
-    parsed = split_map(functools.partial(_parse_file, root), paths)
+    # A forked child, if any, parses every other file by size, largest first; results come back in path order.
+    order = sorted(range(len(paths)), key=[-_size(path) for path in paths].__getitem__)  # stable: ties by path
+    results = split_map(functools.partial(_parse_file, root), [paths[i] for i in order])
+    parsed = [item for _, item in sorted(zip(order, results))]
     exclusions = [item for item in parsed if isinstance(item, str)]
     skeletons = [item for item in parsed if not isinstance(item, str)]
     model = build_code_model([unit for unit, _ in skeletons])

@@ -3,10 +3,10 @@ selection-frequency thresholds.
 
 Numeric features are discretized once per dataset with Fayyad-Irani MDL
 partitioning (`discretize`); IG ranking and CFS both score that one table of
-bins. MDL and tree induction share one cut search, `best_cut`: a single sweep
-over rows in value order with running class counts that screens each cut in
-O(1). MDL sorts each feature once and splits index ranges popped from a
-stack, handing each side's class counts down.
+bins. MDL and tree induction share one cut search, `best_cut`: one sweep over
+a node's values and classes in value order screens each cut in O(1), from
+constants computed once per node. MDL sorts each feature once and splits
+ranges popped from a stack, handing each side's class counts down.
 The CFS search is best-first forward search with a patience of 5
 non-improving expansions; merit ties break toward the smaller,
 lexicographically earlier subset so results are deterministic. Symmetric
@@ -15,11 +15,13 @@ search first reads it. A feature without a cut scores exactly 0.0 under IG
 and CFS alike.
 """
 
+import functools
 import heapq
 import math
 from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
+from operator import add, sub
 from typing import NamedTuple
 
 from .dataset import Dataset
@@ -60,58 +62,69 @@ _CLOG = [0.0]  # _CLOG[c] = c * log2(c), grown on demand
 _DCLOG = []  # _DCLOG[c] = _CLOG[c + 1] - _CLOG[c]
 
 
-def _cut(pos, left, n, counts, h_total):
-    """best_cut's result for the cut that puts class counts `left` before pos."""
-    right = [c - c_left for c, c_left in zip(counts, left)]
-    h_left, h_right = _entropy(left, pos), _entropy(right, n - pos)
-    return h_total - (pos / n) * h_left - ((n - pos) / n) * h_right, pos, h_left, h_right, list(left), right
-
-
-def best_cut(order, values, ys, counts, min_size=1, eps=_GAIN_EPS):
-    """Best binary cut of the rows in `order` by information gain, or None.
-
-    order lists rows sorted by value, ys holds each row's class index and
-    counts the class counts over order. One sweep keeps running left
-    counts; cuts fall only between distinct values, leave at least min_size
-    rows per side and gain more than _GAIN_EPS. A later cut wins only by more
-    than eps. Returns (gain, pos, h_left, h_right, left_counts,
-    right_counts): rows order[:pos] go left.
-
-    Each cut is screened in O(1): with s the running sum of c*log2(c) over
-    both sides' counts, s - pos*log2(pos) - (n-pos)*log2(n-pos) is
-    n * (gain - H). Only cuts within rounding distance of the bar to beat,
-    and the winner, get exact entropies, so the result is exact.
-    """
-    n = len(order)
+@functools.lru_cache(maxsize=4)  # the first sweep of each of a dataset's features in MDL shares one entry
+def node_constants(counts: tuple[int, ...]):
+    """What best_cut needs of a node's rows with class counts `counts`, once for all its sweeps: (counts, n,
+    H, band, s, steps, wings). steps[y][c] is the change in s when the c-th row of class y goes left, and
+    wings[pos] is pos*log2(pos) + (n-pos)*log2(n-pos); every table is sized by the node's rows."""
+    n = sum(counts)
     clog, dclog = _CLOG, _DCLOG
     for c in range(len(clog), n + 1):
         clog.append(c * math.log2(c))
         dclog.append(clog[c] - clog[c - 1])
-    h_total = _entropy(counts, n)
-    # Each row adds a few roundings of about eps_mach * clog[n] to s; the
-    # band holds them and the exact gains' own, with a margin of two.
+    # Each row adds a few roundings of about eps_mach * clog[n] to s, and wings[pos] one more;
+    # the band holds them and the exact gains' own, with a margin of two.
     band = 1e-14 * (n + len(counts)) * clog[n]
+    steps = [list(map(sub, dclog[:k], dclog[:k][::-1])) for k in counts]
+    wings = list(map(add, clog[:n + 1], clog[n::-1]))
+    return counts, n, _entropy(counts, n), band, sum([clog[c] for c in counts]), steps, wings
+
+
+def _cut(pos, ys, node):
+    """best_cut's result for the cut before row pos."""
+    counts, n, h_total = node[:3]
+    left = list(map(ys[:pos].count, range(len(counts))))
+    right = list(map(sub, counts, left))
+    h_left, h_right = _entropy(left, pos), _entropy(right, n - pos)
+    return h_total - (pos / n) * h_left - ((n - pos) / n) * h_right, pos, h_left, h_right, left, right
+
+
+def best_cut(vs, ys, node, min_size=1, eps=_GAIN_EPS):
+    """Best binary cut of a node's rows by information gain, or None.
+
+    vs and ys hold the rows' values and class indices in value order, node
+    is node_constants of their class counts. Cuts fall only between distinct
+    values, leave at least min_size rows per side and gain more than
+    _GAIN_EPS. A later cut wins only by more than eps. Returns (gain, pos,
+    h_left, h_right, left_counts, right_counts): rows [:pos] go left.
+
+    Each cut is screened in O(1): with s the running sum of c*log2(c) over
+    both sides' counts, s - pos*log2(pos) - (n-pos)*log2(n-pos) is
+    n * (gain - H). The sweep visits the cuts min_size ... n - min_size alone.
+    Only cuts within rounding distance of the bar to beat, and the winner,
+    get exact entropies, so the result is exact.
+    """
+    counts, n, h_total, band, s, steps, wings = node
+    last = n - min_size + 1
     lo = n * (_GAIN_EPS - h_total) - band  # the bar in units of s, less the band
-    left = [0] * len(counts)
-    s = sum([clog[c] for c in counts])
-    best = None  # (pos, left counts)
-    vs = [values[i] for i in order]
-    for pos, y, v_prev, v_next in zip(range(1, n), [ys[i] for i in order], vs, vs[1:]):
-        c_left = left[y]
-        s += dclog[c_left] - dclog[counts[y] - c_left - 1]
-        left[y] = c_left + 1
-        if v_prev == v_next or pos < min_size or n - pos < min_size:
+    step = list(map(iter, steps))  # next(step[y]) moves the next row of class y left
+    for y in ys[:min_size - 1]:
+        s += next(step[y])
+    best = None  # the winning cut's position
+    for pos, y, v_prev, v_next in zip(range(min_size, last), ys[min_size - 1:last], vs[min_size - 1:], vs[min_size:]):
+        s += next(step[y])
+        if v_prev == v_next:
             continue
-        score = s - clog[pos] - clog[n - pos]
+        score = s - wings[pos]
         if score < lo:
             continue
         if score <= lo + 2 * band:  # a near-tie: the exact gains decide
-            gain = _cut(pos, left, n, counts, h_total)[0]
-            if not (gain > _GAIN_EPS and (best is None or gain > _cut(*best, n, counts, h_total)[0] + eps)):
+            gain = _cut(pos, ys, node)[0]
+            if not (gain > _GAIN_EPS and (best is None or gain > _cut(best, ys, node)[0] + eps)):
                 continue
-        best = (pos, list(left))
+        best = pos
         lo = score + n * eps - band
-    return best and _cut(*best, n, counts, h_total)
+    return best and _cut(best, ys, node)
 
 
 def cut_point(a: float, b: float) -> float:
@@ -140,12 +153,11 @@ def discretize_mdl(values: list[float], labels: list) -> list[float]:
         k = sum(1 for c in counts if c)
         if k < 2:
             continue
-        best = best_cut(range(lo, hi), values, ys, counts, eps=1e-15)
+        best = best_cut(values[lo:hi], ys[lo:hi], node_constants(tuple(counts)), eps=1e-15)
         if best is None:
             continue
         gain, pos, h_left, h_right, left, right = best
-        k1 = sum(1 for c in left if c)
-        k2 = sum(1 for c in right if c)
+        k1, k2 = sum(map(bool, left)), sum(map(bool, right))
         n = hi - lo
         delta = math.log2(3**k - 2) - (k * _entropy(counts, n) - k1 * h_left - k2 * h_right)
         threshold = (math.log2(n - 1) + delta) / n

@@ -82,6 +82,7 @@ class _Parser:
                                     physical_lines=text.count("\n") + (text != "" and text[-1] != "\n"),
                                     code_lines=len(set(self.lines)))
         self.i = 0
+        self.open_types = []  # (decl, position of its '{') for each type not yet closed, innermost last
 
     # -- token helpers -------------------------------------------------
 
@@ -94,20 +95,21 @@ class _Parser:
 
     def take(self) -> str:
         if self.i >= len(self.texts):
-            raise ParseError("unexpected end of file")
+            raise self.error("unexpected end of file", self.i)
         self.i += 1
         return self.texts[self.i - 1]
 
     def error(self, message: str, j: int) -> ParseError:
-        """A ParseError at the line and column of token j."""
+        """A ParseError at the line and column of token j. At the end of the file it is placed where what the
+        file leaves open opens: at the '{' of the innermost type not closed, or else at the last token."""
+        if j == len(self.texts):
+            j = self.open_types[-1][1] if self.open_types else j - 1
         return ParseError(message, self.lines[j], columns(self.source)[j])
 
     def expect(self, text: str) -> int:
         """Consume text and return its position."""
         if (got := self.peek()) != text:
-            if got is None:
-                raise ParseError(f"expected {text!r}, found 'end of file'")
-            raise self.error(f"expected {text!r}, found {got!r}", self.i)
+            raise self.error(f"expected {text!r}, found {got or 'end of file'!r}", self.i)
         self.i += 1
         return self.i - 1
 
@@ -182,12 +184,12 @@ class _Parser:
         """Parse a type declaration and the types nested in it, from a stack
         of open types, not by recursion, so any depth is read. A nested type
         is appended to unit.types before the type that declares it."""
-        stack = [self.type_head(mods)]
+        self.open_types = stack = [self.type_head(mods)]
         while stack:
-            decl = stack[-1]
+            decl = stack[-1][0]
             t = self.peek()
             if t is None:
-                raise ParseError(f"unbalanced braces in type {decl.name}")
+                raise self.error(f"unbalanced braces in type {decl.name}", self.i)
             if t == "}":
                 self.take()
                 stack.pop()
@@ -204,8 +206,8 @@ class _Parser:
             else:  # a bare ';' is an empty member
                 self.parse_member(decl)
 
-    def type_head(self, mods: set[str]) -> TypeDecl:
-        """Read a type's header through its '{' and, for an enum, its constants."""
+    def type_head(self, mods: set[str]) -> tuple[TypeDecl, int]:
+        """Read a type's header through its '{' and, for an enum, its constants; the type and its '{'."""
         kind = self.take()  # class | interface | enum
         name = self.take()
         decl = TypeDecl(name=name, kind=kind, is_abstract=kind == "interface" or "abstract" in mods)
@@ -214,10 +216,10 @@ class _Parser:
             decl.extends_names = self._type_list()
         implemented = self._type_list() if self.at("implements") else []
         decl.referenced_type_names.update(decl.extends_names, implemented)
-        self.expect("{")
+        brace = self.expect("{")
         if kind == "enum":
             self.skip_enum_constants()
-        return decl
+        return decl, brace
 
     def skip_enum_constants(self):
         """Skip an enum's constants, with their arguments and bodies, through

@@ -4,7 +4,8 @@ and stratified k-fold cross-validation with confusion accounting.
 All features are numeric; every split is binary on a midpoint threshold
 (left branch takes values <= threshold). Each column is sorted once at the
 root; the winning cut hands each child its sorted rows and class counts, as
-MDL's frames get theirs, and places its threshold once (as in SLIQ).
+MDL's frames get theirs, and places its threshold once (as in SLIQ); a child
+that cannot split gets none. A node that can is swept once per feature.
 Pruning is one bottom-up pass of subtree replacement using the binomial
 upper confidence bound on the leaf error rate; summing its CDF from the
 largest term down keeps it finite at any node size. The settings are C4.5's
@@ -20,11 +21,12 @@ import json
 import math
 import random
 from collections import Counter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .dataset import Dataset
 from .errors import DataError
-from .featsel import _GAIN_EPS, _entropy, best_cut, cut_point
+from .featsel import _GAIN_EPS, _entropy, best_cut, cut_point, node_constants
 from .metrics import METRIC_NAMES, format_value
 from .parallel import split_map
 
@@ -102,23 +104,25 @@ def train(dataset: Dataset) -> TreeNode:
     global_counts = Counter(labels)
     classes = list(global_counts)
     ys = [classes.index(label) for label in labels]
-    columns = [dataset.column(mid) for mid in dataset.feature_ids]
+    columns = list(zip(*(values for _, _, values in dataset.rows)))
     goes_left = [False] * len(labels)
     root = TreeNode()
-    # A frame holds a node, its class counts by class index and its rows
-    # sorted by each feature (each column is sorted once, here). The winning
-    # cut hands each child its rows and counts, as in discretize_mdl; a split
-    # drops its node's lists, so the lists alive at once hold disjoint rows.
-    stack = [(root, list(global_counts.values()),
-              [sorted(range(len(labels)), key=column.__getitem__) for column in columns])]
+    counts = list(global_counts.values())
+    # A frame holds a node, its class counts by class index and, if it can split, its rows sorted by each
+    # feature (each column is sorted once, here). The winning cut hands each child its rows and counts, as
+    # in discretize_mdl; a split drops its node's lists, so the lists alive at once hold disjoint rows.
+    stack = [(root, counts, [sorted(range(len(labels)), key=column.__getitem__) for column in columns]
+              if _can_split(counts) else None)]
     while stack:
         node, counts, lists = stack.pop()
         node.training_counts = Counter({classes[k]: c for k, c in enumerate(counts) if c})
-        n = sum(counts)
         candidates = []  # (feature index, best_cut result, gain ratio)
-        if len(node.training_counts) > 1 and n >= 2 * _MIN_LEAF:
+        if lists is not None:
+            constants = node_constants(tuple(counts))
+            n = constants[1]
             for k, (order, column) in enumerate(zip(lists, columns)):
-                best = best_cut(order, column, ys, counts, min_size=_MIN_LEAF)
+                rows = itemgetter(*order)  # a node that can split holds 4 rows or more: rows() is a tuple
+                best = best_cut(rows(column), rows(ys), constants, _MIN_LEAF)
                 if best is not None:
                     candidates.append((k, best, best[0] / _entropy((best[1], n - best[1]), n)))
         if not candidates:
@@ -135,10 +139,20 @@ def train(dataset: Dataset) -> TreeNode:
         for j, i in enumerate(order):
             goes_left[i] = j < pos
         node.left, node.right = TreeNode(), TreeNode()
-        # Both halves are taken before either child reuses goes_left.
-        stack.append((node.right, right, [[i for i in lst if not goes_left[i]] for lst in lists]))
-        stack.append((node.left, left, [[i for i in lst if goes_left[i]] for lst in lists]))
+        # Both halves are taken before either child reuses goes_left; a child that cannot split gets no lists.
+        stack.append((node.right, right, _rows_of(lists, goes_left, False) if _can_split(right) else None))
+        stack.append((node.left, left, _rows_of(lists, goes_left, True) if _can_split(left) else None))
     return root
+
+
+def _can_split(counts) -> bool:
+    """Whether a node with these class counts is swept: two classes, and rows for two leaves."""
+    return sum(counts) >= 2 * _MIN_LEAF and sum(map(bool, counts)) > 1
+
+
+def _rows_of(lists, goes_left, left: bool) -> list[list[int]]:
+    """The rows of each sorted list on one side of the cut, in order."""
+    return [[i for i in lst if goes_left[i]] if left else [i for i in lst if not goes_left[i]] for lst in lists]
 
 
 @functools.cache

@@ -10,7 +10,8 @@ usage and data error cases of test_cli.py's tables, the grammar fixture tree,
 and a malformed tree with one file per row of two of test_parser.py's error
 tables. The invocations are every --help, those error cases, extract of each
 tree, dataset for 3 strategies x 5 filters,
-select, freq --threshold 2, evaluate on every dataset (the probe with
+select, freq --threshold 2, evaluate on every dataset (each noisy one
+also with --folds 3 --seed 7, projected on NOISY_FEATURES; the probe with
 --folds 2) and --replay.
 
 Each invocation runs as a fresh `python -m buildmetrics.cli` process with
@@ -51,6 +52,7 @@ from synth import generate_corpus
 
 IN = "../in"  # the inputs, as each side's working directory reaches them
 SEEDS = (1, 2, 3, 4, 5)
+NOISY_FEATURES = "2,3,9,14,20,27,33,41"  # the planted signal m9 among tie-heavy and continuous columns
 SIDES = ("parent", "change")
 
 
@@ -97,13 +99,17 @@ def _malformed_run(inp: Path) -> tuple:
     return ("malformed extract", ["extract", f"{IN}/malformed", "--out", "out/malformed"], "out/malformed")
 
 
-def _learn(name: str, csvs: list[str]) -> list:
-    """select and freq over the datasets, then evaluate on each."""
+def _learn(name: str, csvs: list[str], features: str | None = None) -> list:
+    """select and freq over the datasets, then evaluate on each; given features, also evaluate each
+    projected on them, with another fold count and seed."""
     runs = [(f"{name} select", ["select", *csvs, "--out", f"out/{name}/select"], f"out/{name}/select"),
             (f"{name} freq", ["freq", f"out/{name}/select/selection.csv", "--threshold", "2"], None)]
     for csv in csvs:
         out = f"out/{name}/evaluate-{Path(csv).stem}"
         runs.append((f"{name} evaluate {Path(csv).stem}", ["evaluate", csv, "--out", out], out))
+        if features:
+            runs.append((f"{name} evaluate {Path(csv).stem} projected", ["evaluate", csv, "--folds", "3", "--seed",
+                         "7", "--features", features, "--out", f"{out}-projected"], f"{out}-projected"))
     return runs
 
 
@@ -147,7 +153,7 @@ def plan(inp: Path, quick: bool) -> list:
                           every_dataset)
     for seed in SEEDS:
         noisy = gen.noisy_datasets(inp / f"noisy-{seed}", seed)
-        runs += _learn(f"noisy-{seed}", [f"{IN}/noisy-{seed}/{path.name}" for path in noisy])
+        runs += _learn(f"noisy-{seed}", [f"{IN}/noisy-{seed}/{path.name}" for path in noisy], NOISY_FEATURES)
     gen.probe_dataset(inp / "probe" / "probe.csv", 1)
     return runs + [("probe evaluate", ["evaluate", f"{IN}/probe/probe.csv", "--folds", "2", "--out", "out/probe"],
                     "out/probe")] + REPLAYS

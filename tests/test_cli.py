@@ -122,7 +122,7 @@ def test_extract_excludes_truncated_file(tmp_path, capsys):
     code, _, err = run(capsys, "extract", str(src), "--out", str(tmp_path / "out"))
     assert code == 0, err
     log = (tmp_path / "out" / "extract_exclusions.log").read_text()
-    assert log == "p/B.java: unexpected end of file\n"
+    assert log == "p/B.java: unexpected end of file at line 1, column 20\n"
     lookup = metrics.parse_metrics_csv((tmp_path / "out" / "metrics.csv").read_text())
     assert set(lookup) == {"p/A.java"}
 
@@ -456,10 +456,12 @@ def test_split_extract_parses_half_the_files_here(monkeypatch, capsys, tmp_path,
         return parse(text, path)
 
     monkeypatch.setattr(javaparse, "parse_source", counting_parse)
-    paths = sorted(p.relative_to(CORPUS).as_posix() for p in CORPUS.rglob("*.java"))
+    # The files go out largest first, ties by path: this process parses the even positions of that order.
+    by_size = sorted(CORPUS.rglob("*.java"), key=lambda p: (-p.stat().st_size, p))
     _extract_artifacts(capsys, CORPUS, tmp_path / "out")
     assert len(forks) == 1
-    assert parsed_here == paths[::2] and len(parsed_here) == (len(paths) + 1) // 2
+    assert parsed_here == [p.relative_to(CORPUS).as_posix() for p in by_size[::2]]
+    assert len(parsed_here) == (len(by_size) + 1) // 2
 
 
 def test_split_extract_sends_back_no_method(monkeypatch, capsys, tmp_path, forks):

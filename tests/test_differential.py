@@ -46,4 +46,4 @@ def test_the_full_run_builds_test_clis_error_cases(tmp_path, harness):
     assert len(runs) == len({name for name, _, _ in runs}) == 83
     assert all(argv and all(isinstance(arg, str) for arg in argv) for _, argv, _ in runs)
     assert harness._malformed_run(tmp_path)[0] == "malformed extract"
-    assert sum(1 for path in (tmp_path / "malformed").iterdir() if path.read_text()) == 26
+    assert sum(1 for path in (tmp_path / "malformed").iterdir() if path.read_text()) == 29

@@ -21,6 +21,7 @@ from buildmetrics.featsel import (
     frequency_csv,
     frequency_select,
     info_gain_rank,
+    node_constants,
     selection_report_csv,
     symmetric_uncertainty,
 )
@@ -253,7 +254,8 @@ def _sweep_inputs(draw):
 @given(_sweep_inputs(), st.sampled_from([1, 2]), st.sampled_from([1e-12, 1e-15]))
 def test_best_cut_equals_the_unscreened_sweep(inputs, min_size, eps):
     order, values, ys, counts = inputs
-    assert best_cut(order, values, ys, counts, min_size, eps) == reference_best_cut(
+    vs, node_ys = [values[i] for i in order], [ys[i] for i in order]
+    assert best_cut(vs, node_ys, node_constants(tuple(counts)), min_size, eps) == reference_best_cut(
         order, values, ys, counts, min_size, eps)
 
 
@@ -267,7 +269,7 @@ def test_best_cut_breaks_long_mirror_ties_as_the_unscreened_sweep(seed):
     values = [float(i) for i in range(len(ys))]
     counts = [ys.count(y) for y in range(2 + seed % 2)]
     for min_size, eps in ((1, 1e-15), (2, 1e-12)):
-        assert best_cut(range(len(ys)), values, ys, counts, min_size, eps) == reference_best_cut(
+        assert best_cut(values, ys, node_constants(tuple(counts)), min_size, eps) == reference_best_cut(
             range(len(ys)), values, ys, counts, min_size, eps)
 
 
@@ -283,7 +285,7 @@ def test_best_cut_computes_a_bounded_number_of_entropies(monkeypatch, classes, g
     values = [float(rng.randrange(grid)) if grid else rng.random() for _ in range(n)]
     order = sorted(range(n), key=values.__getitem__)
     counts = [ys.count(y) for y in range(classes)]
-    got = best_cut(order, values, ys, counts, 2)
+    got = best_cut([values[i] for i in order], [ys[i] for i in order], node_constants(tuple(counts)), 2)
     assert len(calls) <= 10
     assert got == reference_best_cut(order, values, ys, counts, 2)
 

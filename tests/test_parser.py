@@ -126,7 +126,7 @@ def test_deeply_nested_types_parse_without_recursion():
     unit = parse_source(src, "A0.java")
     assert [t.name for t in unit.types] == [f"A{i}" for i in reversed(range(depth))]
     assert all(t.field_names == [f"f{i}"] for i, t in zip(reversed(range(depth)), unit.types))
-    with pytest.raises(ParseError, match=r"^unbalanced braces in type A0$"):
+    with pytest.raises(ParseError, match=r"^unbalanced braces in type A0 at line 1, column 21$"):
         parse_source(src[:-1], "A0.java")
 
 
@@ -271,8 +271,12 @@ def test_lines_after_a_literal_that_holds_a_line_end_match_the_oracles():
     ("class A { /* c */ <T void m() {} }", "unbalanced '<' at line 1, column 19"),
     ("class A { @X(/* c */ 1 int f; }", "unbalanced '(' at line 1, column 13"),
     ("class A { static /* c */ { int x; ", "unbalanced '{' at line 1, column 26"),
-    ("class A extends B /* c */", "expected '{', found 'end of file'"),  # an error at the end has no position
-    ("class A { int f; /* c */", "unbalanced braces in type A"),
+    # An error at the end of the file is placed at the '{' of the type it leaves open, or else at the last token.
+    ("class A extends B /* c */", "expected '{', found 'end of file' at line 1, column 17"),
+    ("class A { int f; /* c */", "unbalanced braces in type A at line 1, column 9"),
+    ("class A /* c */ extends", "unexpected end of file at line 1, column 17"),
+    ("/* c */ class A { void m() throws", "unexpected end of file at line 1, column 17"),
+    ("class A {\n  /* c */ class B implements C", "expected '{', found 'end of file' at line 1, column 9"),
 ])
 def test_error_position_counts_the_comments_before_it(src, message):
     with pytest.raises(ParseError) as exc:
@@ -437,11 +441,16 @@ _OPENERS = {"unbalanced parameter list": "(", "unbalanced method body": "{",
             "unterminated character literal": "'"}
 
 
-def _named_token(error) -> str:
-    """The token text that a positioned ParseError names or reports the opening of."""
+def _named_token(error, text: str) -> str | tuple[str, str]:
+    """The token text that a positioned ParseError names or reports the opening of. An error at the end
+    of the file reports the opening of the type it leaves open, or else names the file's last token."""
     message = str(error).rsplit(" at line ", 1)[0]
     if message in _OPENERS:
         return _OPENERS[message]
+    if message.startswith("unbalanced braces in type "):
+        return "{"
+    if message == "unexpected end of file" or message.endswith(", found 'end of file'"):
+        return "{", tokenize(text).texts[-1]
     quoted = re.fullmatch(r"(?:expected .*, found |unbalanced |illegal character )(.*)", message)[1]
     return ast.literal_eval(quoted)
 
@@ -459,4 +468,4 @@ def test_error_position_holds_the_named_token(template, fragments):
     except ParseError as exc:
         if exc.line:
             line = text.replace("\r\n", "\n").split("\n")[exc.line - 1]
-            assert line[exc.column - 1:].startswith(_named_token(exc)), exc
+            assert line[exc.column - 1:].startswith(_named_token(exc, text)), exc

@@ -14,11 +14,12 @@ from pathlib import Path
 import pytest
 
 from buildmetrics.cli import main
-from buildmetrics.dataset import BuildManifest, assemble
+from buildmetrics.dataset import BuildManifest, Dataset, assemble
 from buildmetrics.javaparse import CompilationUnit, MethodDecl, TypeDecl, parse_source
 from buildmetrics.lexer import tokenize
 from buildmetrics.metrics import METRIC_IDS, compute_all_metrics, lcom_suite
 from buildmetrics.model import build_code_model
+from buildmetrics.tree import train
 
 
 def _one_type_files(package: str, n: int) -> list[CompilationUnit]:
@@ -158,6 +159,22 @@ def fields_per_class():
         result[1][1] == n and len(result[0].units[0].types[0].methods[0].accessed_field_names) == n)
 
 
+def rows_in_one_tree():
+    """train on 16,000 rows of one feature whose labels flip in runs of 3-8 rows: for 16 runs of each label
+    at a time, one label's runs are the longer (6-8 rows against 3-5), so cuts fall between blocks and then
+    between runs, and about 5800 nodes grow about 90 deep. Each node's work sized by its own rows, or by the
+    dataset's: 72.7 s in a copy that finds a node's rows by routing every row from the root. A single Python
+    pass over every row at each split (2.6-3.3 s) stays under the bound; two passes (4.1-4.7 s) reach it.
+    Linear cost when added: 0.38-0.44 s."""
+    labels, k = [], 0
+    while len(labels) < 16_000:
+        longer = k % 2 == pow(k // 32, 3, 65_521) % 2
+        labels += [("failed", "success")[k % 2]] * ((6 if longer else 3) + pow(k, 3, 65_521) % 3)
+        k += 1
+    data = Dataset([1], [(f"b{i:05}", label, [float(i)]) for i, label in enumerate(labels[:16_000])])
+    return lambda: train(data), lambda root: root.node_count() > 5000
+
+
 @pytest.mark.parametrize("case, bound", [
     (files_in_one_package, 7.0),
     (methods_in_one_class, 1.5),
@@ -172,10 +189,11 @@ def fields_per_class():
     (nested_sections, 1.0),
     (types_per_file, 6.0),
     (fields_per_class, 3.5),
+    (rows_in_one_tree, 4.0),
 ], ids=["files_in_one_package", "methods_in_one_class", "methods_in_shared_access_sets", "imports_in_one_file",
         "manifests_in_one_dataset", "files_in_one_manifest", "rows_in_one_selection_report",
         "comments_between_tokens", "comment_lines_after_a_class", "tokens_after_a_literal_that_holds_a_line_end",
-        "nested_sections", "types_per_file", "fields_per_class"])
+        "nested_sections", "types_per_file", "fields_per_class", "rows_in_one_tree"])
 def test_stage_is_linear_in_one_dimension(case, bound):
     run, check = case()
     start = time.perf_counter()

@@ -320,6 +320,40 @@ def test_children_hold_the_rows_routed_by_the_threshold_at_float_edges():
     assert splits > 300
 
 
+def test_train_sweeps_and_sorts_only_the_nodes_that_can_split(monkeypatch):
+    # Counted, not timed. A node that can split holds 4 rows or more of two classes: train sweeps it
+    # once per feature, each sweep over that node's rows in value order (ties by row), and builds
+    # sorted lists for no other child.
+    rng = random.Random(38)
+    n = 150
+    columns = {mid: [round(rng.uniform(0, 100), 3) if mid % 3 == 0 else float(rng.randrange(12 + mid))
+                     for _ in range(n)] for mid in range(1, 13)}
+    labels = [("success", "failed")[(columns[3][i] > 50) != (rng.random() < 0.2)] for i in range(n)]
+    sweeps, partitions = [], []
+    best_cut, rows_of = tree_module.best_cut, tree_module._rows_of
+    monkeypatch.setattr(tree_module, "best_cut", lambda vs, ys, *rest: sweeps.append((vs, ys)) or best_cut(
+        vs, ys, *rest))
+    monkeypatch.setattr(tree_module, "_rows_of", lambda *args: partitions.append(rows_of(*args)) or partitions[-1])
+    root = train(make_dataset(columns, labels))
+    # Each node's rows, routed by predict's rule, in the order train grows the nodes: left subtrees first.
+    grown, stack = [], [(root, range(n))]
+    while stack:
+        node, rows = stack.pop()
+        grown.append(rows)
+        if not node.is_leaf:
+            column = columns[node.metric_id]
+            stack.append((node.right, [i for i in rows if not column[i] <= node.threshold]))
+            stack.append((node.left, [i for i in rows if column[i] <= node.threshold]))
+    can_split = [rows for rows in grown if len(rows) >= 4 and len({labels[i] for i in rows}) == 2]
+    classes = list(Counter(labels))
+    in_value_order = [[sorted(rows, key=lambda i: (columns[mid][i], i)) for mid in sorted(columns)]
+                      for rows in can_split]
+    assert sweeps == [(tuple(columns[mid][i] for i in order), tuple(classes.index(labels[i]) for i in order))
+                      for lists in in_value_order for mid, order in zip(sorted(columns), lists)]
+    assert sorted(partitions) == sorted(in_value_order[1:])
+    assert len(grown) > 2 * len(partitions) + 1 > 40  # many nodes were left without lists
+
+
 def _nodes(tree):
     """(node, depth) pairs, walked without recursion."""
     stack, out = [(tree, 0)], []
